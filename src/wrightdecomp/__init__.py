@@ -51,7 +51,6 @@ from .extension import (
     TransferReport,
     convexity_certificate,
     difference_transfer_check,
-    extend_eval,
 )
 from .decomposition import (
     DecompositionResult,
@@ -105,7 +104,6 @@ __all__ = [
     "dumps_instance",
     "enclose",
     "errors",
-    "extend_eval",
     "generate",
     "instance_from_jsonable",
     "instance_to_jsonable",

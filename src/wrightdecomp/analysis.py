@@ -23,6 +23,7 @@ from .errors import (
     DegeneratePairError,
     NonPositiveStepError,
     OutOfDomainError,
+    WrightDecompError,
 )
 from .exactreal import ExactReal, Ordering, compare
 from .funcspec import FunctionDef
@@ -51,9 +52,6 @@ class SlopeFraction:
         if compare(self.den * other.den, 0) is Ordering.LESS:
             lhs, rhs = rhs, lhs
         return compare(lhs, rhs)
-
-    def compare_rational(self, q: Fraction) -> Ordering:
-        return self.compare(SlopeFraction(ExactReal.from_rational(q), ExactReal.from_rational(1)))
 
     def abs(self) -> "SlopeFraction":
         num, den = self.num, self.den
@@ -130,7 +128,9 @@ class ViolationCertificate:
         """True iff re-evaluation reproduces both sides and the violation."""
         try:
             lhs, rhs = self.recompute_sides(f)
-        except Exception:
+        except (WrightDecompError, ValueError):
+            # Out-of-domain witness, unknown kind or malformed witness;
+            # anything else is a fault of the program and propagates.
             return False
         return lhs == self.lhs and rhs == self.rhs and compare(lhs, rhs) is Ordering.LESS
 
@@ -207,11 +207,11 @@ def build_steps(
     grid: SampleGrid,
     explicit: Sequence[ExactReal] = (),
     *,
-    use_grid_differences: bool = True,
     max_grid_steps: int | None = None,
 ) -> tuple[ExactReal, ...]:
     """Step profile: explicit steps first (in the given order), then the
-    positive pairwise grid differences, ascending and deduplicated.
+    positive pairwise grid differences, ascending and deduplicated, capped
+    at ``max_grid_steps`` (0 keeps the explicit steps only).
 
     Counterexample hunting usually needs explicit steps aligned with the
     kernel structure of the suspected additive part; random grid
@@ -224,7 +224,7 @@ def build_steps(
         if compare(sv, 0) is Ordering.GREATER and sv not in seen:
             steps.append(sv)
             seen.add(sv)
-    if use_grid_differences:
+    if max_grid_steps != 0:
         pts = grid.points()
         diffs: set[ExactReal] = set()
         for i in range(len(pts)):
@@ -232,15 +232,41 @@ def build_steps(
                 d = pts[j] - pts[i]
                 if not d.is_zero:
                     diffs.add(d)
-        ordered = _sorted_exact(diffs - seen)
+        ordered = sorted(diffs - seen, key=functools.cmp_to_key(compare))
         if max_grid_steps is not None:
             ordered = ordered[:max_grid_steps]
         steps.extend(ordered)
     return tuple(steps)
 
 
-def _sorted_exact(values: Iterable[ExactReal]) -> list[ExactReal]:
-    return sorted(values, key=functools.cmp_to_key(lambda a, b: int(compare(a, b))))
+_Case = tuple[tuple[ExactReal, ...], ExactReal, ExactReal, tuple[tuple[str, ExactReal], ...]]
+
+
+def _sweep(kind: str, cases: Iterable[_Case]) -> CheckReport:
+    """Walk ``(witness, lhs, rhs, context)`` cases in order, counting each;
+    the first with ``lhs < rhs`` becomes the certificate."""
+    checked = 0
+    for witness, lhs, rhs, context in cases:
+        checked += 1
+        if compare(lhs, rhs) is Ordering.LESS:
+            return CheckReport(False, ViolationCertificate(kind, witness, lhs, rhs, context), checked)
+    return CheckReport(True, None, checked)
+
+
+def _mixture_cases(
+    f: FunctionDef, pts: Sequence[ExactReal], weights: Sequence[Fraction]
+) -> Iterable[_Case]:
+    """t*f(x) + (1-t)*f(y) >= f(t*x + (1-t)*y) for each pair x < y and weight t."""
+    ev = functools.cache(f.evaluate)
+    for i, x in enumerate(pts):
+        for y in pts[i + 1 :]:
+            for t in weights:
+                yield (
+                    (x, y),
+                    ev(x) * t + ev(y) * (1 - t),
+                    ev(x * t + y * (1 - t)),
+                    (("t", ExactReal.from_rational(t)),),
+                )
 
 
 def wright_check(
@@ -248,83 +274,37 @@ def wright_check(
     grid: SampleGrid,
     steps: Sequence[ExactReal] = (),
     *,
-    use_grid_differences: bool = True,
     max_grid_steps: int | None = None,
 ) -> CheckReport:
     """Exact sweep of the double difference over all admissible triples.
 
     Triples (x, u, v) take x from the grid in ascending order and u, v
-    from the step profile in profile order; the first triple whose double
-    difference is negative becomes the certificate.
+    from the step profile in profile order; the first triple with
+    f(x+u+v) + f(x) < f(x+u) + f(x+v) becomes the certificate.
     """
-    step_list = build_steps(
-        grid, steps, use_grid_differences=use_grid_differences, max_grid_steps=max_grid_steps
-    )
-    cache: dict[ExactReal, ExactReal] = {}
-
-    def ev(p: ExactReal) -> ExactReal:
-        val = cache.get(p)
-        if val is None:
-            val = f.evaluate(p)
-            cache[p] = val
-        return val
-
+    step_list = build_steps(grid, steps, max_grid_steps=max_grid_steps)
     interval = f.interval
-    checked = 0
-    for x in grid.points():
-        fx = ev(x)
-        for u in step_list:
-            xu = x + u
-            fxu = None
-            for v in step_list:
-                top = xu + v
-                if not interval.contains(top):
-                    continue
-                if fxu is None:
-                    fxu = ev(xu)
-                dd = ev(top) - fxu - ev(x + v) + fx
-                checked += 1
-                if compare(dd, 0) is Ordering.LESS:
-                    cert = ViolationCertificate(
-                        kind="wright",
-                        witness=(x, u, v),
-                        lhs=ev(top) + fx,
-                        rhs=fxu + ev(x + v),
-                    )
-                    return CheckReport(False, cert, checked)
-    return CheckReport(True, None, checked)
+    ev = functools.cache(f.evaluate)
+
+    def cases() -> Iterable[_Case]:
+        for x in grid.points():
+            fx = ev(x)
+            for u in step_list:
+                xu = x + u
+                for v in step_list:
+                    top = xu + v
+                    if interval.contains(top):
+                        # f(x+u) before f(x+u+v): the order fixes which
+                        # point an out-of-span error names.
+                        fxu = ev(xu)
+                        yield (x, u, v), ev(top) + fx, fxu + ev(x + v), ()
+
+    return _sweep("wright", cases())
 
 
 def jensen_check(f: FunctionDef, grid: SampleGrid) -> CheckReport:
     """Exact midpoint-convexity sweep over all grid pairs."""
-    pts = grid.points()
-    cache: dict[ExactReal, ExactReal] = {}
-
-    def ev(p: ExactReal) -> ExactReal:
-        val = cache.get(p)
-        if val is None:
-            val = f.evaluate(p)
-            cache[p] = val
-        return val
-
-    checked = 0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            x, y = pts[i], pts[j]
-            mid = (x + y) * _HALF
-            lhs = (ev(x) + ev(y)) * _HALF
-            rhs = ev(mid)
-            checked += 1
-            if compare(lhs, rhs) is Ordering.LESS:
-                cert = ViolationCertificate(
-                    kind="jensen",
-                    witness=(x, y),
-                    lhs=lhs,
-                    rhs=rhs,
-                    context=(("t", ExactReal.from_rational(_HALF)),),
-                )
-                return CheckReport(False, cert, checked)
-    return CheckReport(True, None, checked)
+    return _sweep("jensen", _mixture_cases(f, grid.points(), (_HALF,)))
 
 
 def chord_slope(f: FunctionDef, x: ExactReal, y: ExactReal) -> SlopeFraction:
@@ -335,34 +315,19 @@ def chord_slope(f: FunctionDef, x: ExactReal, y: ExactReal) -> SlopeFraction:
 
 
 def chord_slope_monotone_check(f: FunctionDef, grid: SampleGrid) -> CheckReport:
-    """Check slope(x, u) <= slope(u, y) for all ascending grid triples."""
+    """Check slope(x, u) <= slope(u, y) for all ascending grid triples,
+    cross-multiplied by the positive denominators (u-x) and (y-u)."""
     pts = grid.points()
-    cache: dict[ExactReal, ExactReal] = {}
-
-    def ev(p: ExactReal) -> ExactReal:
-        val = cache.get(p)
-        if val is None:
-            val = f.evaluate(p)
-            cache[p] = val
-        return val
-
-    checked = 0
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                x, u, y = pts[i], pts[j], pts[k]
-                # slope(u,y) >= slope(x,u) cross-multiplied by the positive
-                # denominators (u-x) and (y-u).
-                lhs = (ev(y) - ev(u)) * (u - x)
-                rhs = (ev(u) - ev(x)) * (y - u)
-                checked += 1
-                if compare(lhs, rhs) is Ordering.LESS:
-                    cert = ViolationCertificate(
-                        kind="monotone", witness=(x, u, y), lhs=lhs, rhs=rhs
-                    )
-                    return CheckReport(False, cert, checked)
-    return CheckReport(True, None, checked)
+    ev = functools.cache(f.evaluate)
+    return _sweep(
+        "monotone",
+        (
+            ((x, u, y), (ev(y) - ev(u)) * (u - x), (ev(u) - ev(x)) * (y - u), ())
+            for i, x in enumerate(pts)
+            for j, u in enumerate(pts[i + 1 :], i + 1)
+            for y in pts[j + 1 :]
+        ),
+    )
 
 
 def lipschitz_bound(

@@ -184,10 +184,6 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _certificate_payload(report) -> dict:
-    return report.to_jsonable()
-
-
 def _cmd_check_wright(args) -> int:
     inst = load_instance(args.instance)
     grid = make_grid(inst.interval, args.grid_n, args.irrational_n, inst.basis, args.seed)
@@ -203,7 +199,7 @@ def _cmd_check_wright(args) -> int:
         out=args.out,
         extra=(("max_grid_steps", args.max_grid_steps),),
     )
-    _emit(config, {"check": "wright", "report": _certificate_payload(report)}, args.out)
+    _emit(config, {"check": "wright", "report": report.to_jsonable()}, args.out)
     return 0 if report.passed else 2
 
 
@@ -219,7 +215,7 @@ def _cmd_check_jensen(args) -> int:
         irrational_n=args.irrational_n,
         out=args.out,
     )
-    _emit(config, {"check": "jensen", "report": _certificate_payload(report)}, args.out)
+    _emit(config, {"check": "jensen", "report": report.to_jsonable()}, args.out)
     return 0 if report.passed else 2
 
 
@@ -318,19 +314,19 @@ def _cmd_report(args) -> int:
     inst = load_instance(args.instance)
     eps = parse_rational(args.eps)
     grid = make_grid(inst.interval, args.grid_n, args.irrational_n, inst.basis, args.seed)
+    config = RunConfig(
+        subcommand="report",
+        instance=args.instance,
+        eps=str(eps),
+        seed=args.seed,
+        grid_n=args.grid_n,
+        irrational_n=args.irrational_n,
+        out=args.out,
+        csv=args.csv,
+    )
     try:
         handle = ExtensionHandle(inst, precheck_grid=grid)
     except NotJensenConvexError as exc:
-        config = RunConfig(
-            subcommand="report",
-            instance=args.instance,
-            eps=str(eps),
-            seed=args.seed,
-            grid_n=args.grid_n,
-            irrational_n=args.irrational_n,
-            out=args.out,
-            csv=args.csv,
-        )
         payload = {
             "error": "not midpoint convex on sampled rationals",
             "certificate": exc.certificate.to_jsonable() if exc.certificate else None,
@@ -344,16 +340,6 @@ def _cmd_report(args) -> int:
         enc = handle.extend_eval(x, eps)
         writer.writerow([x.literal(), enc.lo.literal(), enc.hi.literal(), enc.width.literal()])
     _atomic_write(args.csv, buf.getvalue())
-    config = RunConfig(
-        subcommand="report",
-        instance=args.instance,
-        eps=str(eps),
-        seed=args.seed,
-        grid_n=args.grid_n,
-        irrational_n=args.irrational_n,
-        out=args.out,
-        csv=args.csv,
-    )
     _emit(config, {"rows": len(grid.points()), "csv": args.csv}, args.out)
     return 0
 

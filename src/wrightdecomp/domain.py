@@ -158,7 +158,7 @@ class SampleGrid:
     def _sorted_points(self) -> tuple[ExactReal, ...]:
         pts = [ExactReal.from_rational(q) for q in self.rationals]
         pts.extend(self.irrationals)
-        pts.sort(key=functools.cmp_to_key(lambda a, b: int(compare(a, b))))
+        pts.sort(key=functools.cmp_to_key(compare))
         return tuple(pts)
 
     def points(self) -> tuple[ExactReal, ...]:
@@ -218,7 +218,7 @@ def make_grid(
         while len(irrationals) < n_irrational:
             attempts += 1
             if attempts > limit:
-                raise RuntimeError(
+                raise EmptyDomainError(
                     f"could not place {n_irrational} irrational probes in {interval.literal()}"
                 )
             offset = Fraction(rng.randrange(1, denom), denom)

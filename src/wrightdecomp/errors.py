@@ -20,7 +20,8 @@ class ResolutionExceededError(WrightDecompError):
 
 
 class EmptyDomainError(WrightDecompError):
-    """A shifted intersection exhausted the interval."""
+    """A shifted intersection exhausted the interval, or the interval has
+    no room for the requested sample points."""
 
 
 class OutOfDomainError(WrightDecompError):

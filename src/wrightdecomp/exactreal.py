@@ -227,14 +227,6 @@ class ExactReal:
             return ExactReal._raw({m: q * inv for m, q in self._terms.items()})
         return NotImplemented  # field division is deliberately unsupported
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = ExactReal.from_rational(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __abs__(self):
         return -self if compare(self, _ZERO_EXACT) is Ordering.LESS else self
 
@@ -299,10 +291,6 @@ class ExactReal:
                 lo += q * bhi
                 hi += q * blo
         return lo, hi
-
-    def __float__(self):
-        lo, hi = self.bounds(Fraction(1, 10**17))
-        return float((lo + hi) / 2)
 
     # -- text --------------------------------------------------------
 
@@ -375,8 +363,6 @@ def parse_rational(text: str) -> Fraction:
 
 
 _ZERO_EXACT = ExactReal()
-ZERO = _ZERO_EXACT
-ONE = ExactReal.from_rational(1)
 
 
 def compare(a: "ExactReal | Rational", b: "ExactReal | Rational") -> Ordering:
@@ -488,9 +474,6 @@ class Enclosure:
 
     def __sub__(self, other: "Enclosure") -> "Enclosure":
         return Enclosure(self.lo - other.hi, self.hi - other.lo)
-
-    def shift(self, x: ExactReal) -> "Enclosure":
-        return Enclosure(self.lo + x, self.hi + x)
 
     def scale(self, q: Rational) -> "Enclosure":
         q = Fraction(q)

@@ -25,7 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .analysis import ViolationCertificate, CheckReport, delta, jensen_check, lipschitz_bound
+from .analysis import (
+    CheckReport,
+    ViolationCertificate,
+    _mixture_cases,
+    _sweep,
+    delta,
+    jensen_check,
+    lipschitz_bound,
+)
 from .domain import SampleGrid, shifted_intersection
 from .errors import (
     BracketUnavailableError,
@@ -44,6 +52,9 @@ _CONVEXITY_WEIGHTS = (
     Fraction(3, 4),
 )
 
+_MARGIN_CAP = Fraction(1)  # bracket margin seed when the room is unbounded
+_MAX_SHRINK = 500  # halvings tried before no window or bracket fits
+
 
 @dataclass(frozen=True)
 class BracketPolicy:
@@ -51,9 +62,7 @@ class BracketPolicy:
 
     initial_eps: Fraction = Fraction(1, 4)  # first enclosure width requested for x
     margin_divisor: int = 8  # bracket margin = available room / divisor
-    margin_cap: Fraction = Fraction(1)  # margin seed when the room is unbounded
     slope_eps: Fraction = Fraction(1, 64)  # enclosure width when bounding the modulus
-    max_shrink: int = 500
 
 
 @dataclass
@@ -141,14 +150,14 @@ class ExtensionHandle:
 
     def _margin_seed(self, pt: Fraction, endpoint: ExactReal | None, width: Fraction) -> Fraction:
         if endpoint is None:
-            return max(width, self.policy.margin_cap)
+            return max(width, _MARGIN_CAP)
         room = ExactReal.from_rational(pt) - endpoint
         room_hi = abs(room).bounds(Fraction(1))[1]
         return max(width, room_hi / self.policy.margin_divisor)
 
     def _fit_margin(self, seed: Fraction, fits) -> Fraction:
         m = seed
-        for _ in range(self.policy.max_shrink):
+        for _ in range(_MAX_SHRINK):
             if m > 0 and fits(m):
                 return m
             m /= 2
@@ -157,7 +166,7 @@ class ExtensionHandle:
     def _start_chain(self, x: ExactReal) -> _Chain:
         # Shrink the first enclosure of x until it sits strictly inside I.
         d = self.policy.initial_eps
-        for _ in range(self.policy.max_shrink):
+        for _ in range(_MAX_SHRINK):
             a, b = x.bounds(d)
             if a < b and self._strict_inside(a, b):
                 break
@@ -202,10 +211,6 @@ class ExtensionHandle:
         return chain.enclosures[-1]
 
 
-def extend_eval(handle: ExtensionHandle, x: ExactReal, eps: Fraction) -> Enclosure:
-    return handle.extend_eval(x, eps)
-
-
 def convexity_certificate(handle: ExtensionHandle, grid: SampleGrid) -> CheckReport:
     """Exact rational-weight convexity sweep over the grid's rationals.
 
@@ -213,36 +218,8 @@ def convexity_certificate(handle: ExtensionHandle, grid: SampleGrid) -> CheckRep
     set {1/4, 1/3, 1/2, 2/3, 3/4}; everything stays rational, so every
     comparison is exact.
     """
-    f = handle.source
     pts = [ExactReal.from_rational(q) for q in grid.rationals]
-    cache: dict[ExactReal, ExactReal] = {}
-
-    def ev(p: ExactReal) -> ExactReal:
-        val = cache.get(p)
-        if val is None:
-            val = f.evaluate(p)
-            cache[p] = val
-        return val
-
-    checked = 0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            x, y = pts[i], pts[j]
-            for t in _CONVEXITY_WEIGHTS:
-                mix = x * t + y * (1 - t)
-                lhs = ev(x) * t + ev(y) * (1 - t)
-                rhs = ev(mix)
-                checked += 1
-                if compare(lhs, rhs) is Ordering.LESS:
-                    cert = ViolationCertificate(
-                        kind="jensen",
-                        witness=(x, y),
-                        lhs=lhs,
-                        rhs=rhs,
-                        context=(("t", ExactReal.from_rational(t)),),
-                    )
-                    return CheckReport(False, cert, checked)
-    return CheckReport(True, None, checked)
+    return _sweep("jensen", _mixture_cases(handle.source, pts, _CONVEXITY_WEIGHTS))
 
 
 @dataclass(frozen=True)
@@ -308,21 +285,15 @@ def difference_transfer_check(
 
     pts = grid.points()
     deltas = [delta(f, v, p) for p in pts]
-    monotone_passed = True
-    monotone_cert = None
-    for i in range(len(pts) - 1):
-        if compare(deltas[i], deltas[i + 1]) is Ordering.GREATER:
-            monotone_passed = False
-            monotone_cert = ViolationCertificate(
-                kind="monotone",
-                witness=(pts[i], pts[i + 1]),
-                lhs=deltas[i + 1],
-                rhs=deltas[i],
-                context=(("v", ExactReal.from_rational(v)),),
-            )
-            break
-
     v_exact = ExactReal.from_rational(v)
+    monotone = _sweep(
+        "monotone",
+        (
+            ((pts[i], pts[i + 1]), deltas[i + 1], deltas[i], (("v", v_exact),))
+            for i in range(len(pts) - 1)
+        ),
+    )
+
     rational_equal = True
     rational_checked = 0
     for q in grid.rationals:
@@ -354,8 +325,8 @@ def difference_transfer_check(
     return TransferReport(
         v=v,
         eps=eps,
-        monotone_passed=monotone_passed,
-        monotone_certificate=monotone_cert,
+        monotone_passed=monotone.passed,
+        monotone_certificate=monotone.certificate,
         rational_points_checked=rational_checked,
         rational_equal=rational_equal,
         probes_checked=probes,

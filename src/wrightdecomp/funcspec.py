@@ -12,6 +12,7 @@ Three families:
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -219,10 +220,6 @@ class Spiked(_FunctionBase):
 FunctionDef = Union[Decomposable, AbsAdditive, Spiked]
 
 
-def evaluate(f: FunctionDef, x: ExactReal) -> ExactReal:
-    return f.evaluate(x)
-
-
 # -- seeded generator ----------------------------------------------------
 
 
@@ -288,13 +285,7 @@ def generate(
                     knot = bump
             if all(compare(knot, k) is not Ordering.EQUAL for k in knots):
                 knots.append(knot)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(knots) - 1):
-                if compare(knots[i], knots[i + 1]) is Ordering.GREATER:
-                    knots[i], knots[i + 1] = knots[i + 1], knots[i]
-                    changed = True
+        knots.sort(key=functools.cmp_to_key(compare))
         hinges = tuple((k, small(1, 24) / 8 + Fraction(1, 8)) for k in knots)
         return ConvexSpec(quad, slope, offset, hinges)
 

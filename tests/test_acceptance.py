@@ -125,7 +125,7 @@ def test_criterion_3_jensen_wright_separation():
             fixture,
             grid,
             (SQRT(2), R(2) - SQRT(2)),
-            use_grid_differences=False,
+            max_grid_steps=0,
         )
         assert not report.passed
         cert = report.certificate

@@ -144,7 +144,7 @@ def test_wright_check_generated_abs_additive_with_kernel_steps():
         u = SQRT(m)
         v = R(4) - u  # positive for every basis radical (sqrt(15) < 4)
         grid = SampleGrid(inst.interval, (Fraction(-2),), (), seed=seed)
-        report = wright_check(inst, grid, (u, v), use_grid_differences=False)
+        report = wright_check(inst, grid, (u, v), max_grid_steps=0)
         assert not report.passed
         cert = report.certificate
         assert cert.violation_amount() == abs(coeff) * -2
@@ -155,7 +155,7 @@ def test_wright_check_finds_abs_additive_violation():
     f = abs_fixture()
     grid = SampleGrid(I_10, (Fraction(0),), (), seed=0)
     steps = (SQRT(2), R(2) - SQRT(2))
-    report = wright_check(f, grid, steps, use_grid_differences=False)
+    report = wright_check(f, grid, steps, max_grid_steps=0)
     assert not report.passed
     cert = report.certificate
     assert cert.kind == "wright"
@@ -176,7 +176,7 @@ def test_wright_check_random_steps_miss_the_kernel():
 def test_certificate_json_round_trip_and_self_verify():
     f = abs_fixture()
     grid = SampleGrid(I_10, (Fraction(0),), (), seed=0)
-    report = wright_check(f, grid, (SQRT(2), R(2) - SQRT(2)), use_grid_differences=False)
+    report = wright_check(f, grid, (SQRT(2), R(2) - SQRT(2)), max_grid_steps=0)
     doc = report.certificate.to_jsonable()
     again = ViolationCertificate.from_jsonable(doc)
     assert again == report.certificate
@@ -186,6 +186,27 @@ def test_certificate_json_round_trip_and_self_verify():
         again.kind, again.witness, again.lhs + R(1), again.rhs, again.context
     )
     assert not forged.verify(f)
+
+
+def test_certificate_verify_propagates_program_faults():
+    # verify() rejects certificates the instance cannot reproduce, but a
+    # fault inside evaluation is not a rejection and must surface
+    f = abs_fixture()
+    grid = SampleGrid(I_10, (Fraction(0),), (), seed=0)
+    cert = wright_check(f, grid, (SQRT(2), R(2) - SQRT(2)), max_grid_steps=0).certificate
+
+    class Faulty:
+        interval = I_10
+
+        def evaluate(self, x):
+            raise RuntimeError("evaluation fault")
+
+    with pytest.raises(RuntimeError, match="evaluation fault"):
+        cert.verify(Faulty())
+    # out-of-domain and malformed witnesses are still plain rejections
+    assert not ViolationCertificate("wright", (R(9), R(1), R(1)), cert.lhs, cert.rhs).verify(f)
+    assert not ViolationCertificate("wright", (R(0),), cert.lhs, cert.rhs).verify(f)
+    assert not ViolationCertificate("cubic", cert.witness, cert.lhs, cert.rhs).verify(f)
 
 
 # -- jensen_check ------------------------------------------------------------------
@@ -362,5 +383,5 @@ def test_build_steps_explicit_first_then_sorted_differences():
 
 def test_build_steps_filters_nonpositive():
     grid = SampleGrid(I_10, (Fraction(0),), (), seed=0)
-    steps = build_steps(grid, (R(-1), ExactReal(), R(2)), use_grid_differences=False)
+    steps = build_steps(grid, (R(-1), ExactReal(), R(2)), max_grid_steps=0)
     assert steps == (R(2),)

@@ -1,0 +1,32 @@
+import importlib.util
+from pathlib import Path
+
+import wrightdecomp
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in wrightdecomp.__all__ if not hasattr(wrightdecomp, name)]
+    assert missing == []
+
+
+def test_benchmark_tracer_installs_and_restores():
+    # The benchmark's tracer wraps library functions and methods by name;
+    # removing or renaming one of them breaks traced benchmark runs.
+    import wrightdecomp.cli  # noqa: F401  (the tracer also patches names imported here)
+
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    compare = wrightdecomp.exactreal.compare
+    evaluate = wrightdecomp.funcspec._FunctionBase.__dict__["evaluate"]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert wrightdecomp.analysis.compare is not compare
+    finally:
+        tracer.uninstall()
+    assert wrightdecomp.analysis.compare is compare
+    assert wrightdecomp.exactreal.compare is compare
+    assert wrightdecomp.funcspec._FunctionBase.__dict__["evaluate"] is evaluate

@@ -75,6 +75,26 @@ def test_eval_domain_error_exits_1(tmp_path, capsys):
     assert run_cli("eval", str(inst), "--at", "5") == 1
 
 
+@pytest.mark.parametrize("command", ["check-jensen", "decompose"])
+def test_no_room_for_irrational_probes_exits_1(tmp_path, capsys, command):
+    # probes r + c*sqrt(2) with c a nonzero multiple of 1/8 never fit in
+    # an interval this narrow
+    inst = tmp_path / "narrow.json"
+    inst.write_text(
+        json.dumps(
+            {
+                "variant": "decomposable",
+                "interval": "(0, 1/1000000)",
+                "basis": [2],
+                "convex": {"quad": "1", "slope": "0", "offset": "0", "hinges": []},
+                "additive": {},
+            }
+        )
+    )
+    assert run_cli(command, str(inst), "--irrational-n", "2") == 1
+    assert capsys.readouterr().err.startswith("error: could not place 2 irrational probes")
+
+
 def test_check_wright_clean_instance(tmp_path):
     inst = tmp_path / "inst.json"
     report = tmp_path / "report.json"
