@@ -55,7 +55,6 @@ from .extension import (
 from .decomposition import (
     DecompositionResult,
     JensenEquationReport,
-    ResidualOracle,
     UniquenessReport,
     VerificationReport,
     decompose,
@@ -82,7 +81,6 @@ __all__ = [
     "JensenEquationReport",
     "Ordering",
     "RESOLUTION_LIMIT",
-    "ResidualOracle",
     "SampleGrid",
     "SlopeFraction",
     "Spiked",

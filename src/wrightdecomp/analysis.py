@@ -24,6 +24,7 @@ from .errors import (
     NonPositiveStepError,
     OutOfDomainError,
     WrightDecompError,
+    _expect_type,
 )
 from .exactreal import ExactReal, Ordering, compare
 from .funcspec import FunctionDef
@@ -146,12 +147,14 @@ class ViolationCertificate:
 
     @classmethod
     def from_jsonable(cls, d: dict) -> "ViolationCertificate":
+        _expect_type(d, dict, "certificate")
+        context = _expect_type(d.get("context", {}), dict, "certificate context")
         return cls(
             d["kind"],
-            tuple(ExactReal.parse(w) for w in d["witness"]),
+            tuple(ExactReal.parse(w) for w in _expect_type(d["witness"], list, "witness")),
             ExactReal.parse(d["lhs"]),
             ExactReal.parse(d["rhs"]),
-            tuple((k, ExactReal.parse(v)) for k, v in sorted(d.get("context", {}).items())),
+            tuple((k, ExactReal.parse(v)) for k, v in sorted(context.items())),
         )
 
 

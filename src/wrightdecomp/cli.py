@@ -21,7 +21,7 @@ from pathlib import Path
 from .analysis import ViolationCertificate, jensen_check, wright_check
 from .decomposition import decompose, verify_against_truth
 from .domain import make_grid
-from .errors import NotJensenConvexError, WrightDecompError
+from .errors import NotJensenConvexError, WrightDecompError, _expect_type
 from .exactreal import ExactReal, parse_rational
 from .extension import ExtensionHandle
 from .funcspec import dumps_instance, generate, load_instance
@@ -91,6 +91,17 @@ def _emit(config: RunConfig, payload: dict, out: str | None) -> None:
         _atomic_write(out, text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_not_midpoint_convex(
+    config: RunConfig, certificate: ViolationCertificate | None, out: str | None
+) -> int:
+    payload = {
+        "error": "not midpoint convex on sampled rationals",
+        "certificate": certificate.to_jsonable() if certificate else None,
+    }
+    _emit(config, payload, out)
+    return 2
 
 
 def _build_parser() -> _Parser:
@@ -235,12 +246,7 @@ def _cmd_decompose(args) -> int:
     try:
         result = decompose(inst, eps, grid)
     except NotJensenConvexError as exc:
-        payload = {
-            "error": "not midpoint convex on sampled rationals",
-            "certificate": exc.certificate.to_jsonable() if exc.certificate else None,
-        }
-        _emit(config, payload, args.out)
-        return 2
+        return _emit_not_midpoint_convex(config, exc.certificate, args.out)
     _emit(config, result.to_jsonable(), args.out)
     return 0
 
@@ -248,16 +254,17 @@ def _cmd_decompose(args) -> int:
 def _cmd_verify(args) -> int:
     truth = load_instance(args.truth)
     with open(args.result, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = _expect_type(json.load(fh), dict, "decomposition result")
     eps = parse_rational(doc["eps"])
-    seed = int(doc["seed"])
-    grid_n = doc["config"]["grid_n"] if "config" in doc else 8
-    irrational_n = doc["config"]["irrational_n"] if "config" in doc else 4
+    seed = int(_expect_type(doc["seed"], (int, str), "seed"))
+    config = _expect_type(doc.get("config", {"grid_n": 8, "irrational_n": 4}), dict, "config")
+    grid_n = _expect_type(config["grid_n"], int, "grid_n")
+    irrational_n = _expect_type(config["irrational_n"], int, "irrational_n")
     grid = make_grid(truth.interval, grid_n, irrational_n, truth.basis, seed)
     result = decompose(truth, eps, grid)
     stored = {
-        m: (enc["lo"], enc["hi"])
-        for m, enc in ((int(k), v) for k, v in doc["additive"].items())
+        int(k): (_expect_type(enc, dict, "additive enclosure")["lo"], enc["hi"])
+        for k, enc in _expect_type(doc["additive"], dict, "additive").items()
     }
     recomputed = {
         m: (enc.lo.literal(), enc.hi.literal()) for m, enc in result.additive_hat.items()
@@ -288,7 +295,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_verify_certificate(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = _expect_type(json.load(fh), dict, "report")
     cert_doc = None
     if "report" in doc and isinstance(doc["report"], dict):
         cert_doc = doc["report"].get("certificate")
@@ -297,11 +304,12 @@ def _cmd_verify_certificate(args) -> int:
     if cert_doc is None:
         sys.stderr.write("report carries no certificate\n")
         return 1
-    instance_path = args.instance or (doc.get("config") or {}).get("instance")
+    config = doc.get("config") or {}
+    instance_path = args.instance or _expect_type(config, dict, "config").get("instance")
     if not instance_path:
         sys.stderr.write("no instance available to re-check against\n")
         return 1
-    inst = load_instance(instance_path)
+    inst = load_instance(_expect_type(instance_path, str, "instance path"))
     cert = ViolationCertificate.from_jsonable(cert_doc)
     if cert.verify(inst):
         sys.stdout.write("certificate verified: violation reproduces exactly\n")
@@ -324,15 +332,10 @@ def _cmd_report(args) -> int:
         out=args.out,
         csv=args.csv,
     )
-    try:
-        handle = ExtensionHandle(inst, precheck_grid=grid)
-    except NotJensenConvexError as exc:
-        payload = {
-            "error": "not midpoint convex on sampled rationals",
-            "certificate": exc.certificate.to_jsonable() if exc.certificate else None,
-        }
-        _emit(config, payload, args.out)
-        return 2
+    gate = jensen_check(inst, grid.rational_only())
+    if not gate.passed:
+        return _emit_not_midpoint_convex(config, gate.certificate, args.out)
+    handle = ExtensionHandle(inst)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x_literal", "lo", "hi", "width"])
@@ -361,13 +364,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
-    except WrightDecompError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except (ValueError, KeyError) as exc:
+    except (WrightDecompError, FileNotFoundError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

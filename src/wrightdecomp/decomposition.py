@@ -28,23 +28,17 @@ from .errors import (
     NotJensenConvexError,
 )
 from .exactreal import Enclosure, ExactReal, Ordering, compare
-from .extension import BracketPolicy, ExtensionHandle, TransferReport, difference_transfer_check
+from .extension import (
+    BracketPolicy,
+    ExtensionHandle,
+    TransferReport,
+    _worst_magnitude,
+    difference_transfer_check,
+)
 from .funcspec import Decomposable, FunctionDef
 
 _HALF = Fraction(1, 2)
-
-
-@dataclass(frozen=True)
-class ResidualOracle:
-    """Pointwise enclosures of f minus its certified extension."""
-
-    f: FunctionDef
-    handle: ExtensionHandle
-
-    def value(self, x: ExactReal, eps: Fraction) -> Enclosure:
-        fx = self.f.evaluate(x)
-        ext = self.handle.extend_eval(x, eps)
-        return Enclosure(fx - ext.hi, fx - ext.lo)
+_MAX_HALVINGS = 200  # halvings of q tried before the probe is given up
 
 
 @dataclass(frozen=True)
@@ -115,20 +109,13 @@ def _recovery_point(interval: Interval, m: int) -> tuple[Fraction, Fraction]:
     q = Fraction(1)
     while compare(s * (q * 2), room) is not Ordering.GREATER:
         q *= 2
-    guard = 0
-    while compare(s * q, room) is Ordering.GREATER:
+    for _ in range(_MAX_HALVINGS + 1):
+        if compare(s * q, room) is not Ordering.GREATER and interval.contains(
+            ExactReal.from_rational(r) + s * q
+        ):
+            return r, q
         q /= 2
-        guard += 1
-        if guard > 200:
-            raise BracketUnavailableError(f"interval too narrow to probe sqrt({m})")
-    probe = ExactReal.from_rational(r) + s * q
-    while not interval.contains(probe):
-        q /= 2
-        guard += 1
-        if guard > 200:
-            raise BracketUnavailableError(f"interval too narrow to probe sqrt({m})")
-        probe = ExactReal.from_rational(r) + s * q
-    return r, q
+    raise BracketUnavailableError(f"interval too narrow to probe sqrt({m})")
 
 
 def _spot_check_pairs(
@@ -184,38 +171,32 @@ def decompose(
         raise NotJensenConvexError(gate.certificate)
 
     handle = ExtensionHandle(f, policy)
-    oracle = ResidualOracle(f, handle)
+    residual = handle.residual
 
     additive_hat: dict[int, Enclosure] = {}
     recovery_points: dict[int, tuple[Fraction, Fraction]] = {}
     for m in f.basis:
         r, q = _recovery_point(f.interval, m)
         probe = ExactReal.from_rational(r) + ExactReal.sqrt(m) * q
-        ext = handle.extend_eval(probe, eps * q)
-        fp = f.evaluate(probe)
-        additive_hat[m] = Enclosure(fp - ext.hi, fp - ext.lo).divide(q)
+        additive_hat[m] = residual(probe, eps * q).divide(q)
         recovery_points[m] = (r, q)
 
     for qpt in grid.rationals:
-        residual = oracle.value(ExactReal.from_rational(qpt), eps)
-        if not (residual.lo.is_zero and residual.hi.is_zero):
+        at_q = residual(ExactReal.from_rational(qpt), eps)
+        if not (at_q.lo.is_zero and at_q.hi.is_zero):
             raise InconsistentEnclosureError(
                 f"residual at rational {qpt} is not exactly zero"
             )
 
-    worst_exact = ExactReal()
-    worst_ub = Fraction(0)
     pairs = _spot_check_pairs(grid)
-    for x, y in pairs:
-        mid = (x + y) * _HALF
-        combined = oracle.value(mid, eps) - (
-            oracle.value(x, eps) + oracle.value(y, eps)
-        ).scale(_HALF)
-        lo_a, hi_a = abs(combined.lo), abs(combined.hi)
-        bound = lo_a if compare(lo_a, hi_a) is Ordering.GREATER else hi_a
-        if compare(bound, worst_exact) is Ordering.GREATER:
-            worst_exact = bound
-        worst_ub = max(worst_ub, bound.bounds(eps / 16)[1])
+    worst_exact, worst_ub = _worst_magnitude(
+        (
+            residual((x + y) * _HALF, eps)
+            - (residual(x, eps) + residual(y, eps)).scale(_HALF)
+            for x, y in pairs
+        ),
+        eps,
+    )
     jensen_report = JensenEquationReport(
         pairs_checked=len(pairs),
         worst_bound=worst_ub,
@@ -234,7 +215,7 @@ def decompose(
         sub = grid.restricted_to(sub_interval)
         if len(sub.points()) < 2:
             continue
-        transfer_reports.append(difference_transfer_check(f, handle, v, sub, eps))
+        transfer_reports.append(difference_transfer_check(handle, v, sub, eps))
 
     return DecompositionResult(
         additive_hat=additive_hat,

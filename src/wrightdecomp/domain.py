@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import EmptyDomainError, ParseError
+from .errors import EmptyDomainError, ParseError, _expect_type
 from .exactreal import ExactReal, Ordering, check_radical_index, compare
 
 _WINDOW = Fraction(16)
@@ -58,7 +58,7 @@ class Interval:
 
     @classmethod
     def parse(cls, text: str) -> "Interval":
-        s = text.strip()
+        s = _expect_type(text, str, "interval literal").strip()
         if not (s.startswith("(") and s.endswith(")")):
             raise ParseError(f"interval literal must look like (a, b), got {text!r}")
         body = s[1:-1]

@@ -11,6 +11,17 @@ class ParseError(WrightDecompError, ValueError):
     """Malformed literal or instance document."""
 
 
+def _expect_type(value, kind, what: str):
+    """``value`` if it is a ``kind``, else ParseError.
+
+    Documents are untyped JSON, so a value of the wrong type is malformed
+    input rather than a program fault.
+    """
+    if not isinstance(value, kind):
+        raise ParseError(f"{what} has the wrong JSON type {type(value).__name__}")
+    return value
+
+
 class ResolutionExceededError(WrightDecompError):
     """A comparison could not be decided above the resolution cap.
 

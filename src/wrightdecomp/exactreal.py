@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import InconsistentEnclosureError, ParseError, ResolutionExceededError
+from .errors import InconsistentEnclosureError, ParseError, ResolutionExceededError, _expect_type
 
 Rational = Union[int, Fraction]
 
@@ -312,7 +312,7 @@ class ExactReal:
     @classmethod
     def parse(cls, text: str) -> "ExactReal":
         """Parse a literal such as ``3/2 + -1*sqrt(2)`` or ``2-sqrt(2)``."""
-        compact = "".join(text.split())
+        compact = "".join(_expect_type(text, str, "ExactReal literal").split())
         if not compact:
             raise ParseError("empty ExactReal literal")
         acc: dict[int, Fraction] = {}
@@ -357,7 +357,7 @@ def _parse_term(body: str, original: str) -> tuple[int, Fraction]:
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal (``3/2``, ``-7``, ``0.25``, ``1e-8``)."""
     try:
-        return Fraction(text.strip())
+        return Fraction(_expect_type(text, str, "rational literal").strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {text!r}") from exc
 

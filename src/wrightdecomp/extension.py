@@ -22,25 +22,14 @@ shrinking eps are nested.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterable
 
-from .analysis import (
-    CheckReport,
-    ViolationCertificate,
-    _mixture_cases,
-    _sweep,
-    delta,
-    jensen_check,
-    lipschitz_bound,
-)
+from .analysis import CheckReport, ViolationCertificate, _mixture_cases, _sweep, lipschitz_bound
 from .domain import SampleGrid, shifted_intersection
-from .errors import (
-    BracketUnavailableError,
-    NonPositiveStepError,
-    NotJensenConvexError,
-    OutOfDomainError,
-)
+from .errors import BracketUnavailableError, NonPositiveStepError, OutOfDomainError
 from .exactreal import Enclosure, ExactReal, Ordering, compare
 from .funcspec import FunctionDef
 
@@ -71,38 +60,28 @@ class _Chain:
     lipschitz_bar: Fraction  # rational upper bound of the window modulus
     deltas: list[Fraction] = field(default_factory=list)
     enclosures: list[Enclosure] = field(default_factory=list)  # running intersections
-    probes: list[tuple[Fraction, ExactReal]] = field(default_factory=list)
 
 
 class ExtensionHandle:
     """On-demand certified enclosures of the extension of ``source``\\|Q.
 
-    The source is only ever evaluated at rational points.  The cache is a
-    performance artifact: results are identical with or without it.
+    The extension only ever reads the source at rational points.  The
+    handle evaluates the source once per distinct point and keeps the
+    value, and the refinement chains, for its lifetime; both caches are
+    performance artifacts, so results are identical with or without them.
     """
 
-    def __init__(
-        self,
-        source: FunctionDef,
-        policy: BracketPolicy | None = None,
-        *,
-        precheck_grid: SampleGrid | None = None,
-        record_probes: bool = False,
-    ):
+    def __init__(self, source: FunctionDef, policy: BracketPolicy | None = None):
         self.source = source
         self.interval = source.interval
         self.policy = policy or BracketPolicy()
-        self.record_probes = record_probes
+        self._evaluate = functools.cache(source.evaluate)
         self._chains: dict[ExactReal, _Chain] = {}
-        if precheck_grid is not None:
-            report = jensen_check(source, precheck_grid.rational_only())
-            if not report.passed:
-                raise NotJensenConvexError(report.certificate)
 
-    # -- source access (rational points only) -------------------------
+    # -- source access ---------------------------------------------------
 
     def f_rational(self, r: Fraction) -> ExactReal:
-        return self.source.evaluate(ExactReal.from_rational(r))
+        return self._evaluate(ExactReal.from_rational(r))
 
     # -- public API ----------------------------------------------------
 
@@ -128,10 +107,11 @@ class ExtensionHandle:
             if compare(enc.width, eps) is not Ordering.GREATER:
                 return enc
 
-    def probe_log(self, x: ExactReal) -> tuple[tuple[Fraction, ExactReal], ...]:
-        """(x_r, f(x_r)) pairs used for x so far (record_probes only)."""
-        chain = self._chains.get(x)
-        return tuple(chain.probes) if chain else ()
+    def residual(self, x: ExactReal, eps: Fraction) -> Enclosure:
+        """Enclosure of f(x) minus the extension at x, of width <= eps."""
+        fx = self._evaluate(x)
+        ext = self.extend_eval(x, eps)
+        return Enclosure(fx - ext.hi, fx - ext.lo)
 
     def window_modulus(self, x: ExactReal) -> tuple[tuple[Fraction, Fraction], Fraction]:
         """The window [a, b] and rational Lipschitz bound used for x."""
@@ -141,12 +121,9 @@ class ExtensionHandle:
     # -- internals -------------------------------------------------------
 
     def _strict_inside(self, lo: Fraction, hi: Fraction) -> bool:
-        i = self.interval
-        if i.lo is not None and compare(i.lo, ExactReal.from_rational(lo)) is not Ordering.LESS:
-            return False
-        if i.hi is not None and compare(ExactReal.from_rational(hi), i.hi) is not Ordering.LESS:
-            return False
-        return True
+        # The interval is open and lo < hi, so both endpoints inside is
+        # the same as [lo, hi] inside.
+        return self.interval.contains(lo) and self.interval.contains(hi)
 
     def _margin_seed(self, pt: Fraction, endpoint: ExactReal | None, width: Fraction) -> Fraction:
         if endpoint is None:
@@ -188,10 +165,10 @@ class ExtensionHandle:
         modulus = lipschitz_bound(self.source, a, b, bracket)
         lbar = modulus.rational_upper_bound(self.policy.slope_eps)
         chain = _Chain(window=(a, b), lipschitz_bar=lbar, deltas=[d])
-        self._seed_round(x, chain, a, b)
+        self._seed_round(chain, a, b)
         return chain
 
-    def _seed_round(self, x: ExactReal, chain: _Chain, lo: Fraction, hi: Fraction) -> None:
+    def _seed_round(self, chain: _Chain, lo: Fraction, hi: Fraction) -> None:
         mid = (lo + hi) / 2
         half = (hi - lo) / 2
         fx = self.f_rational(mid)
@@ -200,14 +177,12 @@ class ExtensionHandle:
         if chain.enclosures:
             enc = chain.enclosures[-1].intersect(enc)
         chain.enclosures.append(enc)
-        if self.record_probes:
-            chain.probes.append((mid, fx))
 
     def _refine(self, x: ExactReal, chain: _Chain) -> Enclosure:
         d = chain.deltas[-1] / 2
         chain.deltas.append(d)
         lo, hi = x.bounds(d)
-        self._seed_round(x, chain, lo, hi)
+        self._seed_round(chain, lo, hi)
         return chain.enclosures[-1]
 
 
@@ -259,8 +234,21 @@ class TransferReport:
         }
 
 
+def _worst_magnitude(encs: Iterable[Enclosure], eps: Fraction) -> tuple[ExactReal, Fraction]:
+    """Largest |value| any of the enclosures admits: exactly, and as a
+    rational upper bound (each magnitude bounded to within eps/16)."""
+    worst_exact = ExactReal()
+    worst_ub = Fraction(0)
+    for enc in encs:
+        lo_a, hi_a = abs(enc.lo), abs(enc.hi)
+        bound = lo_a if compare(lo_a, hi_a) is Ordering.GREATER else hi_a
+        if compare(bound, worst_exact) is Ordering.GREATER:
+            worst_exact = bound
+        worst_ub = max(worst_ub, bound.bounds(eps / 16)[1])
+    return worst_exact, worst_ub
+
+
 def difference_transfer_check(
-    f: FunctionDef,
     handle: ExtensionHandle,
     v: Fraction,
     grid: SampleGrid,
@@ -278,58 +266,52 @@ def difference_transfer_check(
     if v <= 0:
         raise NonPositiveStepError(f"transfer step must be positive, got {v}")
     eps = Fraction(eps)
-    sub = shifted_intersection(f.interval, v)
-    for p in grid.points():
+    sub = shifted_intersection(handle.interval, v)
+    pts = grid.points()
+    for p in pts:
         if not sub.contains(p):
             raise OutOfDomainError(f"grid point {p} outside {sub.literal()}")
 
-    pts = grid.points()
-    deltas = [delta(f, v, p) for p in pts]
+    # Every p and p + v lies in the interval (checked above), so the
+    # step-v difference needs no further domain check.
     v_exact = ExactReal.from_rational(v)
+    ev = handle._evaluate
+    deltas = {p: ev(p + v_exact) - ev(p) for p in pts}
     monotone = _sweep(
         "monotone",
         (
-            ((pts[i], pts[i + 1]), deltas[i + 1], deltas[i], (("v", v_exact),))
+            ((pts[i], pts[i + 1]), deltas[pts[i + 1]], deltas[pts[i]], (("v", v_exact),))
             for i in range(len(pts) - 1)
         ),
     )
 
     rational_equal = True
-    rational_checked = 0
     for q in grid.rationals:
         x = ExactReal.from_rational(q)
-        lhs = delta(f, v, x)
         e_hi = handle.extend_eval(x + v_exact, eps)
         e_lo = handle.extend_eval(x, eps)
-        rational_checked += 1
-        if not (e_hi.is_point and e_lo.is_point and lhs == e_hi.lo - e_lo.lo):
+        if not (e_hi.is_point and e_lo.is_point and deltas[x] == e_hi.lo - e_lo.lo):
             rational_equal = False
 
-    worst_exact = ExactReal()
-    worst_ub = Fraction(0)
-    probes = 0
-    for x in grid.irrationals:
-        d_exact = delta(f, v, x)
-        diff = handle.extend_eval(x + v_exact, eps) - handle.extend_eval(x, eps)
-        # Whatever the true extension difference is, it lies in ``diff``,
-        # so the distance from d_exact to the farther endpoint certifies
-        # |d_exact - true difference|.
-        lo_gap = abs(d_exact - diff.lo)
-        hi_gap = abs(d_exact - diff.hi)
-        gap = lo_gap if compare(lo_gap, hi_gap) is Ordering.GREATER else hi_gap
-        if compare(gap, worst_exact) is Ordering.GREATER:
-            worst_exact = gap
-        worst_ub = max(worst_ub, gap.bounds(eps / 16)[1])
-        probes += 1
+    # Whatever the true extension difference is, it lies in ``diff``, so
+    # the farther endpoint of delta - diff certifies |delta - true difference|.
+    worst_exact, worst_ub = _worst_magnitude(
+        (
+            Enclosure.point(deltas[x])
+            - (handle.extend_eval(x + v_exact, eps) - handle.extend_eval(x, eps))
+            for x in grid.irrationals
+        ),
+        eps,
+    )
 
     return TransferReport(
         v=v,
         eps=eps,
         monotone_passed=monotone.passed,
         monotone_certificate=monotone.certificate,
-        rational_points_checked=rational_checked,
+        rational_points_checked=len(grid.rationals),
         rational_equal=rational_equal,
-        probes_checked=probes,
+        probes_checked=len(grid.irrationals),
         worst_certified_bound=worst_ub,
         within_twice_eps=compare(worst_exact, 2 * eps) is not Ordering.GREATER,
     )

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Mapping, Union
 
 from .domain import Interval, rational_anchors
-from .errors import OutOfDomainError, OutOfSpanError, ParseError
+from .errors import OutOfDomainError, OutOfSpanError, ParseError, _expect_type
 from .exactreal import ExactReal, Ordering, check_radical_index, compare, parse_rational
 
 _SQUAREFREE_POOL = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15)
@@ -339,8 +339,10 @@ def _convex_to_jsonable(c: ConvexSpec) -> dict:
 
 
 def _convex_from_jsonable(d: dict) -> ConvexSpec:
+    _expect_type(d, dict, "convex")
     hinges = tuple(
-        (ExactReal.parse(h["knot"]), parse_rational(h["weight"])) for h in d.get("hinges", [])
+        (ExactReal.parse(_expect_type(h, dict, "hinge")["knot"]), parse_rational(h["weight"]))
+        for h in _expect_type(d.get("hinges", []), list, "hinges")
     )
     return ConvexSpec(
         parse_rational(d.get("quad", "0")),
@@ -355,7 +357,8 @@ def _additive_to_jsonable(add: AdditiveMap) -> dict:
 
 
 def _additive_from_jsonable(d: dict) -> AdditiveMap:
-    return AdditiveMap.from_mapping({int(k): ExactReal.parse(v) for k, v in d.items()})
+    items = _expect_type(d, dict, "additive").items()
+    return AdditiveMap.from_mapping({int(k): ExactReal.parse(v) for k, v in items})
 
 
 def instance_to_jsonable(f: FunctionDef) -> dict:
@@ -387,10 +390,12 @@ def instance_to_jsonable(f: FunctionDef) -> dict:
 
 
 def instance_from_jsonable(doc: dict) -> FunctionDef:
+    _expect_type(doc, dict, "instance document")
     try:
         variant = doc["variant"]
         interval = Interval.parse(doc["interval"])
-        basis = tuple(sorted(int(m) for m in doc["basis"]))
+        entries = _expect_type(doc["basis"], list, "basis")
+        basis = tuple(sorted(int(_expect_type(m, (int, str), "basis entry")) for m in entries))
         additive = _additive_from_jsonable(doc.get("additive", {}))
         if variant == "decomposable":
             inst: FunctionDef = Decomposable(
@@ -405,7 +410,7 @@ def instance_from_jsonable(doc: dict) -> FunctionDef:
                 )
             else:
                 base = AbsAdditive(interval, basis, additive)
-            spike = doc["spike"]
+            spike = _expect_type(doc["spike"], dict, "spike")
             inst = Spiked(
                 interval,
                 basis,

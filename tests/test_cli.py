@@ -6,6 +6,14 @@ import pytest
 
 from wrightdecomp.cli import main
 
+SQUARE = {
+    "variant": "decomposable",
+    "interval": "(-10, 10)",
+    "basis": [2],
+    "convex": {"quad": "1", "slope": "0", "offset": "0", "hinges": []},
+    "additive": {},
+}
+
 FIXTURE_ABS = {
     "variant": "abs_additive",
     "interval": "(-10, 10)",
@@ -167,7 +175,8 @@ def test_check_jensen_spiked_violation(tmp_path):
     assert run_cli("verify-certificate", str(report)) == 0
 
 
-def test_decompose_rejects_non_midpoint_convex(tmp_path):
+@pytest.mark.parametrize("command", ["decompose", "report"])
+def test_decompose_rejects_non_midpoint_convex(tmp_path, command):
     inst = tmp_path / "spiked.json"
     inst.write_text(
         json.dumps(
@@ -182,8 +191,9 @@ def test_decompose_rejects_non_midpoint_convex(tmp_path):
         )
     )
     report = tmp_path / "rep.json"
-    code = run_cli("decompose", str(inst), "--grid-n", "5", "--irrational-n", "0",
-                   "--out", str(report))
+    extra = ["--csv", str(tmp_path / "plot.csv")] if command == "report" else []
+    code = run_cli(command, str(inst), "--grid-n", "5", "--irrational-n", "0",
+                   "--out", str(report), *extra)
     assert code == 2
     doc = json.loads(report.read_text())
     assert doc["certificate"]["kind"] == "jensen"
@@ -251,6 +261,34 @@ def test_usage_error_exits_1():
         capture_output=True,
     )
     assert assert_exit_1.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("eval", dict(SQUARE, convex=[])),
+        ("eval", [1, 2]),
+        ("eval", dict(SQUARE, basis=2)),
+        ("eval", dict(SQUARE, interval=5)),
+        ("eval", dict(SQUARE, convex=dict(SQUARE["convex"], quad=1))),
+        ("verify-certificate", {"report": {"certificate": "x"}}),
+        ("verify", {"eps": "1/100", "seed": 0, "config": [8, 4], "additive": {}}),
+    ],
+    ids=["convex-list", "top-level-list", "basis-int", "interval-int", "quad-int",
+         "certificate-str", "verify-config-list"],
+)
+def test_malformed_document_exits_1(tmp_path, capsys, command, doc):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(SQUARE))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = {
+        "eval": ["eval", str(bad), "--at", "1"],
+        "verify-certificate": ["verify-certificate", str(bad), "--instance", str(inst)],
+        "verify": ["verify", str(bad), "--truth", str(inst)],
+    }[command]
+    assert run_cli(*argv) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_missing_file_exits_1():

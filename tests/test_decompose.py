@@ -12,7 +12,6 @@ from wrightdecomp import (
     ExtensionHandle,
     Interval,
     Ordering,
-    ResidualOracle,
     SampleGrid,
     Spiked,
     compare,
@@ -86,9 +85,9 @@ def test_decompose_residual_zero_on_rationals():
     grid = grid_for(f, seed=3)
     result = decompose(f, EPS8, grid)
     assert result.rational_zero_witnesses == grid.rationals
-    oracle = ResidualOracle(f, ExtensionHandle(f))
+    handle = ExtensionHandle(f)
     for q in grid.rationals:
-        enc = oracle.value(R(q), EPS8)
+        enc = handle.residual(R(q), EPS8)
         assert enc == Enclosure.point(ExactReal())
 
 

@@ -22,7 +22,6 @@ from wrightdecomp import (
 )
 from wrightdecomp.errors import (
     NonPositiveStepError,
-    NotJensenConvexError,
     OutOfDomainError,
 )
 
@@ -105,10 +104,18 @@ def test_extend_bracket_unavailable_on_sliver_interval():
 
 def test_intermediate_probes_respect_modulus():
     f = generate(33, kind="decomposable", nonzero_rational_part=True)
-    h = ExtensionHandle(f, record_probes=True)
+    h = ExtensionHandle(f)
     x = make_grid(f.interval, 0, 2, f.basis, seed=33).irrationals[0]
+    probes = []
+    f_rational = h.f_rational
+
+    def recording(r):
+        value = f_rational(r)
+        probes.append((r, value))
+        return value
+
+    h.f_rational = recording
     h.extend_eval(x, Fraction(1, 10**8))
-    probes = h.probe_log(x)
     assert len(probes) >= 3
     (_, lbar) = h.window_modulus(x)[0], h.window_modulus(x)[1]
     for i, (r1, v1) in enumerate(probes):
@@ -129,13 +136,19 @@ def test_uniqueness_surrogate_policies_overlap():
             assert h1.extend_eval(x, eps).overlaps(h2.extend_eval(x, eps))
 
 
-def test_handle_precheck_gate():
-    base = square()
-    spiked = Spiked(I_10, (2,), base, R(0), Fraction(10))
-    grid = SampleGrid(I_10, (Fraction(-1), Fraction(0), Fraction(1)), (), seed=0)
-    with pytest.raises(NotJensenConvexError):
-        ExtensionHandle(spiked, precheck_grid=grid)
-    ExtensionHandle(base, precheck_grid=grid)  # clean source passes
+def test_handle_evaluates_each_point_once(monkeypatch):
+    f = generate(33, kind="decomposable", nonzero_rational_part=True)
+    x = make_grid(f.interval, 0, 2, f.basis, seed=33).irrationals[0]
+    points = []
+    evaluate = type(f).evaluate
+
+    def counting(self, p):
+        points.append(p)
+        return evaluate(self, p)
+
+    monkeypatch.setattr(type(f), "evaluate", counting)
+    ExtensionHandle(f).extend_eval(x, Fraction(1, 10**8))
+    assert points and len(points) == len(set(points))
 
 
 # -- convexity certificate ----------------------------------------------------
@@ -185,7 +198,7 @@ def test_transfer_decomposable_exact_and_certified():
     sub = shifted_intersection(f.interval, v)
     grid = make_grid(sub, 5, 3, f.basis, seed=36)
     eps = Fraction(1, 10**6)
-    report = difference_transfer_check(f, h, v, grid, eps)
+    report = difference_transfer_check(h, v, grid, eps)
     assert report.monotone_passed
     assert report.rational_equal
     assert report.probes_checked == 3
@@ -202,7 +215,7 @@ def test_transfer_pure_convex_trivial():
     v = Fraction(1)
     sub = shifted_intersection(f.interval, v)
     grid = make_grid(sub, 4, 2, f.basis, seed=37)
-    report = difference_transfer_check(f, h, v, grid, Fraction(1, 10**4))
+    report = difference_transfer_check(h, v, grid, Fraction(1, 10**4))
     assert report.monotone_passed and report.rational_equal and report.within_twice_eps
 
 
@@ -217,7 +230,7 @@ def test_transfer_monotone_fails_for_abs_additive():
 
     sub = shifted_intersection(I_10, v)
     grid = SampleGrid(sub, (), (ExactReal(), SQRT(2)), seed=0)
-    report = difference_transfer_check(f, h, v, grid, Fraction(1, 100))
+    report = difference_transfer_check(h, v, grid, Fraction(1, 100))
     assert not report.monotone_passed
     cert = report.monotone_certificate
     assert cert is not None
@@ -232,6 +245,6 @@ def test_transfer_rejects_bad_grid_and_step():
     h = ExtensionHandle(f)
     grid = make_grid(I_10, 4, 0, (2,), seed=0)  # not inside the shifted domain
     with pytest.raises(OutOfDomainError):
-        difference_transfer_check(f, h, Fraction(8), grid, Fraction(1, 100))
+        difference_transfer_check(h, Fraction(8), grid, Fraction(1, 100))
     with pytest.raises(NonPositiveStepError):
-        difference_transfer_check(f, h, Fraction(-1), grid, Fraction(1, 100))
+        difference_transfer_check(h, Fraction(-1), grid, Fraction(1, 100))
