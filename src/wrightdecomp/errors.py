@@ -40,7 +40,8 @@ class OutOfDomainError(WrightDecompError):
 
 
 class OutOfSpanError(WrightDecompError):
-    """Evaluation point uses radicals outside the instance basis."""
+    """Evaluation point uses radicals outside the instance basis, or a
+    product's radical index would exceed ``MAX_RADICAL_INDEX``."""
 
 
 class DegeneratePairError(WrightDecompError):

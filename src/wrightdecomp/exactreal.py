@@ -1,11 +1,13 @@
 """Exact arithmetic in the rational span of square roots of squarefree integers.
 
 Values are finite sums ``sum_m q_m * sqrt(m)`` with rational ``q_m`` and
-squarefree integer indices ``m >= 1`` (``m = 1`` is the rational unit).
-The representation is canonical: zero coefficients are dropped, so
-structural equality coincides with value equality because square roots of
-distinct squarefree integers are linearly independent over Q (trusted
-fact of this module).
+squarefree integer indices ``m >= 1`` (``m = 1`` is the rational unit),
+stored as integer numerators ``n_m`` over one positive denominator: sorted
+by index, zero numerators dropped, the gcd of all of them 1.  The
+representation is canonical, so structural equality coincides with value
+equality because square roots of distinct squarefree integers are
+linearly independent over Q (trusted fact of this module).  ``Fraction``
+appears only where coefficients, bounds and literals enter or leave.
 
 Comparisons that cannot be decided structurally are settled by adaptive
 rational enclosures built from Heron bracket chains for each radical.
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import InconsistentEnclosureError, ParseError, ResolutionExceededError, _expect_type
+from .errors import InconsistentEnclosureError, OutOfSpanError, ParseError, ResolutionExceededError
+from .errors import _expect_type
 
 Rational = Union[int, Fraction]
 
@@ -62,34 +65,73 @@ class _SqrtBrackets:
     The chain for ``m`` starts from the integer bracket
     ``[isqrt(m), isqrt(m) + 1]`` and each step maps ``hi`` to
     ``(hi + m/hi)/2`` and ``lo`` to ``m/hi``, so both endpoints stay
-    rational and straddle sqrt(m).  ``bracket(m, eps)`` returns the first
-    chain element of width <= eps; the result depends only on ``(m, eps)``
-    regardless of request order, which keeps every consumer deterministic.
+    rational and straddle sqrt(m); each element is kept with its width.
+    ``bracket(m, eps)`` returns the first chain element of width <= eps;
+    the result depends only on ``(m, eps)`` regardless of request order,
+    which keeps every consumer deterministic.
     """
 
     def __init__(self) -> None:
-        self._chains: dict[int, list[tuple[Fraction, Fraction]]] = {}
+        self._chains: dict[int, list[tuple[Fraction, Fraction, Fraction]]] = {}
 
     def bracket(self, m: int, eps: Fraction) -> tuple[Fraction, Fraction]:
         chain = self._chains.get(m)
         if chain is None:
             s = math.isqrt(m)
-            chain = [(Fraction(s), Fraction(s + 1))]
+            chain = [(Fraction(s), Fraction(s + 1), Fraction(1))]
             self._chains[m] = chain
-        for lo, hi in chain:
-            if hi - lo <= eps:
+        for lo, hi, width in chain:
+            if width <= eps:
                 return lo, hi
-        lo, hi = chain[-1]
-        while hi - lo > eps:
+        lo, hi, width = chain[-1]
+        while width > eps:
             hi = (hi + Fraction(m) / hi) / 2
             lo = Fraction(m) / hi
-            chain.append((lo, hi))
+            width = hi - lo
+            chain.append((lo, hi, width))
         return lo, hi
 
 
 _BRACKETS = _SqrtBrackets()
 
 _ZERO = Fraction(0)
+
+_Nums = tuple[tuple[int, int], ...]
+
+
+def _new(nums: _Nums, den: int) -> "ExactReal":
+    # Internal fast path: ``nums`` is sorted by validated squarefree index
+    # with no zero numerator, ``den > 0``, and gcd(den, numerators) == 1.
+    obj = object.__new__(ExactReal)
+    obj._nums = nums
+    obj._den = den
+    obj._hash = None
+    return obj
+
+
+def _reduced(nums: _Nums, den: int) -> "ExactReal":
+    """``_new`` after dividing out the gcd of ``den`` and the numerators."""
+    if den != 1:
+        g = math.gcd(den, *[n for _, n in nums])
+        if g != 1:
+            nums = tuple([(m, n // g) for m, n in nums])
+            den //= g
+    return _new(nums, den)
+
+
+def _merge(a: "ExactReal", b: "ExactReal", sign: int) -> tuple[_Nums, int]:
+    """Sorted nonzero numerators of ``a + sign * b`` over lcm(denominators), and that lcm."""
+    ad, bd = a._den, b._den
+    g = math.gcd(ad, bd)
+    sa, sb = bd // g, sign * (ad // g)
+    an, bn = a._nums, b._nums
+    if len(an) == 1 and len(bn) == 1 and an[0][0] == bn[0][0]:
+        n = an[0][1] * sa + bn[0][1] * sb
+        return ((an[0][0], n),) if n else (), ad * sa
+    acc = {m: n * sa for m, n in an}
+    for m, n in bn:
+        acc[m] = acc.get(m, 0) + n * sb
+    return tuple(sorted([t for t in acc.items() if t[1]])), ad * sa
 
 
 class ExactReal:
@@ -99,61 +141,55 @@ class ExactReal:
     ``*``; division is only defined by nonzero rational scalars.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_nums", "_den", "_hash")
 
     def __init__(self, terms: Mapping[int, Rational] | Iterable[tuple[int, Rational]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, Fraction] = {}
         for m, q in items:
             check_radical_index(m)
-            q = q if isinstance(q, Fraction) else Fraction(q)
-            if m in acc:
-                acc[m] += q
-            else:
-                acc[m] = q
-        self._terms = {m: q for m, q in sorted(acc.items()) if q}
+            acc[m] = acc.get(m, 0) + Fraction(q)
+        # The lcm of reduced denominators is coprime to the scaled numerators.
+        den = math.lcm(*(q.denominator for q in acc.values()))
+        nums = ((m, q.numerator * (den // q.denominator)) for m, q in acc.items() if q)
+        self._nums: _Nums = tuple(sorted(nums))
+        self._den: int = den
         self._hash: int | None = None
 
     @classmethod
-    def _raw(cls, data: dict[int, Fraction]) -> "ExactReal":
-        # Internal fast path: keys are already-validated squarefree indices.
-        obj = cls.__new__(cls)
-        obj._terms = {m: q for m, q in sorted(data.items()) if q}
-        obj._hash = None
-        return obj
-
-    @classmethod
     def from_rational(cls, q: Rational) -> "ExactReal":
-        q = q if isinstance(q, Fraction) else Fraction(q)
-        return cls._raw({1: q} if q else {})
+        if type(q) is not int and not isinstance(q, Fraction):
+            q = Fraction(q)
+        return _new(((1, q.numerator),), q.denominator) if q else _new((), 1)
 
     @classmethod
     def sqrt(cls, m: int) -> "ExactReal":
         check_radical_index(m)
-        return cls._raw({m: Fraction(1)})
+        return _new(((m, 1),), 1)
 
     # -- structure ---------------------------------------------------
 
     @property
     def coefficients(self) -> dict[int, Fraction]:
         """Copy of the term mapping (radical index -> coefficient)."""
-        return dict(self._terms)
+        return {m: Fraction(n, self._den) for m, n in self._nums}
 
     def radicals(self) -> tuple[int, ...]:
         """Radical indices with nonzero coefficient, excluding the unit."""
-        return tuple(m for m in self._terms if m != 1)
+        return tuple(m for m, _ in self._nums if m != 1)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._nums
 
     @property
     def is_rational(self) -> bool:
-        return all(m == 1 for m in self._terms)
+        return not self._nums or self._nums[-1][0] == 1
 
     @property
     def rational_part(self) -> Fraction:
-        return self._terms.get(1, _ZERO)
+        nums = self._nums
+        return Fraction(nums[0][1], self._den) if nums and nums[0][0] == 1 else _ZERO
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
@@ -174,48 +210,53 @@ class ExactReal:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        data = dict(self._terms)
-        for m, q in o._terms.items():
-            if m in data:
-                data[m] += q
-            else:
-                data[m] = q
-        return ExactReal._raw(data)
+        return _reduced(*_merge(self, o, 1))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactReal._raw({m: -q for m, q in self._terms.items()})
+        return _new(tuple([(m, -n) for m, n in self._nums]), self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return _reduced(*_merge(self, o, -1))
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return _reduced(*_merge(o, self, -1))
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        data: dict[int, Fraction] = {}
-        for m, qm in self._terms.items():
-            for n, qn in o._terms.items():
-                # sqrt(m) * sqrt(n) = d * sqrt((m/d) * (n/d)) with d = gcd(m, n);
+        an, bn = self._nums, o._nums
+        if not an or not bn:
+            return _new((), 1)
+        if bn[-1][0] == 1:
+            an, bn = bn, an
+        den = self._den * o._den
+        if an[-1][0] == 1:  # a rational factor scales the other one
+            p = an[0][1]
+            return _reduced(tuple([(m, n * p) for m, n in bn]), den)
+        acc: dict[int, int] = {}
+        for m, p in an:
+            for k, q in bn:
+                # sqrt(m) * sqrt(k) = d * sqrt((m/d) * (k/d)) with d = gcd(m, k);
                 # the reduced index is again squarefree.
-                d = math.gcd(m, n)
-                key = (m // d) * (n // d)
-                coef = qm * qn * d
-                if key in data:
-                    data[key] += coef
-                else:
-                    data[key] = coef
-        return ExactReal._raw(data)
+                d = math.gcd(m, k)
+                key = (m // d) * (k // d)
+                acc[key] = acc.get(key, 0) + p * q * d
+        nums = tuple(sorted([t for t in acc.items() if t[1]]))
+        if nums and nums[-1][0] > MAX_RADICAL_INDEX:
+            raise OutOfSpanError(
+                f"product of {self} and {o} has radical index {nums[-1][0]} "
+                f"above {MAX_RADICAL_INDEX}"
+            )
+        return _reduced(nums, den)
 
     __rmul__ = __mul__
 
@@ -223,8 +264,10 @@ class ExactReal:
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             if other == 0:
                 raise ZeroDivisionError("division of ExactReal by zero")
-            inv = Fraction(1, 1) / Fraction(other)
-            return ExactReal._raw({m: q * inv for m, q in self._terms.items()})
+            p, q = other.numerator, other.denominator
+            if p < 0:
+                p, q = -p, -q
+            return _reduced(tuple([(m, n * q) for m, n in self._nums]), self._den * p)
         return NotImplemented  # field division is deliberately unsupported
 
     def __abs__(self):
@@ -236,14 +279,14 @@ class ExactReal:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._terms == o._terms
+        return self._nums == o._nums and self._den == o._den
 
     def __hash__(self):
         if self._hash is None:
             if self.is_rational:
                 self._hash = hash(self.rational_part)
             else:
-                self._hash = hash(tuple(self._terms.items()))
+                self._hash = hash(tuple(self.coefficients.items()))
         return self._hash
 
     def __lt__(self, other):
@@ -271,37 +314,38 @@ class ExactReal:
         return compare(self, o) is not Ordering.LESS
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._nums)
 
     # -- enclosures --------------------------------------------------
 
     def bounds(self, eps: Fraction) -> tuple[Fraction, Fraction]:
         """Rational lo <= value <= hi with hi - lo <= eps."""
-        lo = hi = self._terms.get(1, _ZERO)
-        irr = [(m, q) for m, q in self._terms.items() if m != 1]
+        nums, den = self._nums, self._den
+        irr = [t for t in nums if t[0] != 1]
+        r = nums[0][1] if len(irr) < len(nums) else 0
         if not irr:
-            return lo, hi
-        per = eps / len(irr)
-        for m, q in irr:
-            blo, bhi = _BRACKETS.bracket(m, per / abs(q))
-            if q > 0:
-                lo += q * blo
-                hi += q * bhi
-            else:
-                lo += q * bhi
-                hi += q * blo
-        return lo, hi
+            q = Fraction(r, den)
+            return q, q
+        # Each radical gets width eps / (len(irr) * |n / den|); lo and hi sum in ints.
+        en, ed = eps.numerator * den, eps.denominator * len(irr)
+        lo_n = hi_n = r
+        lo_d = hi_d = 1
+        for m, n in irr:
+            blo, bhi = _BRACKETS.bracket(m, Fraction(en, ed * abs(n)))
+            if n < 0:
+                blo, bhi = bhi, blo
+            lo_n = lo_n * blo.denominator + n * blo.numerator * lo_d
+            lo_d *= blo.denominator
+            hi_n = hi_n * bhi.denominator + n * bhi.numerator * hi_d
+            hi_d *= bhi.denominator
+        return Fraction(lo_n, lo_d * den), Fraction(hi_n, hi_d * den)
 
     # -- text --------------------------------------------------------
 
     def literal(self) -> str:
         """Canonical literal, terms in increasing radical index."""
-        if not self._terms:
-            return "0"
-        parts = []
-        for m, q in self._terms.items():
-            parts.append(str(q) if m == 1 else f"{q}*sqrt({m})")
-        return " + ".join(parts)
+        parts = [str(q) if m == 1 else f"{q}*sqrt({m})" for m, q in self.coefficients.items()]
+        return " + ".join(parts) or "0"
 
     def __str__(self):
         return self.literal()
@@ -315,7 +359,7 @@ class ExactReal:
         compact = "".join(_expect_type(text, str, "ExactReal literal").split())
         if not compact:
             raise ParseError("empty ExactReal literal")
-        acc: dict[int, Fraction] = {}
+        terms: list[tuple[int, Fraction]] = []
         i, n = 0, len(compact)
         while i < n:
             sign = 1
@@ -330,13 +374,9 @@ class ExactReal:
             if not body:
                 raise ParseError(f"dangling sign in literal {text!r}")
             m, coef = _parse_term(body, text)
-            coef *= sign
-            if m in acc:
-                acc[m] += coef
-            else:
-                acc[m] = coef
+            terms.append((m, coef * sign))
             i = j
-        return cls(acc)
+        return cls(terms)
 
 
 def _parse_term(body: str, original: str) -> tuple[int, Fraction]:
@@ -368,25 +408,20 @@ _ZERO_EXACT = ExactReal()
 def compare(a: "ExactReal | Rational", b: "ExactReal | Rational") -> Ordering:
     """Decidable three-way comparison.
 
-    Equality is structural (canonical form); otherwise the sign of the
-    difference is found by refining a rational enclosure until zero is
-    strictly outside.  Raises ResolutionExceededError past the cap.
+    Equality is structural (canonical form); a difference whose integer
+    numerators all share one sign is decided by that sign; otherwise the
+    sign of the difference is found by refining a rational enclosure until
+    zero is strictly outside.  Raises ResolutionExceededError past the cap.
     """
     ea = a if isinstance(a, ExactReal) else ExactReal.from_rational(a)
     eb = b if isinstance(b, ExactReal) else ExactReal.from_rational(b)
-    if ea._terms == eb._terms:
+    if ea._nums == eb._nums and ea._den == eb._den:
         return Ordering.EQUAL
-    d = ea - eb
-    positive = negative = False
-    for q in d._terms.values():
-        if q > 0:
-            positive = True
-        else:
-            negative = True
-    if not negative:
-        return Ordering.GREATER
-    if not positive:
-        return Ordering.LESS
+    diff, den = _merge(ea, eb, -1)
+    signs = {n > 0 for _, n in diff}
+    if len(signs) == 1:
+        return Ordering.GREATER if True in signs else Ordering.LESS
+    d = _reduced(diff, den)
     eps = Fraction(1)
     while True:
         lo, hi = d.bounds(eps)

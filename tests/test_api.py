@@ -25,8 +25,14 @@ def test_benchmark_tracer_installs_and_restores():
     tracer.install()
     try:
         assert wrightdecomp.analysis.compare is not compare
+        # Arithmetic routed around the wrapped operators would read 0 here.
+        f = wrightdecomp.generate(0)
+        grid = wrightdecomp.make_grid(f.interval, 4, 0, f.basis, 0)
+        wrightdecomp.wright_check(f, grid, max_grid_steps=3)
     finally:
         tracer.uninstall()
+    assert tracer.counts["exactreal.arith"] > 0
+    assert tracer.names.index("exactreal.compare") in tracer.span_name
     assert wrightdecomp.analysis.compare is compare
     assert wrightdecomp.exactreal.compare is compare
     assert wrightdecomp.funcspec._FunctionBase.__dict__["evaluate"] is evaluate

@@ -12,7 +12,7 @@ from wrightdecomp import (
     enclose,
     parse_rational,
 )
-from wrightdecomp.errors import ParseError, ResolutionExceededError
+from wrightdecomp.errors import OutOfSpanError, ParseError, ResolutionExceededError
 
 from oracles import is_squarefree, numeric_sign, radical_bounds
 
@@ -24,7 +24,9 @@ SQRT = ExactReal.sqrt
 
 squarefree_keys = st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11, 13, 15])
 coefficients = st.fractions(min_value=-8, max_value=8, max_denominator=16)
-exact_reals = st.dictionaries(squarefree_keys, coefficients, max_size=4).map(ExactReal)
+term_dicts = st.dictionaries(squarefree_keys, coefficients, max_size=4)
+exact_reals = term_dicts.map(ExactReal)
+nonzero_rationals = coefficients.filter(bool)
 epsilons = st.sampled_from([Fraction(1, 10**k) for k in (1, 3, 6, 9)])
 
 
@@ -69,6 +71,65 @@ def test_division_by_rational_only():
         SQRT(2) / SQRT(3)  # field division is not part of the surface
     with pytest.raises(ZeroDivisionError):
         SQRT(2) / 0
+
+
+def test_product_index_past_cap_raises():
+    # 4294967291 * 4294967279 is squarefree but above MAX_RADICAL_INDEX,
+    # so its literal could not be parsed again.
+    with pytest.raises(OutOfSpanError):
+        SQRT(4294967291) * SQRT(4294967279)
+
+
+# -- independent reference: plain {index: Fraction} dicts ---------------------
+
+
+def _ref_sum(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for m, q in b.items():
+        out[m] = out.get(m, 0) + sign * q
+    return {m: q for m, q in out.items() if q}
+
+
+def _ref_product(a: dict, b: dict) -> dict:
+    # sqrt(m) * sqrt(k) = s * sqrt(core) with s**2 * core = m * k, the square
+    # part found by trial division rather than by gcd.
+    out: dict = {}
+    for m, p in a.items():
+        for k, q in b.items():
+            core, s, d = m * k, 1, 2
+            while d * d <= core:
+                while core % (d * d) == 0:
+                    core //= d * d
+                    s *= d
+                d += 1
+            out[core] = out.get(core, 0) + p * q * s
+    return {m: q for m, q in out.items() if q}
+
+
+@given(term_dicts, term_dicts, nonzero_rationals)
+@settings(max_examples=60)
+def test_arithmetic_matches_fraction_dict_reference(da, db, q):
+    a, b = ExactReal(da), ExactReal(db)
+    da, db = _ref_sum({}, da), _ref_sum({}, db)
+    cases = [
+        (a + b, _ref_sum(da, db)),
+        (a - b, _ref_sum(da, db, -1)),
+        (-a, {m: -c for m, c in da.items()}),
+        (a * b, _ref_product(da, db)),
+        (a / q, {m: c / q for m, c in da.items()}),
+    ]
+    assert hash(R(q)) == hash(q)
+    for value, ref in cases:
+        coeffs = value.coefficients
+        assert coeffs == ref
+        assert all(c != 0 for c in coeffs.values())
+        assert list(coeffs) == sorted(coeffs)
+        if value.is_rational:
+            assert hash(value) == hash(value.rational_part)
+        else:
+            assert hash(value) == hash(tuple(coeffs.items()))
+        assert compare(value, 0) == numeric_sign(value)
+    assert compare(a, b) == numeric_sign(ExactReal(_ref_sum(da, db, -1)))
 
 
 # -- enclosures --------------------------------------------------------------
@@ -172,6 +233,12 @@ def test_parse_rational_scientific():
 
 @given(exact_reals)
 def test_literal_round_trip(x):
+    assert ExactReal.parse(x.literal()) == x
+
+
+@given(exact_reals, exact_reals)
+def test_product_literal_round_trip(a, b):
+    x = a * b
     assert ExactReal.parse(x.literal()) == x
 
 
