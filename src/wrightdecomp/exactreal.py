@@ -126,6 +126,8 @@ def _merge(a: "ExactReal", b: "ExactReal", sign: int) -> tuple[_Nums, int]:
     sa, sb = bd // g, sign * (ad // g)
     an, bn = a._nums, b._nums
     if len(an) == 1 and len(bn) == 1 and an[0][0] == bn[0][0]:
+        # Two values on one radical, as every point of a rational grid is,
+        # skip the dict: most merges of a rational Wright sweep take this.
         n = an[0][1] * sa + bn[0][1] * sb
         return ((an[0][0], n),) if n else (), ad * sa
     acc = {m: n * sa for m, n in an}
@@ -233,18 +235,9 @@ class ExactReal:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        an, bn = self._nums, o._nums
-        if not an or not bn:
-            return _new((), 1)
-        if bn[-1][0] == 1:
-            an, bn = bn, an
-        den = self._den * o._den
-        if an[-1][0] == 1:  # a rational factor scales the other one
-            p = an[0][1]
-            return _reduced(tuple([(m, n * p) for m, n in bn]), den)
         acc: dict[int, int] = {}
-        for m, p in an:
-            for k, q in bn:
+        for m, p in self._nums:
+            for k, q in o._nums:
                 # sqrt(m) * sqrt(k) = d * sqrt((m/d) * (k/d)) with d = gcd(m, k);
                 # the reduced index is again squarefree.
                 d = math.gcd(m, k)
@@ -256,7 +249,7 @@ class ExactReal:
                 f"product of {self} and {o} has radical index {nums[-1][0]} "
                 f"above {MAX_RADICAL_INDEX}"
             )
-        return _reduced(nums, den)
+        return _reduced(nums, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -320,6 +313,8 @@ class ExactReal:
 
     def bounds(self, eps: Fraction) -> tuple[Fraction, Fraction]:
         """Rational lo <= value <= hi with hi - lo <= eps."""
+        if not isinstance(eps, (int, Fraction)):
+            eps = Fraction(eps)
         nums, den = self._nums, self._den
         irr = [t for t in nums if t[0] != 1]
         r = nums[0][1] if len(irr) < len(nums) else 0
