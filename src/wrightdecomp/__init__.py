@@ -24,7 +24,6 @@ from .funcspec import (
     Decomposable,
     FunctionDef,
     Spiked,
-    dump_instance,
     dumps_instance,
     generate,
     instance_from_jsonable,
@@ -98,7 +97,6 @@ __all__ = [
     "delta",
     "difference_transfer_check",
     "double_delta",
-    "dump_instance",
     "dumps_instance",
     "enclose",
     "errors",

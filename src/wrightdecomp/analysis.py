@@ -214,12 +214,15 @@ def build_steps(
 ) -> tuple[ExactReal, ...]:
     """Step profile: explicit steps first (in the given order), then the
     positive pairwise grid differences, ascending and deduplicated, capped
-    at ``max_grid_steps`` (0 keeps the explicit steps only).
+    at ``max_grid_steps`` (0 keeps the explicit steps only; a negative
+    cap is a ValueError).
 
     Counterexample hunting usually needs explicit steps aligned with the
     kernel structure of the suspected additive part; random grid
     differences almost never hit them.
     """
+    if max_grid_steps is not None and max_grid_steps < 0:
+        raise ValueError(f"max_grid_steps must be >= 0, got {max_grid_steps}")
     steps: list[ExactReal] = []
     seen: set[ExactReal] = set()
     for s in explicit:

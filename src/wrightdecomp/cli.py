@@ -15,7 +15,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import ViolationCertificate, jensen_check, wright_check
@@ -35,39 +34,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything needed to reproduce a run; embedded in every report."""
-
-    subcommand: str
-    instance: str | None = None
-    eps: str | None = None
-    seed: int = 0
-    grid_n: int | None = None
-    irrational_n: int | None = None
-    steps: tuple[str, ...] = ()
-    out: str | None = None
-    csv: str | None = None
-    extra: tuple[tuple[str, object], ...] = ()
-
-    def to_jsonable(self) -> dict:
-        doc = {
-            "subcommand": self.subcommand,
-            "instance": self.instance,
-            "eps": self.eps,
-            "seed": self.seed,
-            "grid_n": self.grid_n,
-            "irrational_n": self.irrational_n,
-            "steps": list(self.steps),
-            "out": self.out,
-            "csv": self.csv,
-        }
-        doc.update({k: v for k, v in self.extra})
-        return doc
-
-
-def _atomic_write(path: str | Path, text: str) -> None:
-    path = Path(path)
+def _write(out: str | None, text: str) -> None:
+    """Write ``text`` to stdout if ``out`` is None, else atomically to ``out``."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    path = Path(out)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
@@ -79,28 +51,18 @@ def _atomic_write(path: str | Path, text: str) -> None:
         raise
 
 
-def _report_text(config: RunConfig, payload: dict) -> str:
-    doc = {"config": config.to_jsonable()}
-    doc.update(payload)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def _emit(config: dict, payload: dict) -> None:
+    """Write a report, with the run's ``config`` embedded, to ``config["out"]``."""
+    text = json.dumps({"config": config, **payload}, sort_keys=True, indent=2) + "\n"
+    _write(config["out"], text)
 
 
-def _emit(config: RunConfig, payload: dict, out: str | None) -> None:
-    text = _report_text(config, payload)
-    if out:
-        _atomic_write(out, text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_not_midpoint_convex(
-    config: RunConfig, certificate: ViolationCertificate | None, out: str | None
-) -> int:
+def _emit_not_midpoint_convex(config: dict, certificate: ViolationCertificate | None) -> int:
     payload = {
         "error": "not midpoint convex on sampled rationals",
         "certificate": certificate.to_jsonable() if certificate else None,
     }
-    _emit(config, payload, out)
+    _emit(config, payload)
     return 2
 
 
@@ -108,7 +70,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="wrightdecomp", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("gen", parents=[], help="generate a seeded instance file")
+    p = sub.add_parser("gen", help="generate a seeded instance file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--variant",
@@ -179,11 +141,7 @@ def _cmd_gen(args) -> int:
         max_hinges=args.hinges,
         nonzero_rational_part=args.nonzero_c1,
     )
-    text = dumps_instance(inst)
-    if args.out:
-        _atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, dumps_instance(inst))
     return 0
 
 
@@ -195,59 +153,50 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_check_wright(args) -> int:
+def _load_grid(args, **extra):
+    """Instance, ``--eps`` (if the command has one), grid and report config
+    of the commands that sweep a grid."""
     inst = load_instance(args.instance)
+    eps = parse_rational(args.eps) if hasattr(args, "eps") else None
     grid = make_grid(inst.interval, args.grid_n, args.irrational_n, inst.basis, args.seed)
+    config = {
+        "subcommand": args.subcommand,
+        "instance": args.instance,
+        "eps": None if eps is None else str(eps),
+        "seed": args.seed,
+        "grid_n": args.grid_n,
+        "irrational_n": args.irrational_n,
+        "steps": [],
+        "out": args.out,
+        "csv": None,
+        **extra,
+    }
+    return inst, eps, grid, config
+
+
+def _cmd_check_wright(args) -> int:
+    inst, _, grid, config = _load_grid(args, max_grid_steps=args.max_grid_steps)
     steps = tuple(ExactReal.parse(s) for s in args.steps.split(",")) if args.steps else ()
     report = wright_check(inst, grid, steps, max_grid_steps=args.max_grid_steps)
-    config = RunConfig(
-        subcommand="check-wright",
-        instance=args.instance,
-        seed=args.seed,
-        grid_n=args.grid_n,
-        irrational_n=args.irrational_n,
-        steps=tuple(s.literal() for s in steps),
-        out=args.out,
-        extra=(("max_grid_steps", args.max_grid_steps),),
-    )
-    _emit(config, {"check": "wright", "report": report.to_jsonable()}, args.out)
+    config["steps"] = [s.literal() for s in steps]
+    _emit(config, {"check": "wright", "report": report.to_jsonable()})
     return 0 if report.passed else 2
 
 
 def _cmd_check_jensen(args) -> int:
-    inst = load_instance(args.instance)
-    grid = make_grid(inst.interval, args.grid_n, args.irrational_n, inst.basis, args.seed)
+    inst, _, grid, config = _load_grid(args)
     report = jensen_check(inst, grid)
-    config = RunConfig(
-        subcommand="check-jensen",
-        instance=args.instance,
-        seed=args.seed,
-        grid_n=args.grid_n,
-        irrational_n=args.irrational_n,
-        out=args.out,
-    )
-    _emit(config, {"check": "jensen", "report": report.to_jsonable()}, args.out)
+    _emit(config, {"check": "jensen", "report": report.to_jsonable()})
     return 0 if report.passed else 2
 
 
 def _cmd_decompose(args) -> int:
-    inst = load_instance(args.instance)
-    eps = parse_rational(args.eps)
-    grid = make_grid(inst.interval, args.grid_n, args.irrational_n, inst.basis, args.seed)
-    config = RunConfig(
-        subcommand="decompose",
-        instance=args.instance,
-        eps=str(eps),
-        seed=args.seed,
-        grid_n=args.grid_n,
-        irrational_n=args.irrational_n,
-        out=args.out,
-    )
+    inst, eps, grid, config = _load_grid(args)
     try:
         result = decompose(inst, eps, grid)
     except NotJensenConvexError as exc:
-        return _emit_not_midpoint_convex(config, exc.certificate, args.out)
-    _emit(config, result.to_jsonable(), args.out)
+        return _emit_not_midpoint_convex(config, exc.certificate)
+    _emit(config, result.to_jsonable())
     return 0
 
 
@@ -257,9 +206,9 @@ def _cmd_verify(args) -> int:
         doc = _expect_type(json.load(fh), dict, "decomposition result")
     eps = parse_rational(doc["eps"])
     seed = int(_expect_type(doc["seed"], (int, str), "seed"))
-    config = _expect_type(doc.get("config", {"grid_n": 8, "irrational_n": 4}), dict, "config")
-    grid_n = _expect_type(config["grid_n"], int, "grid_n")
-    irrational_n = _expect_type(config["irrational_n"], int, "irrational_n")
+    run = _expect_type(doc.get("config", {"grid_n": 8, "irrational_n": 4}), dict, "config")
+    grid_n = _expect_type(run["grid_n"], int, "grid_n")
+    irrational_n = _expect_type(run["irrational_n"], int, "irrational_n")
     grid = make_grid(truth.interval, grid_n, irrational_n, truth.basis, seed)
     result = decompose(truth, eps, grid)
     stored = {
@@ -269,27 +218,23 @@ def _cmd_verify(args) -> int:
     recomputed = {
         m: (enc.lo.literal(), enc.hi.literal()) for m, enc in result.additive_hat.items()
     }
-    report = verify_against_truth(result, truth)
-    failures = list(report.failures)
+    payload = verify_against_truth(result, truth).to_jsonable()
     if stored != recomputed:
-        failures.append("stored additive enclosures do not match a reproduced run")
-    config = RunConfig(
-        subcommand="verify",
-        instance=args.truth,
-        eps=str(eps),
-        seed=seed,
-        grid_n=grid_n,
-        irrational_n=irrational_n,
-        out=args.out,
-        extra=(("result", args.result),),
-    )
-    payload = {
-        "passed": report.passed and stored == recomputed,
-        "failures": failures,
-        "radicals_checked": report.radicals_checked,
-        "probes_checked": report.probes_checked,
+        payload["passed"] = False
+        payload["failures"].append("stored additive enclosures do not match a reproduced run")
+    config = {
+        "subcommand": "verify",
+        "instance": args.truth,
+        "eps": str(eps),
+        "seed": seed,
+        "grid_n": grid_n,
+        "irrational_n": irrational_n,
+        "steps": [],
+        "out": args.out,
+        "csv": None,
+        "result": args.result,
     }
-    _emit(config, payload, args.out)
+    _emit(config, payload)
     return 0 if payload["passed"] else 2
 
 
@@ -319,22 +264,10 @@ def _cmd_verify_certificate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    inst = load_instance(args.instance)
-    eps = parse_rational(args.eps)
-    grid = make_grid(inst.interval, args.grid_n, args.irrational_n, inst.basis, args.seed)
-    config = RunConfig(
-        subcommand="report",
-        instance=args.instance,
-        eps=str(eps),
-        seed=args.seed,
-        grid_n=args.grid_n,
-        irrational_n=args.irrational_n,
-        out=args.out,
-        csv=args.csv,
-    )
+    inst, eps, grid, config = _load_grid(args, csv=args.csv)
     gate = jensen_check(inst, grid.rational_only())
     if not gate.passed:
-        return _emit_not_midpoint_convex(config, gate.certificate, args.out)
+        return _emit_not_midpoint_convex(config, gate.certificate)
     handle = ExtensionHandle(inst)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -342,8 +275,8 @@ def _cmd_report(args) -> int:
     for x in grid.points():
         enc = handle.extend_eval(x, eps)
         writer.writerow([x.literal(), enc.lo.literal(), enc.hi.literal(), enc.width.literal()])
-    _atomic_write(args.csv, buf.getvalue())
-    _emit(config, {"rows": len(grid.points()), "csv": args.csv}, args.out)
+    _write(args.csv, buf.getvalue())
+    _emit(config, {"rows": len(grid.points()), "csv": args.csv})
     return 0
 
 

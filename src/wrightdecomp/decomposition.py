@@ -39,6 +39,7 @@ from .funcspec import Decomposable, FunctionDef
 
 _HALF = Fraction(1, 2)
 _MAX_HALVINGS = 200  # halvings of q tried before the probe is given up
+_SPOT_PAIRS = 16  # midpoint pairs of the Jensen-equation spot check
 
 
 @dataclass(frozen=True)
@@ -88,10 +89,6 @@ class DecompositionResult:
         }
 
 
-def _dyadic_floor(q: Fraction, den: int = 64) -> Fraction:
-    return Fraction(math.floor(q * den), den)
-
-
 def _recovery_point(interval: Interval, m: int) -> tuple[Fraction, Fraction]:
     """Rationals (r, q), q > 0, with r + q*sqrt(m) inside the interval.
 
@@ -101,7 +98,7 @@ def _recovery_point(interval: Interval, m: int) -> tuple[Fraction, Fraction]:
     """
     a, b = rational_anchors(interval)
     center = (a + b) / 2
-    r = _dyadic_floor(center)
+    r = Fraction(math.floor(center * 64), 64)
     if r <= a:
         r = center
     room = (b - a) / 4
@@ -118,9 +115,7 @@ def _recovery_point(interval: Interval, m: int) -> tuple[Fraction, Fraction]:
     raise BracketUnavailableError(f"interval too narrow to probe sqrt({m})")
 
 
-def _spot_check_pairs(
-    grid: SampleGrid, cap: int = 16
-) -> list[tuple[ExactReal, ExactReal]]:
+def _spot_check_pairs(grid: SampleGrid) -> list[tuple[ExactReal, ExactReal]]:
     pairs: list[tuple[ExactReal, ExactReal]] = []
     irr = grid.irrationals
     # Reflections of each probe about a rational grid point put the pair
@@ -134,12 +129,12 @@ def _spot_check_pairs(
                 break
     for i in range(len(irr)):
         for j in range(i + 1, len(irr)):
-            if len(pairs) >= cap - 4:
+            if len(pairs) >= _SPOT_PAIRS - 4:
                 break
             pairs.append((irr[i], irr[j]))
     for q in grid.rationals[:2]:
         for x in irr[:2]:
-            if len(pairs) >= cap:
+            if len(pairs) >= _SPOT_PAIRS:
                 break
             pairs.append((ExactReal.from_rational(q), x))
     return pairs
@@ -319,20 +314,17 @@ def uniqueness_check(
     f: FunctionDef,
     eps: Fraction,
     seeds: tuple[int, int],
-    *,
-    grid_shape: tuple[int, int] = (8, 4),
 ) -> UniquenessReport:
     """Run the recovery twice with different grids and bracket policies;
     agreement means every pair of coefficient enclosures intersects and
     the two extension enclosures overlap at every probe point."""
     s1, s2 = seeds
-    n_r, n_i = grid_shape
     policy_a = BracketPolicy()
     policy_b = BracketPolicy(
         initial_eps=Fraction(1, 8), margin_divisor=16, slope_eps=Fraction(1, 128)
     )
-    grid_a = make_grid(f.interval, n_r, n_i, f.basis, s1)
-    grid_b = make_grid(f.interval, n_r + 2, n_i, f.basis, s2)
+    grid_a = make_grid(f.interval, 8, 4, f.basis, s1)
+    grid_b = make_grid(f.interval, 10, 4, f.basis, s2)
     first = decompose(f, eps, grid_a, policy_a)
     second = decompose(f, eps, grid_b, policy_b)
 

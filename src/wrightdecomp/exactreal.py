@@ -30,8 +30,13 @@ Rational = Union[int, Fraction]
 #: narrower than this.
 RESOLUTION_LIMIT = Fraction(1, 10**200)
 
-#: Largest accepted radical index.
-MAX_RADICAL_INDEX = 2**63 - 1
+#: Largest accepted radical index; trial division up to its square root
+#: stays within 2**15 odd divisors.
+MAX_RADICAL_INDEX = 2**32 - 1
+
+#: Largest accepted decimal exponent magnitude in a rational literal
+#: (Python's own default limit on int digit strings).
+_MAX_EXPONENT = 4300
 
 
 class Ordering(enum.IntEnum):
@@ -41,7 +46,7 @@ class Ordering(enum.IntEnum):
 
 
 def check_radical_index(m: int) -> int:
-    """Validate a radical index: squarefree positive integer below 2**63."""
+    """Validate a radical index: squarefree positive integer below 2**32."""
     if isinstance(m, bool) or not isinstance(m, int):
         raise ParseError(f"radical index must be an integer, got {m!r}")
     if m < 1:
@@ -390,11 +395,16 @@ def _parse_term(body: str, original: str) -> tuple[int, Fraction]:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal (``3/2``, ``-7``, ``0.25``, ``1e-8``)."""
+    """Parse a rational literal (``3/2``, ``-7``, ``0.25``, ``1e-8``); an
+    exponent beyond 4300 in magnitude is a ParseError."""
+    body = _expect_type(text, str, "rational literal").strip()
+    _, e, exponent = body.lower().partition("e")
     try:
-        return Fraction(_expect_type(text, str, "rational literal").strip())
+        if not (e and abs(int(exponent)) > _MAX_EXPONENT):
+            return Fraction(body)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {text!r}") from exc
+    raise ParseError(f"exponent of {text!r} exceeds {_MAX_EXPONENT} in magnitude")
 
 
 _ZERO_EXACT = ExactReal()
@@ -429,14 +439,6 @@ def compare(a: "ExactReal | Rational", b: "ExactReal | Rational") -> Ordering:
                 f"could not separate {ea} and {eb} above width {RESOLUTION_LIMIT}"
             )
         eps /= 16
-
-
-def exact_min(a: ExactReal, b: ExactReal) -> ExactReal:
-    return a if compare(a, b) is not Ordering.GREATER else b
-
-
-def exact_max(a: ExactReal, b: ExactReal) -> ExactReal:
-    return a if compare(a, b) is not Ordering.LESS else b
 
 
 @dataclass(frozen=True)
@@ -485,8 +487,8 @@ class Enclosure:
         )
 
     def intersect(self, other: "Enclosure") -> "Enclosure":
-        lo = exact_max(self.lo, other.lo)
-        hi = exact_min(self.hi, other.hi)
+        lo = self.lo if compare(self.lo, other.lo) is not Ordering.LESS else other.lo
+        hi = self.hi if compare(self.hi, other.hi) is not Ordering.GREATER else other.hi
         if compare(lo, hi) is Ordering.GREATER:
             raise InconsistentEnclosureError(
                 f"enclosures [{self.lo}, {self.hi}] and [{other.lo}, {other.hi}] are disjoint"

@@ -43,9 +43,6 @@ class ConvexSpec:
                 v = v + (x - knot) * weight
         return v
 
-    def with_extra_slope(self, c: ExactReal) -> "ConvexSpec":
-        return ConvexSpec(self.quad, self.slope + c, self.offset, self.hinges)
-
     def validate(self) -> None:
         if self.quad < 0:
             raise ValueError(f"quadratic coefficient must be >= 0, got {self.quad}")
@@ -231,7 +228,6 @@ def generate(
     basis: tuple[int, ...] | None = None,
     max_hinges: int = 4,
     nonzero_rational_part: bool = False,
-    interval: Interval | None = None,
 ) -> FunctionDef:
     """Deterministic instance satisfying every invariant of its family.
 
@@ -251,10 +247,9 @@ def generate(
         basis = tuple(sorted(rng.sample(_SQUAREFREE_POOL, basis_size)))
     else:
         rng.sample(_SQUAREFREE_POOL, basis_size)  # keep the draw sequence aligned
-    if interval is None:
-        lo = -Fraction(rng.randrange(8, 25), 2)
-        hi = Fraction(rng.randrange(8, 25), 2)
-        interval = Interval.open(lo, hi)
+    lo = -Fraction(rng.randrange(8, 25), 2)
+    hi = Fraction(rng.randrange(8, 25), 2)
+    interval = Interval.open(lo, hi)
 
     def small(lo_i: int, hi_i: int, den: int = 8) -> Fraction:
         return Fraction(rng.randrange(lo_i * den, hi_i * den + 1), den)
@@ -436,10 +431,6 @@ def loads_instance(text: str) -> FunctionDef:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid instance JSON: {exc}") from exc
     return instance_from_jsonable(doc)
-
-
-def dump_instance(f: FunctionDef, path: str | Path) -> None:
-    Path(path).write_text(dumps_instance(f), encoding="utf-8")
 
 
 def load_instance(path: str | Path) -> FunctionDef:

@@ -6,6 +6,7 @@ time.  The 200-digit numeric oracle lives in oracles.py and shares no
 code path with the library's enclosures.
 """
 
+import dataclasses
 import json
 import random
 import time
@@ -220,7 +221,9 @@ def test_criterion_8_transfer_property():
             )
             c1 = inst.additive.rational_slope
             ground = Decomposable(
-                inst.interval, inst.basis, inst.convex.with_extra_slope(c1)
+                inst.interval,
+                inst.basis,
+                dataclasses.replace(inst.convex, slope=inst.convex.slope + c1),
             )
             grid = make_grid(inst.interval, 8, 4, inst.basis, seed)
             pts = grid.points()

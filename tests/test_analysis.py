@@ -21,6 +21,7 @@ from wrightdecomp import (
     compare,
     delta,
     double_delta,
+    generate,
     jensen_check,
     lipschitz_bound,
     make_grid,
@@ -379,6 +380,17 @@ def test_build_steps_explicit_first_then_sorted_differences():
     assert steps[2:] == (R(1), R(2), R(3))
     capped = build_steps(grid, (), max_grid_steps=2)
     assert capped == (R(1), R(2))
+
+
+def test_negative_step_cap_raises():
+    # a negative cap used to slice steps off the end of the profile
+    f = generate(1)
+    grid = make_grid(f.interval, 5, 0, f.basis, 1)
+    with pytest.raises(ValueError, match="max_grid_steps"):
+        build_steps(grid, max_grid_steps=-1)
+    with pytest.raises(ValueError, match="max_grid_steps"):
+        wright_check(f, grid, max_grid_steps=-1)
+    assert wright_check(f, grid).checked == 29
 
 
 def test_build_steps_filters_nonpositive():

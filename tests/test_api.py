@@ -11,6 +11,61 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
+def test_public_surface_is_pinned():
+    # Every addition to or removal from the public API shows up here.
+    assert sorted(wrightdecomp.__all__) == [
+        "AbsAdditive",
+        "AdditiveMap",
+        "BracketPolicy",
+        "CheckReport",
+        "ConvexSpec",
+        "Decomposable",
+        "DecompositionResult",
+        "Enclosure",
+        "ExactReal",
+        "ExtensionHandle",
+        "FunctionDef",
+        "Interval",
+        "JensenEquationReport",
+        "Ordering",
+        "RESOLUTION_LIMIT",
+        "SampleGrid",
+        "SlopeFraction",
+        "Spiked",
+        "TransferReport",
+        "UniquenessReport",
+        "VerificationReport",
+        "ViolationCertificate",
+        "build_steps",
+        "check_radical_index",
+        "chord_slope",
+        "chord_slope_monotone_check",
+        "compare",
+        "convexity_certificate",
+        "decompose",
+        "delta",
+        "difference_transfer_check",
+        "double_delta",
+        "dumps_instance",
+        "enclose",
+        "errors",
+        "generate",
+        "instance_from_jsonable",
+        "instance_to_jsonable",
+        "jensen_check",
+        "lipschitz_bound",
+        "load_instance",
+        "loads_instance",
+        "make_grid",
+        "parse_rational",
+        "rational_anchors",
+        "shifted_intersection",
+        "uniqueness_check",
+        "verify_against_truth",
+        "wright_check",
+    ]
+
+
 def test_benchmark_tracer_installs_and_restores():
     # The benchmark's tracer wraps library functions and methods by name;
     # removing or renaming one of them breaks traced benchmark runs.

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -116,6 +117,31 @@ def test_check_wright_clean_instance(tmp_path):
     assert doc["report"]["passed"] is True
     assert doc["report"]["description"] == "no violation found on grid"
     assert doc["config"]["subcommand"] == "check-wright"
+
+
+def test_check_wright_negative_max_grid_steps_exits_1(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    assert run_cli("gen", "--seed", "1", "--out", str(inst)) == 0
+    code = run_cli("check-wright", str(inst), "--grid-n", "5", "--max-grid-steps", "-1")
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: max_grid_steps must be >= 0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "INST", "--at", "sqrt(998244359987710471)"],
+        ["decompose", "INST", "--eps", "1e-3000000"],
+    ],
+    ids=["index-past-cap", "huge-exponent"],
+)
+def test_oversized_literal_exits_1_quickly(tmp_path, capsys, argv):
+    inst = tmp_path / "sq.json"
+    inst.write_text(json.dumps(SQUARE))
+    start = time.perf_counter()
+    assert run_cli(*[str(inst) if a == "INST" else a for a in argv]) == 1
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_check_wright_finds_abs_violation(abs_instance, tmp_path):

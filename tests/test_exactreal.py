@@ -1,4 +1,5 @@
 import operator
+import time
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,29 @@ def test_product_index_past_cap_raises():
     # so its literal could not be parsed again.
     with pytest.raises(OutOfSpanError):
         SQRT(4294967291) * SQRT(4294967279)
+
+
+def test_large_radical_index_rejected_quickly():
+    # 1000000007 * 998244353: trial division up to its square root took
+    # minutes before the index cap came down to 2**32 - 1
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        check_radical_index(998244359987710471)
+    with pytest.raises(ParseError):
+        ExactReal.parse("sqrt(998244359987710471)")
+    assert check_radical_index(4294967291) == 4294967291  # largest prime below the cap
+    assert time.perf_counter() - start < 1
+
+
+def test_huge_exponent_rejected_quickly():
+    start = time.perf_counter()
+    for text in ("1e-3000000", "1e4301"):
+        with pytest.raises(ParseError):
+            parse_rational(text)
+    with pytest.raises(ParseError):
+        ExactReal.parse("1 + 1e3000000*sqrt(2)")
+    assert parse_rational("1e-4300") == Fraction(1, 10**4300)
+    assert time.perf_counter() - start < 1
 
 
 # -- independent reference: plain {index: Fraction} dicts ---------------------

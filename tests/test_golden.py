@@ -1,5 +1,5 @@
-"""Byte-identity of checker reports, decomposition results and report CSVs
-against pinned files.
+"""Byte-identity of checker reports, decomposition results, report CSVs
+and CLI outputs against pinned files.
 
 Refactors and speedups of the arithmetic, checker, extension and
 decomposition layers must not change a single digit of what they report.
@@ -7,7 +7,10 @@ Regenerate the files with ``python tests/test_golden.py`` only when a
 change is meant to alter results, and say so in CHANGES.md.
 """
 
+import contextlib
+import io
 import json
+import os
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +19,7 @@ import pytest
 from wrightdecomp import (
     chord_slope_monotone_check,
     decompose,
-    dump_instance,
+    dumps_instance,
     generate,
     jensen_check,
     make_grid,
@@ -51,9 +54,74 @@ def checks_text() -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
+# Each CLI run: a name, its argv and the files it writes.  Paths are
+# relative to a scratch working directory, so the ``config`` block that
+# every report embeds is the same on every machine.
+CLI_RUNS = (
+    ("gen", ["gen", "--seed", "0", "--nonzero-c1", "--basis", "2,3", "--out", "inst.json"],
+     ["inst.json"]),
+    ("gen-spiked", ["gen", "--seed", "1", "--variant", "spiked", "--out", "spiked.json"],
+     ["spiked.json"]),
+    ("gen-abs", ["gen", "--seed", "2", "--variant", "abs-additive", "--basis", "2",
+                 "--out", "abs.json"], ["abs.json"]),
+    ("gen-stdout", ["gen", "--seed", "3"], []),
+    ("eval", ["eval", "inst.json", "--at", "1/3 + sqrt(2)"], []),
+    ("check-wright", ["check-wright", "inst.json", "--grid-n", "6", "--irrational-n", "2",
+                      "--max-grid-steps", "8", "--out", "cw.json"], ["cw.json"]),
+    ("check-wright-steps", ["check-wright", "abs.json", "--grid-n", "1",
+                            "--steps", "sqrt(2),2-sqrt(2)", "--out", "cw_abs.json"],
+     ["cw_abs.json"]),
+    ("verify-certificate-wright", ["verify-certificate", "cw_abs.json"], []),
+    ("check-jensen", ["check-jensen", "inst.json", "--grid-n", "6", "--irrational-n", "2"], []),
+    ("check-jensen-spiked", ["check-jensen", "spiked.json", "--grid-n", "6",
+                             "--irrational-n", "2", "--out", "cj.json"], ["cj.json"]),
+    ("verify-certificate-jensen", ["verify-certificate", "cj.json", "--instance", "spiked.json"],
+     []),
+    ("decompose", ["decompose", "inst.json", "--eps", "1e-8", "--out", "dec.json"],
+     ["dec.json"]),
+    ("verify", ["verify", "dec.json", "--truth", "inst.json", "--out", "ver.json"], ["ver.json"]),
+    ("verify-tampered", ["verify", "tampered.json", "--truth", "inst.json"], []),
+    ("report", ["report", "inst.json", "--grid-n", "4", "--irrational-n", "2",
+                "--csv", "rep.csv", "--out", "rep.json"], ["rep.csv", "rep.json"]),
+    ("decompose-spiked", ["decompose", "spiked.json", "--grid-n", "6", "--irrational-n", "2"],
+     []),
+    ("report-spiked", ["report", "spiked.json", "--grid-n", "6", "--irrational-n", "2",
+                       "--csv", "spiked.csv", "--out", "rep_spiked.json"], ["rep_spiked.json"]),
+)
+
+
+def _write_tampered_result() -> None:
+    # the stored decomposition of ``dec.json`` with one enclosure moved
+    doc = json.loads(Path("dec.json").read_text(encoding="utf-8"))
+    doc["additive"]["2"]["lo"] = "0"
+    Path("tampered.json").write_text(json.dumps(doc), encoding="utf-8")
+
+
+def cli_text(tmp: Path) -> str:
+    """Exit code, stdout and written files of every run in ``CLI_RUNS``."""
+    outputs = {}
+    cwd = os.getcwd()
+    os.chdir(tmp)
+    try:
+        for name, argv, files in CLI_RUNS:
+            if name == "verify-tampered":
+                _write_tampered_result()
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = main(argv)
+            outputs[name] = {
+                "exit": code,
+                "stdout": stdout.getvalue(),
+                "files": {p: Path(p).read_text(encoding="utf-8") for p in files},
+            }
+    finally:
+        os.chdir(cwd)
+    return json.dumps(outputs, sort_keys=True, indent=1) + "\n"
+
+
 def report_csv(tmp: Path) -> str:
     inst, csv_path = tmp / "inst.json", tmp / "report.csv"
-    dump_instance(generate(0, nonzero_rational_part=True), inst)
+    inst.write_text(dumps_instance(generate(0, nonzero_rational_part=True)), encoding="utf-8")
     assert main(["report", str(inst), "--csv", str(csv_path), "--out", str(tmp / "out.json")]) == 0
     return csv_path.read_text(encoding="utf-8")
 
@@ -71,6 +139,10 @@ def test_report_csv_matches_golden(tmp_path):
     assert report_csv(tmp_path) == (DATA / "report_0.csv").read_text(encoding="utf-8")
 
 
+def test_cli_outputs_match_golden(tmp_path):
+    assert cli_text(tmp_path) == (DATA / "cli.json").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -79,3 +151,5 @@ if __name__ == "__main__":
     (DATA / "checks.json").write_text(checks_text(), encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         (DATA / "report_0.csv").write_text(report_csv(Path(tmp)), encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        (DATA / "cli.json").write_text(cli_text(Path(tmp)), encoding="utf-8")
