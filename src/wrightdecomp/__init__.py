@@ -36,9 +36,7 @@ from .analysis import (
     SlopeFraction,
     ViolationCertificate,
     build_steps,
-    chord_slope,
     chord_slope_monotone_check,
-    delta,
     double_delta,
     jensen_check,
     lipschitz_bound,
@@ -48,7 +46,6 @@ from .extension import (
     BracketPolicy,
     ExtensionHandle,
     TransferReport,
-    convexity_certificate,
     difference_transfer_check,
 )
 from .decomposition import (
@@ -89,12 +86,9 @@ __all__ = [
     "ViolationCertificate",
     "build_steps",
     "check_radical_index",
-    "chord_slope",
     "chord_slope_monotone_check",
     "compare",
-    "convexity_certificate",
     "decompose",
-    "delta",
     "difference_transfer_check",
     "double_delta",
     "dumps_instance",

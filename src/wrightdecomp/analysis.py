@@ -20,7 +20,6 @@ from typing import Iterable, Sequence
 from .domain import SampleGrid
 from .errors import (
     BracketViolationError,
-    DegeneratePairError,
     NonPositiveStepError,
     OutOfDomainError,
     WrightDecompError,
@@ -112,15 +111,9 @@ class ViolationCertificate:
             lhs = f.evaluate(x) * tq + f.evaluate(y) * (1 - tq)
             rhs = f.evaluate(x * tq + y * (1 - tq))
         elif self.kind == "monotone":
-            step = self.context_value("v")
-            if step is not None and len(self.witness) == 2:
-                x1, x2 = self.witness
-                lhs = delta(f, step, x2)
-                rhs = delta(f, step, x1)
-            else:
-                x, u, y = self.witness
-                lhs = (f.evaluate(y) - f.evaluate(u)) * (u - x)
-                rhs = (f.evaluate(u) - f.evaluate(x)) * (y - u)
+            x, u, y = self.witness
+            lhs = (f.evaluate(y) - f.evaluate(u)) * (u - x)
+            rhs = (f.evaluate(u) - f.evaluate(x)) * (y - u)
         else:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
         return lhs, rhs
@@ -177,14 +170,6 @@ class CheckReport:
             "description": self.description,
             "certificate": None if self.certificate is None else self.certificate.to_jsonable(),
         }
-
-
-def delta(f: FunctionDef, w: ExactReal | int | Fraction, x: ExactReal) -> ExactReal:
-    """(step-w difference) f(x + w) - f(x)."""
-    wv = w if isinstance(w, ExactReal) else ExactReal.from_rational(w)
-    if not f.interval.contains(x) or not f.interval.contains(x + wv):
-        raise OutOfDomainError(f"delta step {wv} leaves {f.interval.literal()} from {x}")
-    return f.evaluate(x + wv) - f.evaluate(x)
 
 
 def double_delta(
@@ -259,22 +244,6 @@ def _sweep(kind: str, cases: Iterable[_Case]) -> CheckReport:
     return CheckReport(True, None, checked)
 
 
-def _mixture_cases(
-    f: FunctionDef, pts: Sequence[ExactReal], weights: Sequence[Fraction]
-) -> Iterable[_Case]:
-    """t*f(x) + (1-t)*f(y) >= f(t*x + (1-t)*y) for each pair x < y and weight t."""
-    ev = functools.cache(f.evaluate)
-    for i, x in enumerate(pts):
-        for y in pts[i + 1 :]:
-            for t in weights:
-                yield (
-                    (x, y),
-                    ev(x) * t + ev(y) * (1 - t),
-                    ev(x * t + y * (1 - t)),
-                    (("t", ExactReal.from_rational(t)),),
-                )
-
-
 def wright_check(
     f: FunctionDef,
     grid: SampleGrid,
@@ -309,15 +278,19 @@ def wright_check(
 
 
 def jensen_check(f: FunctionDef, grid: SampleGrid) -> CheckReport:
-    """Exact midpoint-convexity sweep over all grid pairs."""
-    return _sweep("jensen", _mixture_cases(f, grid.points(), (_HALF,)))
-
-
-def chord_slope(f: FunctionDef, x: ExactReal, y: ExactReal) -> SlopeFraction:
-    """(f(y) - f(x)) / (y - x), unevaluated."""
-    if compare(x, y) is Ordering.EQUAL:
-        raise DegeneratePairError(f"chord slope needs distinct points, got {x} twice")
-    return SlopeFraction(f.evaluate(y) - f.evaluate(x), y - x)
+    """Exact midpoint-convexity sweep over all grid pairs x < y:
+    f(x)/2 + f(y)/2 >= f(x/2 + y/2)."""
+    pts = grid.points()
+    ev = functools.cache(f.evaluate)
+    context = (("t", ExactReal.from_rational(_HALF)),)
+    return _sweep(
+        "jensen",
+        (
+            ((x, y), ev(x) * _HALF + ev(y) * _HALF, ev(x * _HALF + y * _HALF), context)
+            for i, x in enumerate(pts)
+            for y in pts[i + 1 :]
+        ),
+    )
 
 
 def chord_slope_monotone_check(f: FunctionDef, grid: SampleGrid) -> CheckReport:

@@ -41,13 +41,6 @@ class Interval:
             return False
         return True
 
-    @property
-    def width(self) -> ExactReal | None:
-        """Exact width, or None for unbounded intervals."""
-        if self.lo is None or self.hi is None:
-            return None
-        return self.hi - self.lo
-
     def literal(self) -> str:
         lo = "-inf" if self.lo is None else self.lo.literal()
         hi = "inf" if self.hi is None else self.hi.literal()

@@ -44,10 +44,6 @@ class OutOfSpanError(WrightDecompError):
     product's radical index would exceed ``MAX_RADICAL_INDEX``."""
 
 
-class DegeneratePairError(WrightDecompError):
-    """Chord slope requested for two equal abscissae."""
-
-
 class NonPositiveStepError(WrightDecompError):
     """Double difference requires strictly positive steps."""
 

@@ -34,9 +34,11 @@ RESOLUTION_LIMIT = Fraction(1, 10**200)
 #: stays within 2**15 odd divisors.
 MAX_RADICAL_INDEX = 2**32 - 1
 
-#: Largest accepted decimal exponent magnitude in a rational literal
-#: (Python's own default limit on int digit strings).
+#: Largest accepted decimal exponent magnitude, and digit count of a
+#: numerator or denominator, in a rational literal (Python's own default
+#: limit on int digit strings, so ``str`` can print every parsed value).
 _MAX_EXPONENT = 4300
+_DIGIT_LIMIT = 10**_MAX_EXPONENT
 
 
 class Ordering(enum.IntEnum):
@@ -355,7 +357,7 @@ class ExactReal:
 
     @classmethod
     def parse(cls, text: str) -> "ExactReal":
-        """Parse a literal such as ``3/2 + -1*sqrt(2)`` or ``2-sqrt(2)``."""
+        """Parse a literal such as ``3/2 + -1*sqrt(2)``, ``2-sqrt(2)`` or ``1e-3*sqrt(2)``."""
         compact = "".join(_expect_type(text, str, "ExactReal literal").split())
         if not compact:
             raise ParseError("empty ExactReal literal")
@@ -368,7 +370,7 @@ class ExactReal:
                     sign = -sign
                 i += 1
             j = i
-            while j < n and compact[j] not in "+-":
+            while j < n and (compact[j] not in "+-" or compact[j - 1] in "eE"):  # keep 1e-8 whole
                 j += 1
             body = compact[i:j]
             if not body:
@@ -396,15 +398,18 @@ def _parse_term(body: str, original: str) -> tuple[int, Fraction]:
 
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal (``3/2``, ``-7``, ``0.25``, ``1e-8``); an
-    exponent beyond 4300 in magnitude is a ParseError."""
+    exponent beyond 4300 in magnitude, or a numerator or denominator of
+    more than 4300 digits, is a ParseError."""
     body = _expect_type(text, str, "rational literal").strip()
     _, e, exponent = body.lower().partition("e")
     try:
         if not (e and abs(int(exponent)) > _MAX_EXPONENT):
-            return Fraction(body)
+            q = Fraction(body)
+            if abs(q.numerator) < _DIGIT_LIMIT and q.denominator < _DIGIT_LIMIT:
+                return q
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {text!r}") from exc
-    raise ParseError(f"exponent of {text!r} exceeds {_MAX_EXPONENT} in magnitude")
+    raise ParseError(f"{text!r} exceeds the {_MAX_EXPONENT}-digit limit")
 
 
 _ZERO_EXACT = ExactReal()
@@ -524,10 +529,6 @@ class Enclosure:
 
     def to_jsonable(self) -> dict:
         return {"lo": self.lo.literal(), "hi": self.hi.literal()}
-
-    @classmethod
-    def from_jsonable(cls, d: dict) -> "Enclosure":
-        return cls(ExactReal.parse(d["lo"]), ExactReal.parse(d["hi"]))
 
     def __repr__(self):
         return f"Enclosure[{self.lo}, {self.hi}]"

@@ -27,19 +27,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .analysis import CheckReport, ViolationCertificate, _mixture_cases, _sweep, lipschitz_bound
+from .analysis import ViolationCertificate, _sweep, lipschitz_bound
 from .domain import SampleGrid, shifted_intersection
 from .errors import BracketUnavailableError, NonPositiveStepError, OutOfDomainError
 from .exactreal import Enclosure, ExactReal, Ordering, compare
 from .funcspec import FunctionDef
-
-_CONVEXITY_WEIGHTS = (
-    Fraction(1, 4),
-    Fraction(1, 3),
-    Fraction(1, 2),
-    Fraction(2, 3),
-    Fraction(3, 4),
-)
 
 _MARGIN_CAP = Fraction(1)  # bracket margin seed when the room is unbounded
 _MAX_SHRINK = 500  # halvings tried before no window or bracket fits
@@ -186,17 +178,6 @@ class ExtensionHandle:
         return chain.enclosures[-1]
 
 
-def convexity_certificate(handle: ExtensionHandle, grid: SampleGrid) -> CheckReport:
-    """Exact rational-weight convexity sweep over the grid's rationals.
-
-    Checks f(t*x + (1-t)*y) <= t*f(x) + (1-t)*f(y) for the fixed weight
-    set {1/4, 1/3, 1/2, 2/3, 3/4}; everything stays rational, so every
-    comparison is exact.
-    """
-    pts = [ExactReal.from_rational(q) for q in grid.rationals]
-    return _sweep("jensen", _mixture_cases(handle.source, pts, _CONVEXITY_WEIGHTS))
-
-
 @dataclass(frozen=True)
 class TransferReport:
     """Evidence that the step-v difference of f transfers to the extension.
@@ -277,11 +258,13 @@ def difference_transfer_check(
     v_exact = ExactReal.from_rational(v)
     ev = handle._evaluate
     deltas = {p: ev(p + v_exact) - ev(p) for p in pts}
+    # Delta_v f(x2) >= Delta_v f(x1) for adjacent x1 < x2 is Wright's
+    # inequality at (x1, x2 - x1, v), with the same sides as wright_check.
     monotone = _sweep(
-        "monotone",
+        "wright",
         (
-            ((pts[i], pts[i + 1]), deltas[pts[i + 1]], deltas[pts[i]], (("v", v_exact),))
-            for i in range(len(pts) - 1)
+            ((x1, x2 - x1, v_exact), ev(x2 + v_exact) + ev(x1), ev(x1 + v_exact) + ev(x2), ())
+            for x1, x2 in zip(pts, pts[1:])
         ),
     )
 

@@ -66,8 +66,7 @@ class AdditiveMap:
     """Q-linear map determined by its values on basis radicals.
 
     ``coeffs`` maps a squarefree index m to A(sqrt(m)); the action on a
-    span element sum_m q_m*sqrt(m) is sum_m q_m * A(sqrt(m)).  The
-    normalized form has A(1) = 0, i.e. the map vanishes on Q.
+    span element sum_m q_m*sqrt(m) is sum_m q_m * A(sqrt(m)).
     """
 
     coeffs: tuple[tuple[int, ExactReal], ...] = ()
@@ -100,20 +99,6 @@ class AdditiveMap:
             if not c.is_zero:
                 out = out + c * q
         return out
-
-    def normalized(self) -> "AdditiveMap":
-        """The unique shift by a linear map making A(1) = 0."""
-        c1 = self.rational_slope
-        if c1.is_zero:
-            return self
-        out = {}
-        for m, c in self.coeffs:
-            if m == 1:
-                continue
-            adjusted = c - c1 * ExactReal.sqrt(m)
-            if not adjusted.is_zero:
-                out[m] = adjusted
-        return AdditiveMap.from_mapping(out)
 
     def used_radicals(self) -> set[int]:
         rad = set()

@@ -24,7 +24,6 @@ from wrightdecomp import (
     Ordering,
     compare,
     decompose,
-    delta,
     double_delta,
     enclose,
     generate,
@@ -252,7 +251,7 @@ def test_criterion_8_transfer_property():
         assert len(v_list) == 10
         for v in v_list:
             pts = [p for p in grid.points() if inst.interval.contains(p + R(v))]
-            values = [delta(inst, v, p) for p in pts]
+            values = [inst.evaluate(p + R(v)) - inst.evaluate(p) for p in pts]
             for a, b in zip(values, values[1:]):
                 assert compare(a, b) is not Ordering.GREATER
 

@@ -16,10 +16,8 @@ from wrightdecomp import (
     Spiked,
     ViolationCertificate,
     build_steps,
-    chord_slope,
     chord_slope_monotone_check,
     compare,
-    delta,
     double_delta,
     generate,
     jensen_check,
@@ -29,7 +27,6 @@ from wrightdecomp import (
 )
 from wrightdecomp.errors import (
     BracketViolationError,
-    DegeneratePairError,
     NonPositiveStepError,
     OutOfDomainError,
 )
@@ -55,20 +52,6 @@ def affine(slope=Fraction(3, 2)):
 
 
 # -- difference operators ------------------------------------------------------
-
-
-def test_delta_examples():
-    f = square()
-    assert delta(f, R(1), R(0)) == R(1)
-    assert delta(f, SQRT(2), R(0)) == R(2)
-    # purely additive instance vanishing on Q: rational steps give 0
-    g = Decomposable(I_10, (2,), ConvexSpec(), AdditiveMap.from_mapping({2: 3}))
-    assert delta(g, Fraction(5, 3), R(1)) == ExactReal()
-
-
-def test_delta_domain_error():
-    with pytest.raises(OutOfDomainError):
-        delta(square(), R(5), R(6))
 
 
 def test_double_delta_square_is_2uv():
@@ -246,29 +229,6 @@ def test_jensen_affine_exact_equality():
 # -- chord slopes --------------------------------------------------------------------
 
 
-def test_chord_slope_examples():
-    f = square()
-    s = chord_slope(f, R(0), R(2))
-    assert s.num == R(4) and s.den == R(2)
-    assert s.as_fraction() == Fraction(2)
-    s1 = chord_slope(f, R(0), R(1))
-    s2 = chord_slope(f, R(1), R(2))
-    assert s1.compare(s2) is Ordering.LESS
-
-
-def test_chord_slope_affine_constant():
-    f = affine(Fraction(3, 2))
-    for x, y in ((R(-1), R(4)), (R(0), SQRT(2))):
-        assert chord_slope(f, x, y).compare(
-            SlopeFraction(R(Fraction(3, 2)), R(1))
-        ) is Ordering.EQUAL
-
-
-def test_chord_slope_degenerate():
-    with pytest.raises(DegeneratePairError):
-        chord_slope(square(), SQRT(2), SQRT(2))
-
-
 def test_slope_fraction_requires_nonzero_denominator():
     with pytest.raises(ValueError):
         SlopeFraction(R(1), ExactReal())
@@ -364,7 +324,7 @@ def test_monotone_differences_along_grid():
     grid = make_grid(inst.interval, 9, 3, inst.basis, seed=11)
     for v in (Fraction(1, 2), Fraction(2, 3)):
         pts = [p for p in grid.points() if inst.interval.contains(p + R(v))]
-        values = [delta(inst, v, p) for p in pts]
+        values = [inst.evaluate(p + R(v)) - inst.evaluate(p) for p in pts]
         for a, b in zip(values, values[1:]):
             assert compare(a, b) is not Ordering.GREATER
 

@@ -38,12 +38,9 @@ def test_public_surface_is_pinned():
         "ViolationCertificate",
         "build_steps",
         "check_radical_index",
-        "chord_slope",
         "chord_slope_monotone_check",
         "compare",
-        "convexity_certificate",
         "decompose",
-        "delta",
         "difference_transfer_check",
         "double_delta",
         "dumps_instance",

@@ -128,20 +128,24 @@ def test_check_wright_negative_max_grid_steps_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ["eval", "INST", "--at", "sqrt(998244359987710471)"],
-        ["decompose", "INST", "--eps", "1e-3000000"],
+        (["eval", "INST", "--at", "sqrt(998244359987710471)"], "998244359987710471"),
+        (["decompose", "INST", "--eps", "1e-3000000"], "'1e-3000000'"),
+        # 10**4300 has 4301 digits, past what str() of an int may print.
+        (["decompose", "INST", "--eps", "1e-4300"], "'1e-4300'"),
     ],
-    ids=["index-past-cap", "huge-exponent"],
+    ids=["index-past-cap", "huge-exponent", "too-many-digits"],
 )
-def test_oversized_literal_exits_1_quickly(tmp_path, capsys, argv):
+def test_oversized_literal_exits_1_quickly(tmp_path, capsys, argv, named):
     inst = tmp_path / "sq.json"
     inst.write_text(json.dumps(SQUARE))
     start = time.perf_counter()
     assert run_cli(*[str(inst) if a == "INST" else a for a in argv]) == 1
     assert time.perf_counter() - start < 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert named in err
 
 
 def test_check_wright_finds_abs_violation(abs_instance, tmp_path):

@@ -41,6 +41,7 @@ def test_literal_round_trip():
     for text in ("(0, 10)", "(-inf, 1 + -1*sqrt(2))", "(0, inf)"):
         i = Interval.parse(text)
         assert Interval.parse(i.literal()) == i
+    assert Interval.parse("(-1e-3, 1e-3)") == Interval.open(Fraction(-1, 1000), Fraction(1, 1000))
     with pytest.raises(ParseError):
         Interval.parse("[0, 1]")
 

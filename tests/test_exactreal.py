@@ -96,12 +96,14 @@ def test_large_radical_index_rejected_quickly():
 
 def test_huge_exponent_rejected_quickly():
     start = time.perf_counter()
-    for text in ("1e-3000000", "1e4301"):
-        with pytest.raises(ParseError):
+    # 1e-4300 has a 4301-digit denominator, which str() cannot print.
+    for text in ("1e-3000000", "1e4301", "1e-4300", "1e4300"):
+        with pytest.raises(ParseError, match=text):
             parse_rational(text)
-    with pytest.raises(ParseError):
-        ExactReal.parse("1 + 1e3000000*sqrt(2)")
-    assert parse_rational("1e-4300") == Fraction(1, 10**4300)
+    for text in ("1 + 1e3000000*sqrt(2)", "1e-3000000"):
+        with pytest.raises(ParseError):
+            ExactReal.parse(text)
+    assert parse_rational("1e-4299") == Fraction(1, 10**4299)
     assert time.perf_counter() - start < 1
 
 
@@ -259,6 +261,15 @@ def test_parse_rejects_garbage():
 def test_parse_rational_scientific():
     assert parse_rational("1e-8") == Fraction(1, 10**8)
     assert parse_rational("3/2") == Fraction(3, 2)
+
+
+def test_parse_exponent_inside_span_literal():
+    # A sign right after e/E is part of the exponent, not a new term.
+    assert ExactReal.parse("1/2 + 2.5e-3*sqrt(2)") == ExactReal(
+        {1: Fraction(1, 2), 2: Fraction(1, 400)}
+    )
+    assert ExactReal.parse("1e-8") == R(Fraction(1, 10**8))
+    assert ExactReal.parse("1E-2-1e+3*sqrt(3)") == R(Fraction(1, 100)) - SQRT(3) * 1000
 
 
 @given(st.one_of(exact_reals, st.builds(operator.mul, exact_reals, exact_reals)))

@@ -13,9 +13,8 @@ from wrightdecomp import (
     Interval,
     Ordering,
     SampleGrid,
-    Spiked,
+    ViolationCertificate,
     compare,
-    convexity_certificate,
     difference_transfer_check,
     generate,
     make_grid,
@@ -151,41 +150,6 @@ def test_handle_evaluates_each_point_once(monkeypatch):
     assert points and len(points) == len(set(points))
 
 
-# -- convexity certificate ----------------------------------------------------
-
-
-def test_convexity_certificate_decomposable_passes():
-    f = generate(35, kind="decomposable")
-    h = ExtensionHandle(f)
-    grid = make_grid(f.interval, 8, 0, f.basis, seed=35)
-    report = convexity_certificate(h, grid)
-    assert report.passed
-    assert report.checked == 8 * 7 // 2 * 5
-
-
-def test_convexity_certificate_spiked_violation():
-    base = square()
-    spiked = Spiked(I_10, (2,), base, R(0), Fraction(10))
-    h = ExtensionHandle(spiked)
-    grid = SampleGrid(I_10, (Fraction(-1), Fraction(0), Fraction(1)), (), seed=0)
-    report = convexity_certificate(h, grid)
-    assert not report.passed
-    assert report.certificate.verify(spiked)
-
-
-def test_convexity_certificate_affine_equalities():
-    f = Decomposable(I_10, (2,), ConvexSpec(slope=R(Fraction(5, 4)), offset=R(1)))
-    h = ExtensionHandle(f)
-    grid = SampleGrid(I_10, (Fraction(-2), Fraction(0), Fraction(3)), (), seed=0)
-    report = convexity_certificate(h, grid)
-    assert report.passed
-    # equality at every tuple for affine sources
-    for t in (Fraction(1, 4), Fraction(1, 2)):
-        x, y = R(-2), R(3)
-        mix = x * t + y * (1 - t)
-        assert f.evaluate(x) * t + f.evaluate(y) * (1 - t) == f.evaluate(mix)
-
-
 # -- difference transfer -------------------------------------------------------
 
 
@@ -222,7 +186,8 @@ def test_transfer_pure_convex_trivial():
 def test_transfer_monotone_fails_for_abs_additive():
     # A(p + q*sqrt2) = p - q: then delta with step 1 jumps from
     # |A(1)|-|A(0)| = 1 at x=0 down to |A(1+sqrt2)|-|A(sqrt2)| = -1 at
-    # x=sqrt2, an exact decreasing pair.
+    # x=sqrt2, an exact decreasing pair, which is the Wright violation at
+    # (0, sqrt2, 1): f(1+sqrt2) + f(0) = 0 < 2 = f(1) + f(sqrt2).
     f = AbsAdditive(I_10, (2,), AdditiveMap.from_mapping({1: 1, 2: -1}))
     h = ExtensionHandle(f)
     v = Fraction(1)
@@ -234,10 +199,20 @@ def test_transfer_monotone_fails_for_abs_additive():
     assert not report.monotone_passed
     cert = report.monotone_certificate
     assert cert is not None
-    assert cert.witness == (ExactReal(), SQRT(2))
-    assert cert.lhs == R(-1) and cert.rhs == R(1)
-    assert compare(cert.lhs, cert.rhs) is Ordering.LESS
+    assert cert.kind == "wright"
+    assert cert.witness == (ExactReal(), SQRT(2), R(1))
+    assert cert.lhs == R(0) and cert.rhs == R(2)
+    assert cert.context == ()
     assert cert.verify(f)
+    assert ViolationCertificate.from_jsonable(cert.to_jsonable()).verify(f)
+
+
+def test_legacy_two_point_monotone_certificate_is_rejected():
+    # The transfer check once emitted Delta_v f(x2) < Delta_v f(x1) as a
+    # two-point "monotone" certificate; it no longer unpacks.
+    f = AbsAdditive(I_10, (2,), AdditiveMap.from_mapping({1: 1, 2: -1}))
+    legacy = ViolationCertificate("monotone", (ExactReal(), SQRT(2)), R(-1), R(1), (("v", R(1)),))
+    assert legacy.verify(f) is False
 
 
 def test_transfer_rejects_bad_grid_and_step():

@@ -172,14 +172,6 @@ def test_decomposable_evaluation_decomposes(x):
     assert inst.evaluate(x) == inst.convex.value(x) + inst.additive.value(x)
 
 
-def test_additive_normalization_vanishes_on_q():
-    add = AdditiveMap.from_mapping({1: Fraction(1, 2), 2: R(3)})
-    norm = add.normalized()
-    assert norm.rational_slope.is_zero
-    # normalized action at sqrt(2): 3 - (1/2)*sqrt(2)
-    assert norm.coefficient(2) == R(3) - SQRT(2) * Fraction(1, 2)
-
-
 # -- instance files ---------------------------------------------------------------
 
 
