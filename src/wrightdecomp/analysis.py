@@ -13,6 +13,7 @@ a violation means ``lhs < rhs`` exactly.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -233,12 +234,16 @@ def build_steps(
 _Case = tuple[tuple[ExactReal, ...], ExactReal, ExactReal, tuple[tuple[str, ExactReal], ...]]
 
 
-def _sweep(kind: str, cases: Iterable[_Case]) -> CheckReport:
+def _sweep(kind: str, cases: Iterable[_Case | None]) -> CheckReport:
     """Walk ``(witness, lhs, rhs, context)`` cases in order, counting each;
-    the first with ``lhs < rhs`` becomes the certificate."""
+    the first with ``lhs < rhs`` becomes the certificate.  A ``None`` case
+    stands for one already decided as a pass: it is counted, not compared."""
     checked = 0
-    for witness, lhs, rhs, context in cases:
+    for case in cases:
         checked += 1
+        if case is None:
+            continue
+        witness, lhs, rhs, context = case
         if compare(lhs, rhs) is Ordering.LESS:
             return CheckReport(False, ViolationCertificate(kind, witness, lhs, rhs, context), checked)
     return CheckReport(True, None, checked)
@@ -254,25 +259,51 @@ def wright_check(
     """Exact sweep of the double difference over all admissible triples.
 
     Triples (x, u, v) take x from the grid in ascending order and u, v
-    from the step profile in profile order; the first triple with
+    from the step profile in profile order; a triple is admissible when
+    x+u+v lies in the interval, and the first admissible triple with
     f(x+u+v) + f(x) < f(x+u) + f(x+v) becomes the certificate.
+
+    Both sides are symmetric in u and v, so only pairs with u at or
+    before v in the profile are computed.  A mirrored triple (x, v, u)
+    has the sides of (x, u, v), which the sweep has already passed: it is
+    counted in ``checked`` at its own place in the order but not compared
+    again, so ``checked`` still counts every ordered admissible triple.
     """
     step_list = build_steps(grid, steps, max_grid_steps=max_grid_steps)
-    interval = f.interval
+    # The grid differences follow the explicit steps in ascending order, so
+    # past the explicit steps the first top outside the interval ends a row.
+    n_explicit = len(build_steps(grid, steps, max_grid_steps=0))
+    n = len(step_list)
+    hi = f.interval.hi
     ev = functools.cache(f.evaluate)
 
-    def cases() -> Iterable[_Case]:
+    def cases() -> Iterable[_Case | None]:
         for x in grid.points():
-            fx = ev(x)
-            for u in step_list:
-                xu = x + u
-                for v in step_list:
+            fx = ev(x)  # raises unless x lies in the interval
+            shifted = [x + s for s in step_list]
+            # mirrored[j] counts the admissible (x, u_i, u_j) with i < j:
+            # row j opens with their mirrors (x, u_j, u_i).  What the
+            # diagonal adds is never read.
+            mirrored = [0] * n
+            for i, u in enumerate(step_list):
+                yield from itertools.repeat(None, mirrored[i])
+                xu = shifted[i]
+                fxu = None
+                for j in range(i, n):
+                    v = step_list[j]
                     top = xu + v
-                    if interval.contains(top):
-                        # f(x+u) before f(x+u+v): the order fixes which
-                        # point an out-of-span error names.
+                    # x lies in the interval and the steps are positive,
+                    # so top can leave it only at hi.
+                    if hi is not None and compare(top, hi) is not Ordering.LESS:
+                        if j >= n_explicit:
+                            break
+                        continue
+                    if fxu is None:
+                        # f(x+u) before f(x+u+v) before f(x+v): the order
+                        # fixes which point an out-of-span error names.
                         fxu = ev(xu)
-                        yield (x, u, v), ev(top) + fx, fxu + ev(x + v), ()
+                    mirrored[j] += 1
+                    yield (x, u, v), ev(top) + fx, fxu + ev(shifted[j]), ()
 
     return _sweep("wright", cases())
 

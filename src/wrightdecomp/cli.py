@@ -18,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 from .analysis import ViolationCertificate, jensen_check, wright_check
-from .decomposition import decompose, verify_against_truth
+from .decomposition import _check_eps_floor, decompose, verify_against_truth
 from .domain import make_grid
 from .errors import NotJensenConvexError, WrightDecompError, _expect_type
 from .exactreal import ExactReal, parse_rational
@@ -158,6 +158,8 @@ def _load_grid(args, **extra):
     of the commands that sweep a grid."""
     inst = load_instance(args.instance)
     eps = parse_rational(args.eps) if hasattr(args, "eps") else None
+    if eps is not None:
+        _check_eps_floor(eps)
     grid = make_grid(inst.interval, args.grid_n, args.irrational_n, inst.basis, args.seed)
     config = {
         "subcommand": args.subcommand,

@@ -27,7 +27,7 @@ from .errors import (
     InconsistentEnclosureError,
     NotJensenConvexError,
 )
-from .exactreal import Enclosure, ExactReal, Ordering, compare
+from .exactreal import RESOLUTION_LIMIT, Enclosure, ExactReal, Ordering, compare
 from .extension import (
     BracketPolicy,
     ExtensionHandle,
@@ -140,6 +140,16 @@ def _spot_check_pairs(grid: SampleGrid) -> list[tuple[ExactReal, ExactReal]]:
     return pairs
 
 
+def _check_eps_floor(eps: Fraction) -> None:
+    """Reject a positive eps below RESOLUTION_LIMIT, which no enclosure can
+    reach; a nonpositive eps is left to the caller's own check."""
+    if 0 < eps < RESOLUTION_LIMIT:
+        raise ValueError(
+            f"eps is below the resolution limit {RESOLUTION_LIMIT}, "
+            "past which no comparison resolves"
+        )
+
+
 def decompose(
     f: FunctionDef,
     eps: Fraction,
@@ -158,6 +168,7 @@ def decompose(
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
+    _check_eps_floor(eps)
     if len(grid.rationals) < 2:
         raise ValueError("decomposition needs at least two rational grid points")
 

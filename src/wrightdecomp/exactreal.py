@@ -7,7 +7,8 @@ by index, zero numerators dropped, the gcd of all of them 1.  The
 representation is canonical, so structural equality coincides with value
 equality because square roots of distinct squarefree integers are
 linearly independent over Q (trusted fact of this module).  ``Fraction``
-appears only where coefficients, bounds and literals enter or leave.
+appears only where coefficients, bounds and literals enter or leave, and
+in the hash of a value whose denominator the hash modulus divides.
 
 Comparisons that cannot be decided structurally are settled by adaptive
 rational enclosures built from Heron bracket chains for each radical.
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -102,6 +104,8 @@ class _SqrtBrackets:
 _BRACKETS = _SqrtBrackets()
 
 _ZERO = Fraction(0)
+
+_HASH_MODULUS = sys.hash_info.modulus
 
 _Nums = tuple[tuple[int, int], ...]
 
@@ -282,11 +286,26 @@ class ExactReal:
         return self._nums == o._nums and self._den == o._den
 
     def __hash__(self):
+        # Fraction's hash of each coefficient n/den, from the ints: it does
+        # not change when n and den are scaled by a factor coprime to the
+        # modulus, so hash(v) is that of its Fraction coefficients.
         if self._hash is None:
-            if self.is_rational:
-                self._hash = hash(self.rational_part)
+            den = self._den
+            if den % _HASH_MODULUS:
+                inv = pow(den, -1, _HASH_MODULUS)
+                pairs = []
+                for m, n in self._nums:
+                    h = hash(hash(abs(n)) * inv)
+                    if n < 0:
+                        h = -2 if h == 1 else -h
+                    pairs.append((m, h))
             else:
-                self._hash = hash(tuple(self.coefficients.items()))
+                # Fraction hashes such a denominator as infinity.
+                pairs = [(m, hash(q)) for m, q in self.coefficients.items()]
+            if self.is_rational:
+                self._hash = pairs[0][1] if pairs else 0
+            else:
+                self._hash = hash(tuple(pairs))
         return self._hash
 
     def __lt__(self, other):

@@ -3,15 +3,25 @@
 The radical bounds here use integer square roots at a fixed decimal
 scale (math.isqrt on m * 10**(2*digits)), a different algorithm from the
 library's Heron bracket chains, so containment checks are genuinely
-two-route.
+two-route.  The reference Wright sweep visits every ordered triple and
+tests both interval bounds, where the library skips mirrored triples
+and stops rows early.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
-from wrightdecomp import ExactReal
+from wrightdecomp import (
+    CheckReport,
+    ExactReal,
+    Ordering,
+    ViolationCertificate,
+    build_steps,
+    compare,
+)
 
 
 def radical_bounds(x: ExactReal, digits: int = 200) -> tuple[Fraction, Fraction]:
@@ -50,3 +60,24 @@ def is_squarefree(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def wright_sweep_reference(f, grid, steps=(), *, max_grid_steps=None) -> CheckReport:
+    """The plain ordered sweep: every (x, u, v) with x+u+v in the interval,
+    x ascending and u, v in profile order; the first violation certifies."""
+    step_list = build_steps(grid, steps, max_grid_steps=max_grid_steps)
+    ev = functools.cache(f.evaluate)
+    checked = 0
+    for x in grid.points():
+        fx = ev(x)
+        for u in step_list:
+            for v in step_list:
+                top = x + u + v
+                if f.interval.contains(top):
+                    checked += 1
+                    fxu = ev(x + u)
+                    lhs, rhs = ev(top) + fx, fxu + ev(x + v)
+                    if compare(lhs, rhs) is Ordering.LESS:
+                        cert = ViolationCertificate("wright", (x, u, v), lhs, rhs)
+                        return CheckReport(False, cert, checked)
+    return CheckReport(True, None, checked)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import wright_sweep_reference
 
 from wrightdecomp import (
     AbsAdditive,
@@ -29,6 +30,7 @@ from wrightdecomp.errors import (
     BracketViolationError,
     NonPositiveStepError,
     OutOfDomainError,
+    WrightDecompError,
 )
 
 R = ExactReal.from_rational
@@ -155,6 +157,55 @@ def test_wright_check_random_steps_miss_the_kernel():
     grid = make_grid(I_10, 8, 0, (2,), seed=1)
     report = wright_check(f, grid, max_grid_steps=12)
     assert report.passed
+
+
+def _sweep_outcome(check, f, grid, steps, max_grid_steps):
+    try:
+        return check(f, grid, steps, max_grid_steps=max_grid_steps).to_jsonable()
+    except WrightDecompError as exc:
+        return type(exc), str(exc)
+
+
+def test_wright_check_matches_ordered_reference_sweep():
+    # Steps of the form k - q*sqrt(m) pair with q*sqrt(m) into rational
+    # tops, which is where |A| fails; a step on a radical outside the
+    # basis makes some point out of span, and both sweeps must name it.
+    tally = {"passed": 0, "violation": 0, "error": 0}
+    for case in range(60):
+        rng = random.Random(case)
+        kind = ("decomposable", "abs_additive", "spiked")[case % 3]
+        cap = (None, 0, 3)[case // 3 % 3]
+        f = generate(case, kind=kind, basis_size=rng.randint(1, 3))
+        grid = make_grid(f.interval, rng.randint(1, 5), rng.randint(0, 2), f.basis, case)
+        outside = next(m for m in (2, 3, 5, 7, 11) if m not in f.basis)
+        steps = []
+        for _ in range(rng.randint(1, 4)):
+            m = rng.choice(f.basis + (1, 1, outside))
+            s = SQRT(m) * Fraction(rng.randint(-3, 12), rng.randint(1, 4))
+            steps.append(R(rng.randint(1, 5)) - s if rng.random() < 0.4 else s)
+        expected = _sweep_outcome(wright_sweep_reference, f, grid, steps, cap)
+        assert _sweep_outcome(wright_check, f, grid, steps, cap) == expected, case
+        if isinstance(expected, tuple):
+            tally["error"] += 1
+        else:
+            tally["passed" if expected["passed"] else "violation"] += 1
+    assert min(tally.values()) >= 5, tally
+
+
+@pytest.mark.parametrize(
+    "steps, checked, witness",
+    [
+        ((R(2) - SQRT(2), SQRT(2)), 2, (R(0), R(2) - SQRT(2), SQRT(2))),
+        # (0, sqrt2, 1), the mirror of (0, 1, sqrt2), is counted, not compared.
+        ((R(1), SQRT(2), R(2) - SQRT(2)), 6, (R(0), SQRT(2), R(2) - SQRT(2))),
+        ((SQRT(2), R(1), R(2) - SQRT(2)), 3, (R(0), SQRT(2), R(2) - SQRT(2))),
+    ],
+)
+def test_wright_check_counts_mirrored_triples(steps, checked, witness):
+    grid = SampleGrid(I_10, (Fraction(0),), (), seed=0)
+    report = wright_check(abs_fixture(), grid, steps, max_grid_steps=0)
+    assert report.checked == checked
+    assert report.certificate.witness == witness
 
 
 def test_certificate_json_round_trip_and_self_verify():

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from wrightdecomp import RESOLUTION_LIMIT
 from wrightdecomp.cli import main
 
 SQUARE = {
@@ -146,6 +147,22 @@ def test_oversized_literal_exits_1_quickly(tmp_path, capsys, argv, named):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert named in err
+
+
+@pytest.mark.parametrize("command", ["decompose", "report"])
+def test_eps_below_resolution_limit_exits_1_quickly(tmp_path, capsys, command):
+    # 1e-4299 parses, but no comparison resolves a width below the limit,
+    # so a run at that eps would not end in bounded time.
+    inst = tmp_path / "inst.json"
+    assert run_cli("gen", "--seed", "0", "--out", str(inst)) == 0
+    extra = ["--csv", str(tmp_path / "r.csv")] if command == "report" else []
+    start = time.perf_counter()
+    assert run_cli(command, str(inst), "--eps", "1e-4299", *extra) == 1
+    assert time.perf_counter() - start < 5
+    floor = f"error: eps is below the resolution limit {RESOLUTION_LIMIT}"
+    assert capsys.readouterr().err.startswith(floor)
+    run_cli(command, str(inst), "--eps", "1e-200", *extra)
+    assert "below the resolution limit" not in capsys.readouterr().err
 
 
 def test_check_wright_finds_abs_violation(abs_instance, tmp_path):

@@ -11,6 +11,7 @@ from wrightdecomp import (
     ExactReal,
     ExtensionHandle,
     Interval,
+    RESOLUTION_LIMIT,
     Ordering,
     SampleGrid,
     Spiked,
@@ -50,6 +51,15 @@ def test_decompose_recovers_sqrt2_coefficient():
     enc = result.additive_hat[2]
     assert compare(enc.width, EPS8) is not Ordering.GREATER
     assert enc.contains(R(3))
+
+
+def test_decompose_rejects_eps_outside_the_resolvable_range():
+    f = fixture_square_additive()
+    grid = grid_for(f)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        decompose(f, 0, grid)
+    with pytest.raises(ValueError, match="below the resolution limit"):
+        decompose(f, RESOLUTION_LIMIT / 10, grid)
 
 
 def test_decompose_pure_convex_encloses_zero():

@@ -1,4 +1,5 @@
 import operator
+import sys
 import time
 from fractions import Fraction
 
@@ -157,6 +158,27 @@ def test_arithmetic_matches_fraction_dict_reference(da, db, q):
             assert hash(value) == hash(tuple(coeffs.items()))
         assert compare(value, 0) == numeric_sign(value)
     assert compare(a, b) == numeric_sign(ExactReal(_ref_sum(da, db, -1)))
+
+
+def test_hash_matches_fraction_when_modulus_divides_denominator():
+    # Fraction hashes a denominator that the hash modulus P divides as
+    # infinity, which the integer hash path cannot reproduce.
+    p = sys.hash_info.modulus
+    assert hash(Fraction(1, p)) == sys.hash_info.inf
+    values = [
+        R(Fraction(1, p)),
+        R(Fraction(-3, 2 * p)),
+        ExactReal({1: Fraction(1, p), 2: Fraction(5, 3)}),
+        ExactReal({2: Fraction(-1, p * p), 3: 7}),
+        ExactReal({2: Fraction(1, p), 3: Fraction(1, 2)}),
+        R(Fraction(2, p)) + SQRT(5) * Fraction(2, 3) - SQRT(5) * Fraction(2, 3),
+        SQRT(2) * Fraction(1, p) * SQRT(3) + SQRT(7),
+    ]
+    for value in values:
+        if value.is_rational:
+            assert hash(value) == hash(value.rational_part)
+        else:
+            assert hash(value) == hash(tuple(value.coefficients.items()))
 
 
 # -- enclosures --------------------------------------------------------------
