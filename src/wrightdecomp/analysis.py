@@ -30,51 +30,36 @@ from .exactreal import ExactReal, Ordering, compare
 from .funcspec import FunctionDef
 
 _HALF = Fraction(1, 2)
+_JENSEN_CONTEXT = (("t", ExactReal.from_rational(_HALF)),)
 
 
 @dataclass(frozen=True)
 class SlopeFraction:
-    """A divided difference num/den kept unevaluated (den != 0).
+    """A divided difference num/den kept unevaluated (den > 0).
 
     The span has no field division, so every comparison cross-multiplies
-    and corrects for the sign of the product of denominators.
+    by the positive rational denominators.
     """
 
     num: ExactReal
-    den: ExactReal
+    den: Fraction
 
     def __post_init__(self):
-        if compare(self.den, 0) is Ordering.EQUAL:
-            raise ValueError("SlopeFraction denominator must be nonzero")
+        if not self.den > 0:
+            raise ValueError(f"SlopeFraction denominator must be positive, got {self.den}")
 
     def compare(self, other: "SlopeFraction") -> Ordering:
-        lhs = self.num * other.den
-        rhs = other.num * self.den
-        if compare(self.den * other.den, 0) is Ordering.LESS:
-            lhs, rhs = rhs, lhs
-        return compare(lhs, rhs)
+        return compare(self.num * other.den, other.num * self.den)
 
     def abs(self) -> "SlopeFraction":
-        num, den = self.num, self.den
-        if compare(den, 0) is Ordering.LESS:
-            num, den = -num, -den
-        if compare(num, 0) is Ordering.LESS:
-            num = -num
-        return SlopeFraction(num, den)
+        return SlopeFraction(abs(self.num), self.den)
 
     def as_fraction(self) -> Fraction:
-        return self.num.as_fraction() / self.den.as_fraction()
+        return self.num.as_fraction() / self.den
 
     def rational_upper_bound(self, eps: Fraction = Fraction(1, 64)) -> Fraction:
         """A rational q with |self| <= q."""
-        a = self.abs()
-        num_hi = a.num.bounds(eps)[1]
-        scale = Fraction(1)
-        while True:
-            den_lo = a.den.bounds(eps * scale)[0]
-            if den_lo > 0:
-                return num_hi / den_lo
-            scale /= 4
+        return abs(self.num).bounds(eps)[1] / self.den
 
     def __repr__(self):
         return f"SlopeFraction(({self.num}) / ({self.den}))"
@@ -90,29 +75,29 @@ class ViolationCertificate:
     rhs: ExactReal
     context: tuple[tuple[str, ExactReal], ...] = ()
 
-    def context_value(self, key: str) -> ExactReal | None:
-        for k, v in self.context:
-            if k == key:
-                return v
-        return None
-
     def violation_amount(self) -> ExactReal:
         """lhs - rhs; strictly negative for a genuine violation."""
         return self.lhs - self.rhs
 
     def recompute_sides(self, f: FunctionDef) -> tuple[ExactReal, ExactReal]:
+        """Both sides at the witness; a ValueError for a witness that no
+        checker emits, whose sides would not certify anything."""
         if self.kind == "wright":
             x, u, v = self.witness
+            if not (0 < u and 0 < v):
+                raise ValueError(f"Wright steps must be positive, got {u}, {v}")
             lhs = f.evaluate(x + u + v) + f.evaluate(x)
             rhs = f.evaluate(x + u) + f.evaluate(x + v)
         elif self.kind == "jensen":
             x, y = self.witness
-            t = self.context_value("t")
-            tq = Fraction(1, 2) if t is None else t.as_fraction()
-            lhs = f.evaluate(x) * tq + f.evaluate(y) * (1 - tq)
-            rhs = f.evaluate(x * tq + y * (1 - tq))
+            if self.context not in ((), _JENSEN_CONTEXT):
+                raise ValueError("Jensen certificates are checked at t = 1/2 only")
+            lhs = f.evaluate(x) * _HALF + f.evaluate(y) * _HALF
+            rhs = f.evaluate(x * _HALF + y * _HALF)
         elif self.kind == "monotone":
             x, u, y = self.witness
+            if not x < u < y:
+                raise ValueError(f"monotone witness ({x}, {u}, {y}) is not strictly ascending")
             lhs = (f.evaluate(y) - f.evaluate(u)) * (u - x)
             rhs = (f.evaluate(u) - f.evaluate(x)) * (y - u)
         else:
@@ -313,11 +298,10 @@ def jensen_check(f: FunctionDef, grid: SampleGrid) -> CheckReport:
     f(x)/2 + f(y)/2 >= f(x/2 + y/2)."""
     pts = grid.points()
     ev = functools.cache(f.evaluate)
-    context = (("t", ExactReal.from_rational(_HALF)),)
     return _sweep(
         "jensen",
         (
-            ((x, y), ev(x) * _HALF + ev(y) * _HALF, ev(x * _HALF + y * _HALF), context)
+            ((x, y), ev(x) * _HALF + ev(y) * _HALF, ev(x * _HALF + y * _HALF), _JENSEN_CONTEXT)
             for i, x in enumerate(pts)
             for y in pts[i + 1 :]
         ),
@@ -362,7 +346,7 @@ def lipschitz_bound(
     for q in (a1, a2, b1, b2):
         if not f.interval.contains(q):
             raise BracketViolationError(f"bracket point {q} outside {f.interval.literal()}")
-    ea = [ExactReal.from_rational(q) for q in (a1, a2, b1, b2)]
-    alpha = SlopeFraction(f.evaluate(ea[1]) - f.evaluate(ea[0]), ea[1] - ea[0]).abs()
-    beta = SlopeFraction(f.evaluate(ea[3]) - f.evaluate(ea[2]), ea[3] - ea[2]).abs()
+    fa1, fa2, fb1, fb2 = (f.evaluate(ExactReal.from_rational(q)) for q in (a1, a2, b1, b2))
+    alpha = SlopeFraction(fa2 - fa1, a2 - a1).abs()
+    beta = SlopeFraction(fb2 - fb1, b2 - b1).abs()
     return beta if alpha.compare(beta) is Ordering.LESS else alpha

@@ -267,10 +267,10 @@ def _cmd_verify_certificate(args) -> int:
 
 def _cmd_report(args) -> int:
     inst, eps, grid, config = _load_grid(args, csv=args.csv)
-    gate = jensen_check(inst, grid.rational_only())
+    handle = ExtensionHandle(inst)
+    gate = jensen_check(handle, grid.rational_only())
     if not gate.passed:
         return _emit_not_midpoint_convex(config, gate.certificate)
-    handle = ExtensionHandle(inst)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x_literal", "lo", "hi", "width"])

@@ -165,6 +165,12 @@ def decompose(
     width eps * q, so every reported coefficient enclosure has width at
     most eps.
     """
+    return _decompose(ExtensionHandle(f, policy), eps, grid)
+
+
+def _decompose(handle: ExtensionHandle, eps: Fraction, grid: SampleGrid) -> DecompositionResult:
+    """``decompose`` with every evaluation of the run through ``handle``."""
+    f = handle.source
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -172,11 +178,10 @@ def decompose(
     if len(grid.rationals) < 2:
         raise ValueError("decomposition needs at least two rational grid points")
 
-    gate = jensen_check(f, grid.rational_only())
+    gate = jensen_check(handle, grid.rational_only())
     if not gate.passed:
         raise NotJensenConvexError(gate.certificate)
 
-    handle = ExtensionHandle(f, policy)
     residual = handle.residual
 
     additive_hat: dict[int, Enclosure] = {}
@@ -330,21 +335,21 @@ def uniqueness_check(
     agreement means every pair of coefficient enclosures intersects and
     the two extension enclosures overlap at every probe point."""
     s1, s2 = seeds
-    policy_a = BracketPolicy()
-    policy_b = BracketPolicy(
-        initial_eps=Fraction(1, 8), margin_divisor=16, slope_eps=Fraction(1, 128)
+    # Each chain is a pure function of (policy, x), so the probes below
+    # reuse the chains the two decompositions built.
+    handle_a = ExtensionHandle(f, BracketPolicy())
+    handle_b = ExtensionHandle(
+        f, BracketPolicy(initial_eps=Fraction(1, 8), margin_divisor=16, slope_eps=Fraction(1, 128))
     )
     grid_a = make_grid(f.interval, 8, 4, f.basis, s1)
     grid_b = make_grid(f.interval, 10, 4, f.basis, s2)
-    first = decompose(f, eps, grid_a, policy_a)
-    second = decompose(f, eps, grid_b, policy_b)
+    first = _decompose(handle_a, eps, grid_a)
+    second = _decompose(handle_b, eps, grid_b)
 
     radical_overlaps = {
         m: first.additive_hat[m].overlaps(second.additive_hat[m]) for m in first.additive_hat
     }
 
-    handle_a = ExtensionHandle(f, policy_a)
-    handle_b = ExtensionHandle(f, policy_b)
     probe_grid = make_grid(f.interval, 3, 3, f.basis, seed=1_000_003 * s1 + s2)
     probe_failures: list[str] = []
     probes = 0

@@ -48,9 +48,8 @@ class BracketPolicy:
 
 @dataclass
 class _Chain:
-    window: tuple[Fraction, Fraction]  # [a, b], rational, strictly inside I
     lipschitz_bar: Fraction  # rational upper bound of the window modulus
-    deltas: list[Fraction] = field(default_factory=list)
+    delta: Fraction  # enclosure width of x at the latest round
     enclosures: list[Enclosure] = field(default_factory=list)  # running intersections
 
 
@@ -58,22 +57,24 @@ class ExtensionHandle:
     """On-demand certified enclosures of the extension of ``source``\\|Q.
 
     The extension only ever reads the source at rational points.  The
-    handle evaluates the source once per distinct point and keeps the
-    value, and the refinement chains, for its lifetime; both caches are
-    performance artifacts, so results are identical with or without them.
+    handle is a run's evaluation context: ``evaluate`` memoises
+    ``source.evaluate``, so the handle stands in for the source in any
+    checker that reads only ``evaluate`` and ``interval``.  The memo and
+    the refinement chains are performance artifacts, so results are
+    identical with or without them.
     """
 
     def __init__(self, source: FunctionDef, policy: BracketPolicy | None = None):
         self.source = source
         self.interval = source.interval
         self.policy = policy or BracketPolicy()
-        self._evaluate = functools.cache(source.evaluate)
+        self.evaluate = functools.cache(source.evaluate)
         self._chains: dict[ExactReal, _Chain] = {}
 
     # -- source access ---------------------------------------------------
 
     def f_rational(self, r: Fraction) -> ExactReal:
-        return self._evaluate(ExactReal.from_rational(r))
+        return self.evaluate(ExactReal.from_rational(r))
 
     # -- public API ----------------------------------------------------
 
@@ -101,14 +102,9 @@ class ExtensionHandle:
 
     def residual(self, x: ExactReal, eps: Fraction) -> Enclosure:
         """Enclosure of f(x) minus the extension at x, of width <= eps."""
-        fx = self._evaluate(x)
+        fx = self.evaluate(x)
         ext = self.extend_eval(x, eps)
         return Enclosure(fx - ext.hi, fx - ext.lo)
-
-    def window_modulus(self, x: ExactReal) -> tuple[tuple[Fraction, Fraction], Fraction]:
-        """The window [a, b] and rational Lipschitz bound used for x."""
-        chain = self._chains[x]
-        return chain.window, chain.lipschitz_bar
 
     # -- internals -------------------------------------------------------
 
@@ -154,9 +150,8 @@ class ExtensionHandle:
             lambda m: self._strict_inside(a, b + m),
         )
         bracket = (a - m_left, a, b, b + m_right)
-        modulus = lipschitz_bound(self.source, a, b, bracket)
-        lbar = modulus.rational_upper_bound(self.policy.slope_eps)
-        chain = _Chain(window=(a, b), lipschitz_bar=lbar, deltas=[d])
+        modulus = lipschitz_bound(self, a, b, bracket)
+        chain = _Chain(modulus.rational_upper_bound(self.policy.slope_eps), d)
         self._seed_round(chain, a, b)
         return chain
 
@@ -171,9 +166,8 @@ class ExtensionHandle:
         chain.enclosures.append(enc)
 
     def _refine(self, x: ExactReal, chain: _Chain) -> Enclosure:
-        d = chain.deltas[-1] / 2
-        chain.deltas.append(d)
-        lo, hi = x.bounds(d)
+        chain.delta /= 2
+        lo, hi = x.bounds(chain.delta)
         self._seed_round(chain, lo, hi)
         return chain.enclosures[-1]
 
@@ -256,7 +250,7 @@ def difference_transfer_check(
     # Every p and p + v lies in the interval (checked above), so the
     # step-v difference needs no further domain check.
     v_exact = ExactReal.from_rational(v)
-    ev = handle._evaluate
+    ev = handle.evaluate
     deltas = {p: ev(p + v_exact) - ev(p) for p in pts}
     # Delta_v f(x2) >= Delta_v f(x1) for adjacent x1 < x2 is Wright's
     # inequality at (x1, x2 - x1, v), with the same sides as wright_check.

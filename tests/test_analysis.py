@@ -244,6 +244,23 @@ def test_certificate_verify_propagates_program_faults():
     assert not ViolationCertificate("cubic", cert.witness, cert.lhs, cert.rhs).verify(f)
 
 
+# Certificates that reproduce lhs < rhs on the convex x^2 but that no checker
+# emits: a negative Wright step, a Jensen weight t = 2, a descending triple.
+FORGED = (
+    ("wright", (R(0), R(-1), R(1)), R(0), R(2), ()),
+    ("jensen", (R(0), R(1)), R(-1), R(1), (("t", R(2)),)),
+    ("monotone", (R(1), R(0), R(-1)), R(-1), R(1), ()),
+)
+
+
+@pytest.mark.parametrize("kind, witness, lhs, rhs, context", FORGED, ids=[c[0] for c in FORGED])
+def test_certificate_verify_rejects_witness_no_checker_emits(kind, witness, lhs, rhs, context):
+    cert = ViolationCertificate(kind, witness, lhs, rhs, context)
+    assert not cert.verify(square())
+    with pytest.raises(ValueError):
+        cert.recompute_sides(square())
+
+
 # -- jensen_check ------------------------------------------------------------------
 
 
@@ -280,9 +297,10 @@ def test_jensen_affine_exact_equality():
 # -- chord slopes --------------------------------------------------------------------
 
 
-def test_slope_fraction_requires_nonzero_denominator():
-    with pytest.raises(ValueError):
-        SlopeFraction(R(1), ExactReal())
+def test_slope_fraction_requires_positive_denominator():
+    for den in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(ValueError):
+            SlopeFraction(R(1), den)
 
 
 def test_chord_slope_monotone_convex_passes():

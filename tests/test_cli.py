@@ -197,6 +197,46 @@ def test_verify_certificate_round_trip(abs_instance, tmp_path):
     assert run_cli("verify-certificate", str(bad)) == 2
 
 
+@pytest.mark.parametrize(
+    "kind, witness, lhs, rhs, context",
+    [
+        ("wright", ["0", "-1", "1"], "0", "2", {}),
+        ("jensen", ["0", "1"], "-1", "1", {"t": "2"}),
+        ("monotone", ["1", "0", "-1"], "-1", "1", {}),
+    ],
+    ids=["wright", "jensen", "monotone"],
+)
+def test_verify_certificate_rejects_forged_witness(tmp_path, capsys, kind, witness, lhs, rhs, context):
+    # each reproduces lhs < rhs on the convex x^2, through a witness that
+    # no checker emits
+    inst = tmp_path / "square.json"
+    inst.write_text(json.dumps(SQUARE))
+    cert = {"kind": kind, "witness": witness, "lhs": lhs, "rhs": rhs, "context": context}
+    report = tmp_path / "forged.json"
+    report.write_text(json.dumps({"config": {"instance": str(inst)}, "certificate": cert}))
+    assert run_cli("verify-certificate", str(report)) == 2
+    assert "REJECTED" in capsys.readouterr().out
+
+
+def test_decompose_evaluates_each_point_once(tmp_path, monkeypatch):
+    # the Jensen gate, the Lipschitz brackets, the probes and the transfer
+    # check all read f through the run's one extension handle
+    from wrightdecomp.funcspec import _FunctionBase
+
+    inst = tmp_path / "inst.json"
+    assert run_cli("gen", "--seed", "0", "--out", str(inst)) == 0
+    points = []
+    evaluate = _FunctionBase.evaluate
+
+    def counting(self, x):
+        points.append(x)
+        return evaluate(self, x)
+
+    monkeypatch.setattr(_FunctionBase, "evaluate", counting)
+    assert run_cli("decompose", str(inst), "--out", str(tmp_path / "result.json")) == 0
+    assert len(points) == len(set(points)) == 310
+
+
 def test_check_jensen(abs_instance, tmp_path):
     assert run_cli("check-jensen", abs_instance, "--grid-n", "5", "--irrational-n", "3") == 0
 

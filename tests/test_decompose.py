@@ -189,6 +189,22 @@ def test_uniqueness_check_passes_and_nests():
         assert meet_coarse.contains_enclosure(meet_fine)
 
 
+def test_uniqueness_check_builds_each_chain_once(monkeypatch):
+    # the probes reuse the handles of the two decompositions, so each
+    # (policy, x) pair starts one refinement chain
+    starts = []
+    start_chain = ExtensionHandle._start_chain
+
+    def counting(self, x):
+        starts.append((self.policy, x))
+        return start_chain(self, x)
+
+    monkeypatch.setattr(ExtensionHandle, "_start_chain", counting)
+    report = uniqueness_check(generate(0, nonzero_rational_part=True), EPS8, (0, 7))
+    assert report.passed
+    assert len(starts) == len(set(starts)) == 58
+
+
 def test_refinement_never_widens():
     f = generate(56, kind="decomposable")
     g1 = grid_for(f, seed=7, n_r=5, n_i=2)

@@ -116,7 +116,7 @@ def test_intermediate_probes_respect_modulus():
     h.f_rational = recording
     h.extend_eval(x, Fraction(1, 10**8))
     assert len(probes) >= 3
-    (_, lbar) = h.window_modulus(x)[0], h.window_modulus(x)[1]
+    lbar = h._chains[x].lipschitz_bar
     for i, (r1, v1) in enumerate(probes):
         for r2, v2 in probes[i + 1 :]:
             gap = abs(v1 - v2)
