@@ -10,7 +10,6 @@ from .exactreal import (
     Enclosure,
     ExactReal,
     Ordering,
-    RESOLUTION_LIMIT,
     check_radical_index,
     compare,
     enclose,
@@ -51,6 +50,7 @@ from .extension import (
 from .decomposition import (
     DecompositionResult,
     JensenEquationReport,
+    RESOLUTION_LIMIT,
     UniquenessReport,
     VerificationReport,
     decompose,

@@ -27,7 +27,7 @@ from .errors import (
     InconsistentEnclosureError,
     NotJensenConvexError,
 )
-from .exactreal import RESOLUTION_LIMIT, Enclosure, ExactReal, Ordering, compare
+from .exactreal import Enclosure, ExactReal, Ordering, compare
 from .extension import (
     BracketPolicy,
     ExtensionHandle,
@@ -140,22 +140,23 @@ def _spot_check_pairs(grid: SampleGrid) -> list[tuple[ExactReal, ExactReal]]:
     return pairs
 
 
+#: Smallest positive eps that ``decompose`` and the CLI accept.  Comparisons
+#: refine until their sign is certain, and the refinement a run needs grows
+#: without bound as eps shrinks, so this floor bounds the run time.
+RESOLUTION_LIMIT = Fraction(1, 10**200)
+
+
 def _check_eps_floor(eps: Fraction) -> None:
-    """Reject a positive eps below RESOLUTION_LIMIT, which no enclosure can
-    reach; a nonpositive eps is left to the caller's own check."""
+    """Reject a positive eps below RESOLUTION_LIMIT; a nonpositive eps is
+    left to the caller's own check."""
     if 0 < eps < RESOLUTION_LIMIT:
         raise ValueError(
             f"eps is below the resolution limit {RESOLUTION_LIMIT}, "
-            "past which no comparison resolves"
+            "the smallest eps accepted"
         )
 
 
-def decompose(
-    f: FunctionDef,
-    eps: Fraction,
-    grid: SampleGrid,
-    policy: BracketPolicy | None = None,
-) -> DecompositionResult:
+def decompose(f: FunctionDef, eps: Fraction, grid: SampleGrid) -> DecompositionResult:
     """Recover the additive part of f vanishing on Q, with certified error.
 
     Precondition: f is midpoint convex on the grid's rational points
@@ -165,7 +166,7 @@ def decompose(
     width eps * q, so every reported coefficient enclosure has width at
     most eps.
     """
-    return _decompose(ExtensionHandle(f, policy), eps, grid)
+    return _decompose(ExtensionHandle(f), eps, grid)
 
 
 def _decompose(handle: ExtensionHandle, eps: Fraction, grid: SampleGrid) -> DecompositionResult:

@@ -22,14 +22,6 @@ def _expect_type(value, kind, what: str):
     return value
 
 
-class ResolutionExceededError(WrightDecompError):
-    """A comparison could not be decided above the resolution cap.
-
-    Raised instead of guessing a sign once the separating enclosure has
-    been refined below the supported width.
-    """
-
-
 class EmptyDomainError(WrightDecompError):
     """A shifted intersection exhausted the interval, or the interval has
     no room for the requested sample points."""

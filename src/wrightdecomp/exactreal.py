@@ -23,14 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .errors import InconsistentEnclosureError, OutOfSpanError, ParseError, ResolutionExceededError
+from .errors import InconsistentEnclosureError, OutOfSpanError, ParseError
 from .errors import _expect_type
 
 Rational = Union[int, Fraction]
-
-#: compare() raises instead of guessing once the separating enclosure is
-#: narrower than this.
-RESOLUTION_LIMIT = Fraction(1, 10**200)
 
 #: Largest accepted radical index; trial division up to its square root
 #: stays within 2**15 odd divisors.
@@ -440,7 +436,8 @@ def compare(a: "ExactReal | Rational", b: "ExactReal | Rational") -> Ordering:
     Equality is structural (canonical form); a difference whose integer
     numerators all share one sign is decided by that sign; otherwise the
     sign of the difference is found by refining a rational enclosure until
-    zero is strictly outside.  Raises ResolutionExceededError past the cap.
+    zero is strictly outside.  Distinct canonical forms are distinct values,
+    so the refinement always ends.
     """
     ea = a if isinstance(a, ExactReal) else ExactReal.from_rational(a)
     eb = b if isinstance(b, ExactReal) else ExactReal.from_rational(b)
@@ -458,10 +455,6 @@ def compare(a: "ExactReal | Rational", b: "ExactReal | Rational") -> Ordering:
             return Ordering.GREATER
         if hi < 0:
             return Ordering.LESS
-        if eps < RESOLUTION_LIMIT:
-            raise ResolutionExceededError(
-                f"could not separate {ea} and {eb} above width {RESOLUTION_LIMIT}"
-            )
         eps /= 16
 
 

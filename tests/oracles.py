@@ -5,7 +5,8 @@ scale (math.isqrt on m * 10**(2*digits)), a different algorithm from the
 library's Heron bracket chains, so containment checks are genuinely
 two-route.  The reference Wright sweep visits every ordered triple and
 tests both interval bounds, where the library skips mirrored triples
-and stops rows early.
+and stops rows early.  Pell convergents give near-ties whose sign is
+known from p^2 - m*q^2 = 1 alone.
 """
 
 from __future__ import annotations
@@ -49,6 +50,16 @@ def numeric_sign(x: ExactReal, digits: int = 200) -> int:
     if hi < 0:
         return -1
     return 0
+
+
+def pell_sqrt11_convergent(digits: int = 150) -> tuple[int, int]:
+    """First (p, q) from (10 + 3*sqrt11)^k = p + q*sqrt11 whose q has
+    ``digits`` digits.  p^2 - 11*q^2 = 1, so 0 < p/q - sqrt11 < 1/(6*q^2)."""
+    p, q = 10, 3
+    while len(str(q)) < digits:
+        p, q = 10 * p + 33 * q, 3 * p + 10 * q
+    assert p * p - 11 * q * q == 1
+    return p, q
 
 
 def is_squarefree(n: int) -> bool:

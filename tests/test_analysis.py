@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import wright_sweep_reference
+from oracles import numeric_sign, pell_sqrt11_convergent, wright_sweep_reference
 
 from wrightdecomp import (
     AbsAdditive,
@@ -146,6 +146,24 @@ def test_wright_check_finds_abs_additive_violation():
     cert = report.certificate
     assert cert.kind == "wright"
     assert cert.witness == (R(0), SQRT(2), R(2) - SQRT(2))
+    assert cert.violation_amount() == R(-2)
+    assert cert.verify(f)
+
+
+def test_wright_check_certifies_abs_violation_at_a_step_below_1e_300():
+    # The paper's stock midpoint convex but not Wright convex function |A|
+    # fails Wright's inequality by -2 at (0, u, sqrt11): A(u) = -1 and
+    # u + sqrt11 is rational.  Deciding the step u > 0 refines past 1e-300.
+    f = AbsAdditive(I_10, (11,), AdditiveMap.from_mapping({11: 1}))
+    p, q = pell_sqrt11_convergent()
+    u = R(Fraction(p, q)) - SQRT(11)
+    assert numeric_sign(u, digits=400) == 1
+    assert numeric_sign(u - R(Fraction(1, 10**300)), digits=400) == -1
+    grid = SampleGrid(I_10, (Fraction(0),), (), seed=0)
+    report = wright_check(f, grid, (u, SQRT(11)), max_grid_steps=0)
+    assert not report.passed
+    cert = report.certificate
+    assert cert.witness == (R(0), u, SQRT(11))
     assert cert.violation_amount() == R(-2)
     assert cert.verify(f)
 

@@ -63,6 +63,31 @@ def test_public_surface_is_pinned():
     ]
 
 
+def test_error_hierarchy_is_pinned():
+    # Every error class added to or removed from the package shows up here.
+    errors = wrightdecomp.errors
+    defined = {
+        name: obj.__bases__
+        for name, obj in vars(errors).items()
+        if isinstance(obj, type)
+        and issubclass(obj, errors.WrightDecompError)
+        and obj.__module__ == errors.__name__
+    }
+    base = (errors.WrightDecompError,)
+    assert defined == {
+        "WrightDecompError": (Exception,),
+        "ParseError": (errors.WrightDecompError, ValueError),
+        "EmptyDomainError": base,
+        "OutOfDomainError": base,
+        "OutOfSpanError": base,
+        "NonPositiveStepError": base,
+        "BracketViolationError": base,
+        "BracketUnavailableError": base,
+        "NotJensenConvexError": base,
+        "InconsistentEnclosureError": base,
+    }
+
+
 def test_benchmark_tracer_installs_and_restores():
     # The benchmark's tracer wraps library functions and methods by name;
     # removing or renaming one of them breaks traced benchmark runs.

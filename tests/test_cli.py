@@ -8,6 +8,8 @@ import pytest
 from wrightdecomp import RESOLUTION_LIMIT
 from wrightdecomp.cli import main
 
+from oracles import pell_sqrt11_convergent
+
 SQUARE = {
     "variant": "decomposable",
     "interval": "(-10, 10)",
@@ -151,8 +153,9 @@ def test_oversized_literal_exits_1_quickly(tmp_path, capsys, argv, named):
 
 @pytest.mark.parametrize("command", ["decompose", "report"])
 def test_eps_below_resolution_limit_exits_1_quickly(tmp_path, capsys, command):
-    # 1e-4299 parses, but no comparison resolves a width below the limit,
-    # so a run at that eps would not end in bounded time.
+    # 1e-4299 parses, and comparisons refine until their sign is certain,
+    # but the refinement a run needs grows without bound as eps shrinks;
+    # the floor bounds the run time.  The floor itself is accepted.
     inst = tmp_path / "inst.json"
     assert run_cli("gen", "--seed", "0", "--out", str(inst)) == 0
     extra = ["--csv", str(tmp_path / "r.csv")] if command == "report" else []
@@ -161,8 +164,7 @@ def test_eps_below_resolution_limit_exits_1_quickly(tmp_path, capsys, command):
     assert time.perf_counter() - start < 5
     floor = f"error: eps is below the resolution limit {RESOLUTION_LIMIT}"
     assert capsys.readouterr().err.startswith(floor)
-    run_cli(command, str(inst), "--eps", "1e-200", *extra)
-    assert "below the resolution limit" not in capsys.readouterr().err
+    assert run_cli(command, str(inst), "--eps", "1e-200", *extra) == 0
 
 
 def test_check_wright_finds_abs_violation(abs_instance, tmp_path):
@@ -178,6 +180,28 @@ def test_check_wright_finds_abs_violation(abs_instance, tmp_path):
     cert = doc["report"]["certificate"]
     assert cert["violation"] == "-2"
     assert cert["witness"] == ["0", "1*sqrt(2)", "2 + -1*sqrt(2)"]
+
+
+def test_check_wright_certifies_abs_violation_at_a_step_below_1e_300(tmp_path):
+    # |A| with A(sqrt11) = 1 fails Wright's inequality at (0, u, sqrt11)
+    # for u = p/q - sqrt11 from a Pell convergent, 0 < u < 1e-300.
+    inst = tmp_path / "abs11.json"
+    doc = dict(FIXTURE_ABS, basis=[11], additive={"11": "1"})
+    inst.write_text(json.dumps(doc))
+    p, q = pell_sqrt11_convergent()
+    report = tmp_path / "cert.json"
+    code = run_cli(
+        "check-wright", str(inst),
+        "--grid-n", "1",
+        "--steps", f"{p}/{q} + -1*sqrt(11),sqrt(11)",
+        "--max-grid-steps", "0",
+        "--out", str(report),
+    )
+    assert code == 2
+    cert = json.loads(report.read_text())["report"]["certificate"]
+    assert cert["violation"] == "-2"
+    assert cert["witness"] == ["0", f"{p}/{q} + -1*sqrt(11)", "1*sqrt(11)"]
+    assert run_cli("verify-certificate", str(report)) == 0
 
 
 def test_verify_certificate_round_trip(abs_instance, tmp_path):

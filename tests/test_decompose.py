@@ -62,6 +62,15 @@ def test_decompose_rejects_eps_outside_the_resolvable_range():
         decompose(f, RESOLUTION_LIMIT / 10, grid)
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_decompose_at_eps_1e_90(seed):
+    # Separating the enclosures of this run needs widths near 1e-307, past
+    # where comparisons used to stop refining.
+    f = generate(seed)
+    grid = make_grid(f.interval, 8, 4, f.basis, 0)
+    assert verify_against_truth(decompose(f, Fraction(1, 10**90), grid), f).passed
+
+
 def test_decompose_pure_convex_encloses_zero():
     f = Decomposable(Interval.open(-5, 5), (2, 3), ConvexSpec(quad=Fraction(2)))
     result = decompose(f, EPS8, grid_for(f))

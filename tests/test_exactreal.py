@@ -15,7 +15,7 @@ from wrightdecomp import (
     enclose,
     parse_rational,
 )
-from wrightdecomp.errors import OutOfSpanError, ParseError, ResolutionExceededError
+from wrightdecomp.errors import OutOfSpanError, ParseError
 
 from oracles import is_squarefree, numeric_sign, radical_bounds
 
@@ -231,13 +231,36 @@ def test_compare_two_radical_sums():
     assert compare(a, SQRT(10)) is Ordering.LESS
 
 
-def test_compare_raises_past_resolution_cap(monkeypatch):
-    import wrightdecomp.exactreal as er
+def _sqrt2_convergent(digits):
+    """First p/q from (1 + sqrt2)^k = p + q*sqrt2 whose q has ``digits`` digits."""
+    p, q = 1, 1
+    while len(str(q)) < digits:
+        p, q = p + 2 * q, p + q
+    return Fraction(p, q)
 
-    monkeypatch.setattr(er, "RESOLUTION_LIMIT", Fraction(1, 4))
-    near = SQRT(2) - R(Fraction(141421356237, 100000000000))
-    with pytest.raises(ResolutionExceededError):
-        er.compare(near, ExactReal())
+
+def _near_ties():
+    # sqrt2 against convergents about 1e-300 and 1e-2000 away, and
+    # q*sqrt3 - (p/2)*sqrt2 from the 300th solution of p^2 - 6q^2 = 1,
+    # whose squares differ by 1/2, so the value is about 1e-300.
+    for digits in (150, 1000):
+        c = _sqrt2_convergent(digits)
+        yield SQRT(2), R(c), digits
+    p, q = 5, 2
+    for _ in range(299):
+        p, q = 5 * p + 12 * q, 2 * p + 5 * q
+    assert p * p - 6 * q * q == 1
+    yield SQRT(3) * q, SQRT(2) * Fraction(p, 2), len(str(p))
+
+
+def test_compare_decides_near_ties_below_1e_300():
+    # Distinct canonical forms are distinct values, so compare refines as
+    # deep as a tie needs; the isqrt oracle at twice the digits agrees.
+    for a, b, digits in _near_ties():
+        sign = numeric_sign(a - b, digits=2 * digits + 20)
+        assert sign != 0
+        assert compare(a, b) == sign
+        assert compare(b, a) == -sign
 
 
 # -- canonical form and validation -------------------------------------------
