@@ -12,7 +12,6 @@ from .exactreal import (
     Ordering,
     check_radical_index,
     compare,
-    enclose,
     parse_rational,
 )
 from .domain import Interval, SampleGrid, make_grid, rational_anchors, shifted_intersection
@@ -32,7 +31,6 @@ from .funcspec import (
 )
 from .analysis import (
     CheckReport,
-    SlopeFraction,
     ViolationCertificate,
     build_steps,
     chord_slope_monotone_check,
@@ -78,7 +76,6 @@ __all__ = [
     "Ordering",
     "RESOLUTION_LIMIT",
     "SampleGrid",
-    "SlopeFraction",
     "Spiked",
     "TransferReport",
     "UniquenessReport",
@@ -92,7 +89,6 @@ __all__ = [
     "difference_transfer_check",
     "double_delta",
     "dumps_instance",
-    "enclose",
     "errors",
     "generate",
     "instance_from_jsonable",

@@ -34,38 +34,6 @@ _JENSEN_CONTEXT = (("t", ExactReal.from_rational(_HALF)),)
 
 
 @dataclass(frozen=True)
-class SlopeFraction:
-    """A divided difference num/den kept unevaluated (den > 0).
-
-    The span has no field division, so every comparison cross-multiplies
-    by the positive rational denominators.
-    """
-
-    num: ExactReal
-    den: Fraction
-
-    def __post_init__(self):
-        if not self.den > 0:
-            raise ValueError(f"SlopeFraction denominator must be positive, got {self.den}")
-
-    def compare(self, other: "SlopeFraction") -> Ordering:
-        return compare(self.num * other.den, other.num * self.den)
-
-    def abs(self) -> "SlopeFraction":
-        return SlopeFraction(abs(self.num), self.den)
-
-    def as_fraction(self) -> Fraction:
-        return self.num.as_fraction() / self.den
-
-    def rational_upper_bound(self, eps: Fraction = Fraction(1, 64)) -> Fraction:
-        """A rational q with |self| <= q."""
-        return abs(self.num).bounds(eps)[1] / self.den
-
-    def __repr__(self):
-        return f"SlopeFraction(({self.num}) / ({self.den}))"
-
-
-@dataclass(frozen=True)
 class ViolationCertificate:
     """Exact witness of a violated inequality; re-checkable in isolation."""
 
@@ -329,14 +297,17 @@ def lipschitz_bound(
     a: Fraction,
     b: Fraction,
     bracket: tuple[Fraction, Fraction, Fraction, Fraction],
-) -> SlopeFraction:
-    """Lipschitz modulus for f on the rationals of [a, b].
+    eps: Fraction,
+) -> Fraction:
+    """Rational Lipschitz modulus for f on the rationals of [a, b].
 
     With bracket rationals a' < a'' <= a < b <= b' < b'' inside the
     interval, the modulus is max(|alpha|, |beta|) where alpha is the
     divided difference over (a', a'') and beta over (b', b'').  For a
     midpoint-convex restriction this bounds |f(x) - f(y)| / |x - y| over
-    all rationals x, y in [a, b].
+    all rationals x, y in [a, b].  The two slopes are compared exactly;
+    the larger one's |numerator| is bounded above to within eps and then
+    divided by its width.
     """
     a1, a2, b1, b2 = (Fraction(q) for q in bracket)
     if not (a1 < a2 <= a < b <= b1 < b2):
@@ -347,6 +318,7 @@ def lipschitz_bound(
         if not f.interval.contains(q):
             raise BracketViolationError(f"bracket point {q} outside {f.interval.literal()}")
     fa1, fa2, fb1, fb2 = (f.evaluate(ExactReal.from_rational(q)) for q in (a1, a2, b1, b2))
-    alpha = SlopeFraction(fa2 - fa1, a2 - a1).abs()
-    beta = SlopeFraction(fb2 - fb1, b2 - b1).abs()
-    return beta if alpha.compare(beta) is Ordering.LESS else alpha
+    alpha = (abs(fa2 - fa1), a2 - a1)
+    beta = (abs(fb2 - fb1), b2 - b1)
+    rise, run = beta if alpha[0] / alpha[1] < beta[0] / beta[1] else alpha
+    return rise.bounds(eps)[1] / run

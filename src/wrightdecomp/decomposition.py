@@ -190,7 +190,7 @@ def _decompose(handle: ExtensionHandle, eps: Fraction, grid: SampleGrid) -> Deco
     for m in f.basis:
         r, q = _recovery_point(f.interval, m)
         probe = ExactReal.from_rational(r) + ExactReal.sqrt(m) * q
-        additive_hat[m] = residual(probe, eps * q).divide(q)
+        additive_hat[m] = residual(probe, eps * q).scale(1 / q)
         recovery_points[m] = (r, q)
 
     for qpt in grid.rationals:

@@ -60,7 +60,10 @@ class Interval:
         lo_s, hi_s = (p.strip() for p in body.split(","))
         lo = None if lo_s == "-inf" else ExactReal.parse(lo_s)
         hi = None if hi_s in ("inf", "+inf") else ExactReal.parse(hi_s)
-        return cls(lo, hi)
+        try:
+            return cls(lo, hi)
+        except ValueError as exc:  # an empty interval
+            raise ParseError(f"{exc} in {text!r}") from exc
 
 
 def shifted_intersection(interval: Interval, w: ExactReal | int | Fraction) -> Interval:
@@ -168,14 +171,6 @@ class SampleGrid:
             tuple(x for x in self.irrationals if sub.contains(x)),
             self.seed,
         )
-
-    def to_jsonable(self) -> dict:
-        return {
-            "interval": self.interval.literal(),
-            "seed": self.seed,
-            "rationals": [str(q) for q in self.rationals],
-            "irrationals": [x.literal() for x in self.irrationals],
-        }
 
 
 def make_grid(

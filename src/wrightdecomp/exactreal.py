@@ -334,9 +334,11 @@ class ExactReal:
     # -- enclosures --------------------------------------------------
 
     def bounds(self, eps: Fraction) -> tuple[Fraction, Fraction]:
-        """Rational lo <= value <= hi with hi - lo <= eps."""
+        """Rational lo <= value <= hi with hi - lo <= eps; eps must be positive."""
         if not isinstance(eps, (int, Fraction)):
             eps = Fraction(eps)
+        if eps.numerator <= 0:
+            raise ValueError(f"eps must be positive, got {eps}")
         nums, den = self._nums, self._den
         irr = [t for t in nums if t[0] != 1]
         r = nums[0][1] if len(irr) < len(nums) else 0
@@ -402,11 +404,11 @@ def _parse_term(body: str, original: str) -> tuple[int, Fraction]:
         if not tail.endswith(")"):
             raise ParseError(f"unclosed sqrt(...) in {original!r}")
         digits = tail[:-1]
-        if not digits.isdigit():
+        # str.isdigit also accepts digits such as superscripts that int() rejects.
+        if not (digits.isascii() and digits.isdigit()) or len(digits) > _MAX_EXPONENT:
             raise ParseError(f"bad radical index in {original!r}")
         m = check_radical_index(int(digits))
-        head = head.rstrip("*")
-        coef = Fraction(1) if head == "" else parse_rational(head)
+        coef = Fraction(1) if head == "" else parse_rational(head.removesuffix("*"))
         return m, coef
     return 1, parse_rational(body)
 
@@ -462,9 +464,8 @@ def compare(a: "ExactReal | Rational", b: "ExactReal | Rational") -> Ordering:
 class Enclosure:
     """A certified interval ``[lo, hi]`` known to contain an exact value.
 
-    ``enclose`` always produces rational endpoints; the extension engine
-    reuses the same type with exact (possibly irrational) endpoints so
-    that values it knows exactly get genuine zero-width enclosures.
+    The endpoints are exact (possibly irrational), so values known
+    exactly get genuine zero-width enclosures.
     """
 
     lo: ExactReal
@@ -477,10 +478,6 @@ class Enclosure:
     @classmethod
     def point(cls, x: ExactReal) -> "Enclosure":
         return cls(x, x)
-
-    @classmethod
-    def from_rational_bounds(cls, lo: Fraction, hi: Fraction) -> "Enclosure":
-        return cls(ExactReal.from_rational(lo), ExactReal.from_rational(hi))
 
     @property
     def width(self) -> ExactReal:
@@ -530,27 +527,9 @@ class Enclosure:
             return Enclosure(self.lo * q, self.hi * q)
         return Enclosure(self.hi * q, self.lo * q)
 
-    def divide(self, q: Rational) -> "Enclosure":
-        q = Fraction(q)
-        if q == 0:
-            raise ZeroDivisionError("division of enclosure by zero")
-        return self.scale(Fraction(1) / q)
-
-    def rational_bounds(self) -> tuple[Fraction, Fraction]:
-        return self.lo.as_fraction(), self.hi.as_fraction()
-
     def to_jsonable(self) -> dict:
         return {"lo": self.lo.literal(), "hi": self.hi.literal()}
 
     def __repr__(self):
         return f"Enclosure[{self.lo}, {self.hi}]"
 
-
-def enclose(x: "ExactReal | Rational", eps: Rational) -> Enclosure:
-    """Rational-endpoint enclosure of ``x`` with width <= eps (eps > 0)."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    v = x if isinstance(x, ExactReal) else ExactReal.from_rational(x)
-    lo, hi = v.bounds(eps)
-    return Enclosure.from_rational_bounds(lo, hi)

@@ -2,7 +2,7 @@
 
 A midpoint-convex restriction of f to the rationals of an open interval
 is locally Lipschitz there, hence admits a unique continuous (convex)
-extension.  This engine makes that limit quantitative: to enclose the
+extension.  This engine makes that limit quantitative: to bound the
 extension at an irrational x it
 
 1. places a compact rational window [a, b] around x, strictly inside the
@@ -150,8 +150,7 @@ class ExtensionHandle:
             lambda m: self._strict_inside(a, b + m),
         )
         bracket = (a - m_left, a, b, b + m_right)
-        modulus = lipschitz_bound(self, a, b, bracket)
-        chain = _Chain(modulus.rational_upper_bound(self.policy.slope_eps), d)
+        chain = _Chain(lipschitz_bound(self, a, b, bracket, self.policy.slope_eps), d)
         self._seed_round(chain, a, b)
         return chain
 

@@ -338,7 +338,17 @@ def _additive_to_jsonable(add: AdditiveMap) -> dict:
 
 def _additive_from_jsonable(d: dict) -> AdditiveMap:
     items = _expect_type(d, dict, "additive").items()
-    return AdditiveMap.from_mapping({int(k): ExactReal.parse(v) for k, v in items})
+    return AdditiveMap.from_mapping(
+        {_index(k, "additive key"): ExactReal.parse(v) for k, v in items}
+    )
+
+
+def _index(value, what: str) -> int:
+    """A radical index written as a JSON integer or a decimal string."""
+    try:
+        return int(_expect_type(value, (int, str), what))
+    except ValueError as exc:
+        raise ParseError(f"{what} {value!r} is not an integer") from exc
 
 
 def instance_to_jsonable(f: FunctionDef) -> dict:
@@ -375,7 +385,7 @@ def instance_from_jsonable(doc: dict) -> FunctionDef:
         variant = doc["variant"]
         interval = Interval.parse(doc["interval"])
         entries = _expect_type(doc["basis"], list, "basis")
-        basis = tuple(sorted(int(_expect_type(m, (int, str), "basis entry")) for m in entries))
+        basis = tuple(sorted(_index(m, "basis entry") for m in entries))
         additive = _additive_from_jsonable(doc.get("additive", {}))
         if variant == "decomposable":
             inst: FunctionDef = Decomposable(
@@ -402,7 +412,12 @@ def instance_from_jsonable(doc: dict) -> FunctionDef:
             raise ParseError(f"unknown variant {variant!r}")
     except KeyError as exc:
         raise ParseError(f"instance document missing field {exc}") from exc
-    inst.validate()
+    try:
+        inst.validate()
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(f"invalid instance: {exc}") from exc
     return inst
 
 
@@ -413,7 +428,7 @@ def dumps_instance(f: FunctionDef) -> str:
 def loads_instance(text: str) -> FunctionDef:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also an integer past Python's digit limit
         raise ParseError(f"invalid instance JSON: {exc}") from exc
     return instance_from_jsonable(doc)
 

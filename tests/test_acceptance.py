@@ -25,7 +25,6 @@ from wrightdecomp import (
     compare,
     decompose,
     double_delta,
-    enclose,
     generate,
     jensen_check,
     lipschitz_bound,
@@ -86,7 +85,7 @@ def test_criterion_1_exact_arithmetic_suite():
         for _ in range(1_000):
             x = _rand_exact(rng)
             eps = Fraction(1, 10 ** rng.randrange(2, 10))
-            lo, hi = enclose(x, eps).rational_bounds()
+            lo, hi = x.bounds(eps)
             assert hi - lo <= eps
             olo, ohi = radical_bounds(x, digits=200)
             assert lo <= olo and ohi <= hi
@@ -138,14 +137,13 @@ def test_criterion_4_lipschitz_modulus():
     with criterion(4, "bracket Lipschitz modulus 13/4", 5):
         f = Decomposable(Interval.open(-2, 2), (2,), ConvexSpec(quad=Fraction(1)))
         bracket = (Fraction(-1), Fraction(-1, 2), Fraction(3, 2), Fraction(7, 4))
-        L = lipschitz_bound(f, Fraction(0), Fraction(1), bracket)
-        assert L.as_fraction() == Fraction(13, 4)
+        L = lipschitz_bound(f, Fraction(0), Fraction(1), bracket, Fraction(1, 64))
+        assert L == Fraction(13, 4)
         grid = make_grid(Interval.open(0, 1), 14, 0, (), seed=0)
-        num, den = L.num, L.den
         for i, x in enumerate(grid.rationals):
             for y in grid.rationals[i + 1 :]:
                 gap = abs(f.evaluate(R(x)) - f.evaluate(R(y)))
-                assert compare(gap * den, num * (y - x)) is not Ordering.GREATER
+                assert gap <= L * (y - x)
 
 
 def test_criterion_5_extension_correctness():

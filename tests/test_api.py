@@ -30,7 +30,6 @@ def test_public_surface_is_pinned():
         "Ordering",
         "RESOLUTION_LIMIT",
         "SampleGrid",
-        "SlopeFraction",
         "Spiked",
         "TransferReport",
         "UniquenessReport",
@@ -44,7 +43,6 @@ def test_public_surface_is_pinned():
         "difference_transfer_check",
         "double_delta",
         "dumps_instance",
-        "enclose",
         "errors",
         "generate",
         "instance_from_jsonable",

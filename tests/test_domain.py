@@ -28,6 +28,9 @@ def test_interval_rejects_empty():
         Interval.open(1, 1)
     with pytest.raises(ValueError):
         Interval.open(2, 1)
+    for text in ("(1, 0)", "(1, 1)", "(sqrt(2), 1)"):
+        with pytest.raises(ParseError, match="empty interval"):
+            Interval.parse(text)
 
 
 def test_unbounded_intervals():
@@ -69,9 +72,9 @@ def test_grid_determinism():
     i = Interval.open(0, 10)
     g1 = make_grid(i, 9, 4, (2, 3), seed=42)
     g2 = make_grid(i, 9, 4, (2, 3), seed=42)
-    assert g1.to_jsonable() == g2.to_jsonable()
+    assert g1 == g2
     g3 = make_grid(i, 9, 4, (2, 3), seed=43)
-    assert g1.to_jsonable() != g3.to_jsonable()
+    assert g1.irrationals != g3.irrationals
 
 
 def test_grid_membership_and_irrational_shape():

@@ -12,7 +12,6 @@ from wrightdecomp import (
     Ordering,
     check_radical_index,
     compare,
-    enclose,
     parse_rational,
 )
 from wrightdecomp.errors import OutOfSpanError, ParseError
@@ -184,22 +183,19 @@ def test_hash_matches_fraction_when_modulus_divides_denominator():
 # -- enclosures --------------------------------------------------------------
 
 
-def test_enclose_rational_is_exact():
-    e = enclose(R(2), Fraction(1, 10))
-    assert e.rational_bounds() == (Fraction(2), Fraction(2))
+def test_bounds_rational_is_exact():
+    assert R(2).bounds(Fraction(1, 10)) == (Fraction(2), Fraction(2))
 
 
-def test_enclose_sqrt2_contains_by_squaring():
-    e = enclose(SQRT(2), Fraction(1, 1000))
-    lo, hi = e.rational_bounds()
+def test_bounds_sqrt2_contains_by_squaring():
+    lo, hi = SQRT(2).bounds(Fraction(1, 1000))
     assert hi - lo <= Fraction(1, 1000)
     assert lo >= 0 and lo * lo <= 2 <= hi * hi
 
 
-def test_enclose_sum_width_and_containment():
+def test_bounds_sum_width_and_containment():
     x = SQRT(2) + SQRT(3)
-    e = enclose(x, Fraction(1, 10**6))
-    lo, hi = e.rational_bounds()
+    lo, hi = x.bounds(Fraction(1, 10**6))
     assert hi - lo <= Fraction(1, 10**6)
     olo, ohi = radical_bounds(x)
     assert lo <= olo and ohi <= hi
@@ -208,6 +204,16 @@ def test_enclose_sum_width_and_containment():
 def test_bounds_accepts_float_eps():
     x = SQRT(2) - SQRT(3) * Fraction(1, 3)
     assert x.bounds(0.25) == x.bounds(Fraction(1, 4))
+
+
+def test_bounds_rejects_nonpositive_eps():
+    # No bracket of sqrt(2) has width <= 0, so refining toward one never ends.
+    start = time.perf_counter()
+    for x in (SQRT(2), R(3), ExactReal()):
+        for eps in (0, -1, Fraction(-1, 3), 0.0):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                x.bounds(eps)
+    assert time.perf_counter() - start < 1
 
 
 # -- compare ------------------------------------------------------------------
@@ -298,7 +304,19 @@ def test_parse_convenience_forms():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "sqrt()", "sqrt(12)", "1 +", "two", "1e"):
+    for bad in (
+        "",
+        "sqrt()",
+        "sqrt(12)",
+        "1 +",
+        "two",
+        "1e",
+        "sqrt(\u00b2)",  # superscript two: str.isdigit accepts it, int() does not
+        "3*sqrt(\u00b9\u2070)",
+        "sqrt(" + "9" * 5000 + ")",  # past int()'s digit limit
+        "2**sqrt(2)",  # one star joins a coefficient to its radical
+        "*sqrt(2)",
+    ):
         with pytest.raises(ParseError):
             ExactReal.parse(bad)
 
@@ -345,8 +363,7 @@ def test_canonical_form_stable(a, b):
 @given(exact_reals, epsilons)
 @settings(max_examples=60)
 def test_enclosure_containment_against_oracle(x, eps):
-    e = enclose(x, eps)
-    lo, hi = e.rational_bounds()
+    lo, hi = x.bounds(eps)
     assert hi - lo <= eps
     olo, ohi = radical_bounds(x)
     assert lo <= ohi and olo <= hi  # oracle interval meets enclosure
@@ -395,11 +412,11 @@ def test_enclosure_intersect_and_arithmetic():
     assert (a + b) == Enclosure(R(1), R(5))
     assert (a - b) == Enclosure(R(-3), R(1))
     assert a.scale(Fraction(-1, 2)) == Enclosure(R(-1), R(0))
-    assert b.divide(2) == Enclosure(R(Fraction(1, 2)), R(Fraction(3, 2)))
+    assert b.scale(Fraction(1, 2)) == Enclosure(R(Fraction(1, 2)), R(Fraction(3, 2)))
 
 
 def test_enclosure_nesting_for_smaller_eps():
     x = SQRT(2) + SQRT(7) * Fraction(2, 3)
-    outer = enclose(x, Fraction(1, 100))
-    inner = enclose(x, Fraction(1, 10**8))
-    assert outer.contains_enclosure(inner)
+    outer_lo, outer_hi = x.bounds(Fraction(1, 100))
+    inner_lo, inner_hi = x.bounds(Fraction(1, 10**8))
+    assert outer_lo <= inner_lo and inner_hi <= outer_hi

@@ -56,7 +56,7 @@ def test_extend_rational_point_is_exact():
 
 def test_extend_absorbs_rational_linear_part():
     # additive part with value 1/2 on 1: f|Q = x^2 + x/2, so the extension
-    # at sqrt2 must enclose 2 + sqrt2/2 rather than 2
+    # at sqrt2 must contain 2 + sqrt2/2 rather than 2
     f = square(additive=AdditiveMap.from_mapping({1: Fraction(1, 2), 2: 3}))
     h = ExtensionHandle(f)
     enc = h.extend_eval(SQRT(2), Fraction(1, 10**8))

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -186,10 +187,22 @@ def test_instance_json_round_trip_bit_exact():
 
 
 def test_instance_json_rejects_malformed():
-    with pytest.raises(ParseError):
-        loads_instance("{not json")
-    with pytest.raises(ParseError):
-        loads_instance('{"variant": "mystery", "interval": "(0, 1)", "basis": []}')
+    doc = json.loads(dumps_instance(generate(0)))  # basis (11, 15) on (-9/2, 8)
+    for text in (
+        "{not json",
+        '{"variant": "mystery", "interval": "(0, 1)", "basis": []}',
+        json.dumps({**doc, "basis": ["x"]}),
+        json.dumps({**doc, "basis": [1, 11, 15]}),
+        json.dumps({**doc, "additive": {"x": "1"}}),
+        json.dumps({**doc, "convex": {**doc["convex"], "quad": "-1"}}),
+        json.dumps({**doc, "variant": "spiked", "spike": {"at": "9", "lift": "1"}}),
+        json.dumps({**doc, "variant": "spiked", "spike": {"at": "0", "lift": "0"}}),
+        json.dumps({**doc, "interval": "(1, 0)"}),
+        "[" * 100_000,
+        '{"basis": [' + "1" * 5000 + "]}",
+    ):
+        with pytest.raises(ParseError):
+            loads_instance(text)
 
 
 def test_randomized_generator_instances_validate():
