@@ -47,7 +47,6 @@ from .extension import (
 )
 from .decomposition import (
     DecompositionResult,
-    JensenEquationReport,
     RESOLUTION_LIMIT,
     UniquenessReport,
     VerificationReport,
@@ -72,7 +71,6 @@ __all__ = [
     "ExtensionHandle",
     "FunctionDef",
     "Interval",
-    "JensenEquationReport",
     "Ordering",
     "RESOLUTION_LIMIT",
     "SampleGrid",

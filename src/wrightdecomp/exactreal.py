@@ -436,7 +436,8 @@ def compare(a: "ExactReal | Rational", b: "ExactReal | Rational") -> Ordering:
     """Decidable three-way comparison.
 
     Equality is structural (canonical form); a difference whose integer
-    numerators all share one sign is decided by that sign; otherwise the
+    numerators all share one sign is decided by that sign, and one of the
+    form r + n*sqrt(m) by comparing r**2 with n**2 * m; otherwise the
     sign of the difference is found by refining a rational enclosure until
     zero is strictly outside.  Distinct canonical forms are distinct values,
     so the refinement always ends.
@@ -449,6 +450,11 @@ def compare(a: "ExactReal | Rational", b: "ExactReal | Rational") -> Ordering:
     signs = {n > 0 for _, n in diff}
     if len(signs) == 1:
         return Ordering.GREATER if True in signs else Ordering.LESS
+    if len(diff) == 2 and diff[0][0] == 1:
+        # r + n*sqrt(m) with r, n of opposite signs: r*r != n*n*m, and the
+        # larger square carries its term's sign.
+        (_, r), (m, n) = diff
+        return Ordering.GREATER if (r * r > n * n * m) == (r > 0) else Ordering.LESS
     d = _reduced(diff, den)
     eps = Fraction(1)
     while True:

@@ -50,6 +50,7 @@ class BracketPolicy:
 class _Chain:
     lipschitz_bar: Fraction  # rational upper bound of the window modulus
     delta: Fraction  # enclosure width of x at the latest round
+    bounds: tuple[Fraction, Fraction]  # rational enclosure of x at the latest round
     enclosures: list[Enclosure] = field(default_factory=list)  # running intersections
 
 
@@ -150,7 +151,7 @@ class ExtensionHandle:
             lambda m: self._strict_inside(a, b + m),
         )
         bracket = (a - m_left, a, b, b + m_right)
-        chain = _Chain(lipschitz_bound(self, a, b, bracket, self.policy.slope_eps), d)
+        chain = _Chain(lipschitz_bound(self, a, b, bracket, self.policy.slope_eps), d, (a, b))
         self._seed_round(chain, a, b)
         return chain
 
@@ -165,9 +166,14 @@ class ExtensionHandle:
         chain.enclosures.append(enc)
 
     def _refine(self, x: ExactReal, chain: _Chain) -> Enclosure:
-        chain.delta /= 2
-        lo, hi = x.bounds(chain.delta)
-        self._seed_round(chain, lo, hi)
+        # A Heron bracket overshoots the width asked of it, so halving delta
+        # often gives the last bounds again, and a round on them would
+        # repeat the last enclosure.
+        last = chain.bounds
+        while chain.bounds == last:
+            chain.delta /= 2
+            chain.bounds = x.bounds(chain.delta)
+        self._seed_round(chain, *chain.bounds)
         return chain.enclosures[-1]
 
 

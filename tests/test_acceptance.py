@@ -193,7 +193,7 @@ def test_criterion_6_decomposition_round_trip():
             assert result.rational_zero_witnesses == grid.rationals
             for enc in result.additive_hat.values():
                 assert compare(enc.width, EPS8) is not Ordering.GREATER
-            assert result.jensen_residual.within_tolerance, seed
+            assert result.prediction.consistent, seed
             for rep in result.transfer_reports:
                 assert rep.monotone_passed and rep.rational_equal and rep.within_twice_eps
             report = verify_against_truth(result, inst)

@@ -26,7 +26,6 @@ def test_public_surface_is_pinned():
         "ExtensionHandle",
         "FunctionDef",
         "Interval",
-        "JensenEquationReport",
         "Ordering",
         "RESOLUTION_LIMIT",
         "SampleGrid",

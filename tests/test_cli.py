@@ -258,7 +258,7 @@ def test_decompose_evaluates_each_point_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(_FunctionBase, "evaluate", counting)
     assert run_cli("decompose", str(inst), "--out", str(tmp_path / "result.json")) == 0
-    assert len(points) == len(set(points)) == 310
+    assert len(points) == len(set(points)) == 170
 
 
 def test_check_jensen(abs_instance, tmp_path):

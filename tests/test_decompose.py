@@ -22,6 +22,7 @@ from wrightdecomp import (
     uniqueness_check,
     verify_against_truth,
 )
+from wrightdecomp.decomposition import _additive_at
 from wrightdecomp.errors import NotJensenConvexError
 
 R = ExactReal.from_rational
@@ -110,11 +111,34 @@ def test_decompose_residual_zero_on_rationals():
         assert enc == Enclosure.point(ExactReal())
 
 
-def test_decompose_jensen_residual_within_tolerance():
+def test_decompose_prediction_consistent():
     f = generate(41, kind="decomposable", nonzero_rational_part=True)
-    result = decompose(f, EPS8, grid_for(f, seed=41))
-    assert result.jensen_residual.within_tolerance
-    assert result.jensen_residual.worst_bound <= 3 * EPS8 + EPS8
+    grid = grid_for(f, seed=41)
+    result = decompose(f, EPS8, grid)
+    assert result.prediction.consistent
+    assert result.prediction.probes_checked == len(grid.irrationals) == 4
+    # the residual and the prediction each have width at most a few eps
+    assert result.prediction.worst_gap <= 4 * EPS8
+
+
+def test_prediction_contains_true_additive_value():
+    # at x = r + sum q_m*sqrt(m) the additive part vanishing on Q is
+    # sum q_m*(c_m - c1*sqrt(m)); both the prediction from the recovered
+    # map and the residual enclosure must contain it
+    for seed in range(6):
+        f = generate(seed, nonzero_rational_part=True)
+        grid = grid_for(f, seed=seed, n_r=8)
+        result = decompose(f, EPS8, grid)
+        assert result.prediction.consistent
+        c1 = f.additive.rational_slope
+        handle = ExtensionHandle(f)
+        for x in grid.irrationals:
+            truth = ExactReal()
+            for m, q in x.coefficients.items():
+                if m != 1:
+                    truth += (f.additive.coefficient(m) - c1 * SQRT(m)) * q
+            assert _additive_at(result.additive_hat, x).contains(truth), (seed, x)
+            assert handle.residual(x, EPS8).contains(truth), (seed, x)
 
 
 def test_decompose_transfer_reports_clean():
@@ -161,9 +185,10 @@ def test_decompose_gate_rejects_spiked():
     assert info.value.certificate.verify(spiked)
 
 
-def test_decompose_abs_additive_flagged_by_jensen_residual():
+def test_decompose_abs_additive_flagged_by_prediction():
     # |A| is midpoint convex, so the gate passes and recovery runs; the
-    # residual then fails the midpoint equation at sign-mixing probes.
+    # residual is |A|, not additive, so the recovered a_2 = 1 mispredicts
+    # it at -sqrt(2): |A| there is 1, the prediction -1.
     f = AbsAdditive(Interval.open(-10, 10), (2,), AdditiveMap.from_mapping({2: 1}))
     grid = SampleGrid(
         Interval.open(-10, 10),
@@ -172,18 +197,18 @@ def test_decompose_abs_additive_flagged_by_jensen_residual():
         seed=0,
     )
     result = decompose(f, Fraction(1, 10**4), grid)
-    assert not result.jensen_residual.within_tolerance
-    assert result.jensen_residual.worst_bound >= Fraction(1, 2)
+    assert not result.prediction.consistent
+    assert result.prediction.worst_gap >= Fraction(1, 2)
 
 
 def test_decompose_abs_additive_flagged_on_default_grids():
-    # reflection pairs put the spot-check midpoint on Q, so generated
-    # grids expose the family without hand-picked probes
+    # the residual of |A| is not additive, and the irrational points of
+    # generated grids expose it without hand-picked probes
     for seed in (0, 1, 2):
         f = generate(seed, kind="abs_additive", basis_size=2)
         grid = grid_for(f, seed=seed)
         result = decompose(f, Fraction(1, 10**4), grid)
-        assert not result.jensen_residual.within_tolerance, seed
+        assert not result.prediction.consistent, seed
 
 
 def test_uniqueness_check_passes_and_nests():
@@ -211,7 +236,7 @@ def test_uniqueness_check_builds_each_chain_once(monkeypatch):
     monkeypatch.setattr(ExtensionHandle, "_start_chain", counting)
     report = uniqueness_check(generate(0, nonzero_rational_part=True), EPS8, (0, 7))
     assert report.passed
-    assert len(starts) == len(set(starts)) == 58
+    assert len(starts) == len(set(starts)) == 30
 
 
 def test_refinement_never_widens():

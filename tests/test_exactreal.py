@@ -269,6 +269,21 @@ def test_compare_decides_near_ties_below_1e_300():
         assert compare(b, a) == -sign
 
 
+def test_compare_decides_one_radical_near_tie_quickly():
+    # sqrt2 against a convergent of 4000 digits in all, about 1e-4000 away:
+    # the sign of r + n*sqrt(m) comes from r**2 against n**2 * m in ints,
+    # where refining enclosures took seconds.
+    c = _sqrt2_convergent(2000)
+    assert len(str(c.numerator)) + len(str(c.denominator)) >= 4000
+    pairs = [(SQRT(2), R(c)), (R(-c), -SQRT(2)), (SQRT(2) * 3, R(3 * c))]
+    signs = [numeric_sign(a - b, digits=4100) for a, b in pairs]
+    start = time.perf_counter()
+    got = [(compare(a, b), compare(b, a)) for a, b in pairs]
+    assert time.perf_counter() - start < 0.1
+    assert 0 not in signs
+    assert got == [(sign, -sign) for sign in signs]
+
+
 # -- canonical form and validation -------------------------------------------
 
 

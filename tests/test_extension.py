@@ -150,6 +150,19 @@ def test_handle_evaluates_each_point_once(monkeypatch):
     assert points and len(points) == len(set(points))
 
 
+def test_refinement_rounds_are_distinct():
+    # a round whose rational enclosure of x repeats the last one would
+    # repeat the last running intersection too, so it is skipped
+    for seed in range(3):
+        f = generate(seed, kind="decomposable", nonzero_rational_part=True)
+        handle = ExtensionHandle(f)
+        for x in make_grid(f.interval, 0, 2, f.basis, seed=seed).irrationals:
+            handle.extend_eval(x, Fraction(1, 10**12))
+            encs = handle._chains[x].enclosures
+            assert len(encs) > 1
+            assert len({(e.lo, e.hi) for e in encs}) == len(encs), (seed, x)
+
+
 # -- difference transfer -------------------------------------------------------
 
 
