@@ -8,6 +8,7 @@ from wrightdecomp import (
     BracketPolicy,
     ConvexSpec,
     Decomposable,
+    Enclosure,
     ExactReal,
     ExtensionHandle,
     Interval,
@@ -52,6 +53,25 @@ def test_extend_rational_point_is_exact():
     enc = h.extend_eval(x, Fraction(1))
     assert enc.is_point
     assert enc.lo == f.evaluate(x) == R(Fraction(9, 16))
+    # The decomposition relies on this to leave the residual at rationals
+    # unchecked: at each grid rational q and at q + v for the two transfer
+    # steps v, the extension is f itself and the residual exactly zero.
+    for seed in range(3):
+        f = generate(seed, nonzero_rational_part=True)
+        grid = make_grid(f.interval, 8, 4, f.basis, seed)
+        h = ExtensionHandle(f)
+        qs = grid.rationals
+        steps = sorted({q2 - q1 for i, q1 in enumerate(qs) for q2 in qs[i + 1 :]})[:2]
+        points = {R(q + v) for q in qs for v in (0, *steps)}
+        checked = 0
+        for x in points:
+            if not f.interval.contains(x):
+                continue
+            checked += 1
+            for eps in (Fraction(1), EPS6):
+                assert h.extend_eval(x, eps) == Enclosure.point(f.evaluate(x)), (seed, x)
+                assert h.residual(x, eps) == Enclosure.point(ExactReal()), (seed, x)
+        assert checked > len(qs), seed
 
 
 def test_extend_absorbs_rational_linear_part():
@@ -177,7 +197,6 @@ def test_transfer_decomposable_exact_and_certified():
     eps = Fraction(1, 10**6)
     report = difference_transfer_check(h, v, grid, eps)
     assert report.monotone_passed
-    assert report.rational_equal
     assert report.probes_checked == 3
     assert report.within_twice_eps
     assert report.worst_certified_bound <= 2 * eps + eps  # reported rational bound
@@ -193,7 +212,7 @@ def test_transfer_pure_convex_trivial():
     sub = shifted_intersection(f.interval, v)
     grid = make_grid(sub, 4, 2, f.basis, seed=37)
     report = difference_transfer_check(h, v, grid, Fraction(1, 10**4))
-    assert report.monotone_passed and report.rational_equal and report.within_twice_eps
+    assert report.monotone_passed and report.within_twice_eps
 
 
 def test_transfer_monotone_fails_for_abs_additive():
@@ -236,3 +255,11 @@ def test_transfer_rejects_bad_grid_and_step():
         difference_transfer_check(h, Fraction(8), grid, Fraction(1, 100))
     with pytest.raises(NonPositiveStepError):
         difference_transfer_check(h, Fraction(-1), grid, Fraction(1, 100))
+    # a grid with no irrational probe still rejects a nonpositive eps
+    from wrightdecomp import shifted_intersection
+
+    v = Fraction(1, 4)
+    rational_only = make_grid(shifted_intersection(I_10, v), 4, 0, (2,), seed=0)
+    for eps in (0, -1):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            difference_transfer_check(h, v, rational_only, Fraction(eps))
