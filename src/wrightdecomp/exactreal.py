@@ -70,30 +70,33 @@ class _SqrtBrackets:
     The chain for ``m`` starts from the integer bracket
     ``[isqrt(m), isqrt(m) + 1]`` and each step maps ``hi`` to
     ``(hi + m/hi)/2`` and ``lo`` to ``m/hi``, so both endpoints stay
-    rational and straddle sqrt(m); each element is kept with its width.
-    ``bracket(m, eps)`` returns the first chain element of width <= eps;
-    the result depends only on ``(m, eps)`` regardless of request order,
-    which keeps every consumer deterministic.
+    rational and straddle sqrt(m); each element is kept with its width as
+    a reduced (numerator, denominator) pair of ints.
+    ``bracket(m, en, ed)`` returns the first chain element of width <= eps,
+    where eps = en/ed with positive ints en and ed, found by comparing
+    ``wn * ed <= en * wd`` in ints; the result depends only on ``(m, eps)``
+    regardless of request order, which keeps every consumer deterministic.
     """
 
     def __init__(self) -> None:
-        self._chains: dict[int, list[tuple[Fraction, Fraction, Fraction]]] = {}
+        self._chains: dict[int, list[tuple[Fraction, Fraction, int, int]]] = {}
 
-    def bracket(self, m: int, eps: Fraction) -> tuple[Fraction, Fraction]:
+    def bracket(self, m: int, en: int, ed: int) -> tuple[Fraction, Fraction]:
         chain = self._chains.get(m)
         if chain is None:
             s = math.isqrt(m)
-            chain = [(Fraction(s), Fraction(s + 1), Fraction(1))]
+            chain = [(Fraction(s), Fraction(s + 1), 1, 1)]
             self._chains[m] = chain
-        for lo, hi, width in chain:
-            if width <= eps:
+        for lo, hi, wn, wd in chain:
+            if wn * ed <= en * wd:
                 return lo, hi
-        lo, hi, width = chain[-1]
-        while width > eps:
+        lo, hi, wn, wd = chain[-1]
+        while wn * ed > en * wd:
             hi = (hi + Fraction(m) / hi) / 2
             lo = Fraction(m) / hi
             width = hi - lo
-            chain.append((lo, hi, width))
+            wn, wd = width.numerator, width.denominator
+            chain.append((lo, hi, wn, wd))
         return lo, hi
 
 
@@ -350,7 +353,7 @@ class ExactReal:
         lo_n = hi_n = r
         lo_d = hi_d = 1
         for m, n in irr:
-            blo, bhi = _BRACKETS.bracket(m, Fraction(en, ed * abs(n)))
+            blo, bhi = _BRACKETS.bracket(m, en, ed * abs(n))
             if n < 0:
                 blo, bhi = bhi, blo
             lo_n = lo_n * blo.denominator + n * blo.numerator * lo_d

@@ -36,12 +36,32 @@ class ConvexSpec:
     offset: ExactReal = ExactReal()
     hinges: tuple[tuple[ExactReal, Fraction], ...] = ()
 
+    @functools.cached_property
+    def _pieces(self) -> tuple[tuple[ExactReal, ...], tuple[tuple[ExactReal, ExactReal], ...]]:
+        """The knots in increasing order, and for each i the (b_i, c_i) with
+        value = quad*x^2 + b_i*x + c_i past the first i knots."""
+        # Sorted here too, so a spec built without validate() still sums its hinges.
+        hinges = sorted(self.hinges, key=functools.cmp_to_key(lambda h, k: compare(h[0], k[0])))
+        b, c = self.slope, self.offset
+        pieces = [(b, c)]
+        for knot, weight in hinges:
+            b, c = b + weight, c - knot * weight
+            pieces.append((b, c))
+        return tuple(k for k, _ in hinges), tuple(pieces)
+
     def value(self, x: ExactReal) -> ExactReal:
-        v = x * x * self.quad + self.slope * x + self.offset
-        for knot, weight in self.hinges:
-            if compare(x, knot) is Ordering.GREATER:
-                v = v + (x - knot) * weight
-        return v
+        knots, pieces = self._pieces
+        # Bisect for the number of knots below x.  At a knot the two
+        # neighbouring pieces give the same canonical value.
+        lo, hi = 0, len(knots)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if compare(x, knots[mid]) is Ordering.GREATER:
+                lo = mid + 1
+            else:
+                hi = mid
+        b, c = pieces[lo]
+        return (x * self.quad + b) * x + c
 
     def validate(self) -> None:
         if self.quad < 0:

@@ -1,3 +1,4 @@
+import math
 import operator
 import sys
 import time
@@ -15,6 +16,7 @@ from wrightdecomp import (
     parse_rational,
 )
 from wrightdecomp.errors import OutOfSpanError, ParseError
+from wrightdecomp.exactreal import _SqrtBrackets
 
 from oracles import is_squarefree, numeric_sign, radical_bounds
 
@@ -435,3 +437,65 @@ def test_enclosure_nesting_for_smaller_eps():
     outer_lo, outer_hi = x.bounds(Fraction(1, 100))
     inner_lo, inner_hi = x.bounds(Fraction(1, 10**8))
     assert outer_lo <= inner_lo and inner_hi <= outer_hi
+
+
+# -- Heron brackets against a Fraction-width reference ---------------------------
+
+
+class _FractionBrackets:
+    """Heron chains that keep each width as a Fraction and scan with ``<=``."""
+
+    def __init__(self):
+        self._chains = {}
+
+    def bracket(self, m, eps):
+        chain = self._chains.get(m)
+        if chain is None:
+            s = math.isqrt(m)
+            chain = [(Fraction(s), Fraction(s + 1), Fraction(1))]
+            self._chains[m] = chain
+        for lo, hi, width in chain:
+            if width <= eps:
+                return lo, hi
+        lo, hi, width = chain[-1]
+        while width > eps:
+            hi = (hi + Fraction(m) / hi) / 2
+            lo = Fraction(m) / hi
+            width = hi - lo
+            chain.append((lo, hi, width))
+        return lo, hi
+
+
+def _reference_bounds(x, eps):
+    """Bounds of x summed in Fractions, each radical given eps / (#radicals * |q|)."""
+    brackets = _FractionBrackets()
+    coeffs = x.coefficients
+    lo = hi = coeffs.pop(1, Fraction(0))
+    for m, q in coeffs.items():
+        blo, bhi = brackets.bracket(m, eps / len(coeffs) / abs(q))
+        if q < 0:
+            blo, bhi = bhi, blo
+        lo += q * blo
+        hi += q * bhi
+    return lo, hi
+
+
+@given(
+    st.one_of(exact_reals, st.builds(operator.mul, exact_reals, exact_reals)),
+    st.integers(0, 12),
+)
+@settings(max_examples=80)
+def test_bounds_match_fraction_bracket_reference(x, k):
+    eps = Fraction(1, 16**k)
+    assert x.bounds(eps) == _reference_bounds(x, eps)
+
+
+def test_sqrt_brackets_independent_of_request_order():
+    requests = [
+        (m, n, 16**k * d) for m in (2, 3, 6, 7, 10) for k in range(13) for n, d in ((1, 1), (3, 7))
+    ]
+    forward, backward, reference = _SqrtBrackets(), _SqrtBrackets(), _FractionBrackets()
+    got = [forward.bracket(*r) for r in requests]
+    assert got == [backward.bracket(*r) for r in reversed(requests)][::-1]
+    assert got == [reference.bracket(m, Fraction(n, d)) for m, n, d in requests]
+    assert forward._chains == backward._chains

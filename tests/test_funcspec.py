@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wrightdecomp import (
     AbsAdditive,
@@ -18,7 +18,9 @@ from wrightdecomp import (
     dumps_instance,
     generate,
     loads_instance,
+    make_grid,
 )
+from wrightdecomp import funcspec
 from wrightdecomp.errors import OutOfDomainError, OutOfSpanError, ParseError
 
 R = ExactReal.from_rational
@@ -162,6 +164,75 @@ def test_convexspec_midpoint_convexity(x, y):
     mid = (x + y) * Fraction(1, 2)
     lhs = (g.value(x) + g.value(y)) * Fraction(1, 2)
     assert compare(lhs, g.value(mid)) is not Ordering.LESS
+
+
+def _hinge_sum_value(g, x):
+    """x*x*quad + slope*x + offset + sum over knots below x of (x - knot)*weight."""
+    v = x * x * g.quad + g.slope * x + g.offset
+    for knot, weight in g.hinges:
+        if compare(knot, x) is Ordering.LESS:
+            v = v + (x - knot) * weight
+    return v
+
+
+_UNSORTED = ConvexSpec(
+    quad=Fraction(1, 2),
+    slope=SQRT(3),
+    hinges=((SQRT(2), Fraction(2)), (R(-3), Fraction(1, 8)), (R(1) - SQRT(3), Fraction(5))),
+)
+
+# Specs built directly: hinges unsorted, knots possibly repeated, never validated.
+_convex_specs = st.builds(
+    ConvexSpec,
+    quad=st.one_of(st.just(Fraction(0)), st.fractions(min_value=0, max_value=3, max_denominator=8)),
+    slope=_span_strategy(),
+    offset=_span_strategy(),
+    hinges=st.lists(
+        st.tuples(
+            _span_strategy(), st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=8)
+        ),
+        max_size=8,
+    ).map(tuple),
+)
+
+
+@given(_convex_specs, st.lists(_span_strategy(), max_size=4))
+@settings(max_examples=60)
+@example(ConvexSpec(), [R(1), SQRT(2)])
+@example(ConvexSpec(slope=SQRT(2), offset=R(3)), [R(-2), SQRT(3)])
+@example(_UNSORTED, [R(0), R(-4), R(2), SQRT(2) - R(1)])
+def test_convexspec_value_matches_hinge_sum(g, xs):
+    for x in [*xs, *(knot for knot, _ in g.hinges)]:
+        assert g.value(x) == _hinge_sum_value(g, x)
+
+
+def test_catalog_values_match_hinge_sum():
+    for s in range(12):
+        inst = generate(s, basis_size=1 + s % 3, max_hinges=8)
+        g = inst.convex
+        grid = make_grid(inst.interval, 8, 4, inst.basis, s)
+        for x in [*grid.points(), *(knot for knot, _ in g.hinges)]:
+            assert g.value(x) == _hinge_sum_value(g, x)
+
+
+def test_convexspec_value_bisects_knots(monkeypatch):
+    knots = [R(-3), SQRT(2) - R(3), R(-1), R(0), SQRT(2), R(2), R(3) - SQRT(2) / 4, R(3)]
+    g = ConvexSpec(quad=Fraction(1), hinges=tuple((k, Fraction(1)) for k in knots))
+    g.validate()
+    calls = 0
+    original = funcspec.compare
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return original(a, b)
+
+    g.value(R(0))
+    monkeypatch.setattr(funcspec, "compare", counted)
+    for x in [R(-4), *knots, SQRT(3), R(1) + SQRT(2), R(4)]:
+        calls = 0
+        g.value(x)
+        assert calls <= 4, f"{calls} compares at {x}"
 
 
 @given(_span_strategy())
