@@ -5,11 +5,13 @@ is locally Lipschitz there, hence admits a unique continuous (convex)
 extension.  This engine makes that limit quantitative: to bound the
 extension at an irrational x it
 
-1. places a compact rational window [a, b] around x, strictly inside the
-   interval, together with outer bracket rationals a' < a and b'' > b;
-2. derives a Lipschitz modulus L for the rationals of [a, b] from the
-   bracket divided differences, and widens it to a rational upper bound
-   so no field division is ever needed;
+1. takes as window [a, b] the first rational enclosure of x whose
+   bracket (a - w, a, b, b + w), w a fixed multiple of b - a, fits inside
+   the interval;
+2. bounds the Lipschitz modulus L on the rationals of [a, b] by the
+   divided differences over (a - w, a) and (b, b + w), widened to a
+   rational; slopes of a convex function are monotone, so any outer
+   points would do, and w only sets how tight L is;
 3. probes f at rational midpoints x_r of shrinking enclosures of x and
    intersects the certified intervals [f(x_r) - L*d, f(x_r) + L*d],
    where d bounds |x - x_r|.
@@ -33,16 +35,17 @@ from .errors import BracketUnavailableError, NonPositiveStepError, OutOfDomainEr
 from .exactreal import Enclosure, ExactReal, Ordering, compare
 from .funcspec import FunctionDef
 
-_MARGIN_CAP = Fraction(1)  # bracket margin seed when the room is unbounded
-_MAX_SHRINK = 500  # halvings tried before no window or bracket fits
+_MAX_SHRINK = 500  # halvings tried before no window and bracket fit
 
 
 @dataclass(frozen=True)
 class BracketPolicy:
-    """Deterministic knobs for window and bracket placement."""
+    """Deterministic knobs for window and bracket placement: the window is
+    the first enclosure of x, asked at ``initial_eps`` and halved until a
+    margin of ``margin_widths`` window widths fits on each side."""
 
     initial_eps: Fraction = Fraction(1, 4)  # first enclosure width requested for x
-    margin_divisor: int = 8  # bracket margin = available room / divisor
+    margin_widths: int = 1  # bracket margin, in window widths
     slope_eps: Fraction = Fraction(1, 64)  # enclosure width when bounding the modulus
 
 
@@ -109,48 +112,21 @@ class ExtensionHandle:
 
     # -- internals -------------------------------------------------------
 
-    def _strict_inside(self, lo: Fraction, hi: Fraction) -> bool:
-        # The interval is open and lo < hi, so both endpoints inside is
-        # the same as [lo, hi] inside.
-        return self.interval.contains(lo) and self.interval.contains(hi)
-
-    def _margin_seed(self, pt: Fraction, endpoint: ExactReal | None, width: Fraction) -> Fraction:
-        if endpoint is None:
-            return max(width, _MARGIN_CAP)
-        room = ExactReal.from_rational(pt) - endpoint
-        room_hi = abs(room).bounds(Fraction(1))[1]
-        return max(width, room_hi / self.policy.margin_divisor)
-
-    def _fit_margin(self, seed: Fraction, fits) -> Fraction:
-        m = seed
-        for _ in range(_MAX_SHRINK):
-            if m > 0 and fits(m):
-                return m
-            m /= 2
-        raise BracketUnavailableError("no rational bracket fits inside the interval")
-
     def _start_chain(self, x: ExactReal) -> _Chain:
-        # Shrink the first enclosure of x until it sits strictly inside I.
+        # x is irrational, so a < b; the interval is open, so the bracket
+        # lies inside it once its two outer points do.
         d = self.policy.initial_eps
         for _ in range(_MAX_SHRINK):
             a, b = x.bounds(d)
-            if a < b and self._strict_inside(a, b):
+            w = self.policy.margin_widths * (b - a)
+            if self.interval.contains(a - w) and self.interval.contains(b + w):
                 break
             d /= 2
         else:
             raise BracketUnavailableError(
                 f"could not fit a rational window around {x} inside {self.interval.literal()}"
             )
-        width = b - a
-        m_left = self._fit_margin(
-            self._margin_seed(a, self.interval.lo, width),
-            lambda m: self._strict_inside(a - m, b),
-        )
-        m_right = self._fit_margin(
-            self._margin_seed(b, self.interval.hi, width),
-            lambda m: self._strict_inside(a, b + m),
-        )
-        bracket = (a - m_left, a, b, b + m_right)
+        bracket = (a - w, a, b, b + w)
         chain = _Chain(lipschitz_bound(self, a, b, bracket, self.policy.slope_eps), d, (a, b))
         self._seed_round(chain, a, b)
         return chain
@@ -255,7 +231,6 @@ def difference_transfer_check(
     # step-v difference needs no further domain check.
     v_exact = ExactReal.from_rational(v)
     ev = handle.evaluate
-    deltas = {p: ev(p + v_exact) - ev(p) for p in pts}
     # Delta_v f(x2) >= Delta_v f(x1) for adjacent x1 < x2 is Wright's
     # inequality at (x1, x2 - x1, v), with the same sides as wright_check.
     monotone = _sweep(
@@ -266,14 +241,11 @@ def difference_transfer_check(
         ),
     )
 
-    # Whatever the true extension difference is, it lies in ``diff``, so
-    # the farther endpoint of delta - diff certifies |delta - true difference|.
+    # The difference of the two residual enclosures holds the step-v
+    # difference of f minus that of the extension, so its farther endpoint
+    # certifies the gap between them.
     worst_exact, worst_ub = _worst_magnitude(
-        (
-            Enclosure.point(deltas[x])
-            - (handle.extend_eval(x + v_exact, eps) - handle.extend_eval(x, eps))
-            for x in grid.irrationals
-        ),
+        (handle.residual(x + v_exact, eps) - handle.residual(x, eps) for x in grid.irrationals),
         eps,
     )
 

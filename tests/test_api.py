@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -58,6 +59,12 @@ def test_public_surface_is_pinned():
         "verify_against_truth",
         "wright_check",
     ]
+
+
+def test_bracket_policy_knobs_are_pinned():
+    # Every knob added to or removed from the bracket placement shows up here.
+    fields = [f.name for f in dataclasses.fields(wrightdecomp.BracketPolicy)]
+    assert fields == ["initial_eps", "margin_widths", "slope_eps"]
 
 
 def test_error_hierarchy_is_pinned():

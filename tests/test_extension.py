@@ -19,6 +19,7 @@ from wrightdecomp import (
     difference_transfer_check,
     generate,
     make_grid,
+    uniqueness_check,
 )
 from wrightdecomp.errors import (
     NonPositiveStepError,
@@ -110,15 +111,26 @@ def test_extend_out_of_domain():
         h.extend_eval(R(11), Fraction(1))
 
 
+def sliver_square(half_width):
+    sliver = Interval(SQRT(2) - R(half_width), SQRT(2) + R(half_width))
+    return Decomposable(sliver, (2,), ConvexSpec(quad=Fraction(1)))
+
+
 def test_extend_bracket_unavailable_on_sliver_interval():
     from wrightdecomp.errors import BracketUnavailableError
 
-    tiny = Fraction(1, 10**160)
-    sliver = Interval(SQRT(2) - R(tiny), SQRT(2) + R(tiny))
-    f = Decomposable(sliver, (2,), ConvexSpec(quad=Fraction(1)))
-    h = ExtensionHandle(f)
+    h = ExtensionHandle(sliver_square(Fraction(1, 10**300)))
     with pytest.raises(BracketUnavailableError):
         h.extend_eval(SQRT(2), Fraction(1, 100))
+
+
+def test_extend_fits_bracket_on_narrow_sliver():
+    # Room of 1e-160 on each side of x: the window and its one-width
+    # margins fit once the first enclosure of x is narrow enough.
+    h = ExtensionHandle(sliver_square(Fraction(1, 10**160)))
+    enc = h.extend_eval(SQRT(2), Fraction(1, 100))
+    assert compare(enc.width, Fraction(1, 100)) is not Ordering.GREATER
+    assert enc.contains(R(2))
 
 
 def test_intermediate_probes_respect_modulus():
@@ -147,12 +159,31 @@ def test_uniqueness_surrogate_policies_overlap():
     f = generate(34, kind="decomposable", nonzero_rational_part=True)
     h1 = ExtensionHandle(f, BracketPolicy())
     h2 = ExtensionHandle(
-        f, BracketPolicy(initial_eps=Fraction(1, 8), margin_divisor=16, slope_eps=Fraction(1, 128))
+        f, BracketPolicy(initial_eps=Fraction(1, 8), margin_widths=2, slope_eps=Fraction(1, 128))
     )
     grid = make_grid(f.interval, 2, 4, f.basis, seed=34)
     for x in grid.points():
         for eps in EPS_SET:
             assert h1.extend_eval(x, eps).overlaps(h2.extend_eval(x, eps))
+
+
+def test_uniqueness_policies_place_distinct_brackets(monkeypatch):
+    # The two runs are independent evidence only when no chain of one
+    # reuses a bracket, and with it a modulus, of the other.
+    from wrightdecomp import extension
+
+    placed = {}
+    lipschitz_bound = extension.lipschitz_bound
+
+    def spy(handle, a, b, bracket, eps):
+        placed.setdefault(handle.policy, set()).add(bracket)
+        return lipschitz_bound(handle, a, b, bracket, eps)
+
+    monkeypatch.setattr(extension, "lipschitz_bound", spy)
+    f = generate(34, nonzero_rational_part=True)
+    assert uniqueness_check(f, Fraction(1, 10**8), (34, 34 + 7919)).passed
+    first, second = placed.values()
+    assert first and second and not first & second
 
 
 def test_handle_evaluates_each_point_once(monkeypatch):
