@@ -7,16 +7,17 @@ violated inequality.  A pass is always evidence over the sampled grid,
 never a proof.
 
 Certificate convention: the checked inequality is written ``lhs >= rhs``;
-a violation means ``lhs < rhs`` exactly.
+a violation means ``lhs < rhs`` exactly.  ``_SIDES`` writes both sides of
+each kind once, and every sweep and re-check reads it; only ``wright_check``
+inlines the Wright sides, to reuse f(x) and f(x+u) along a row.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .domain import SampleGrid
 from .errors import (
@@ -31,6 +32,14 @@ from .funcspec import FunctionDef
 
 _HALF = Fraction(1, 2)
 _JENSEN_CONTEXT = (("t", ExactReal.from_rational(_HALF)),)
+
+# kind -> (ev, *witness) -> (lhs, rhs): the checked inequality is lhs >= rhs.
+_SIDES: dict[str, Callable[..., tuple[ExactReal, ExactReal]]] = {
+    "wright": lambda ev, x, u, v: (ev(x + u + v) + ev(x), ev(x + u) + ev(x + v)),
+    "jensen": lambda ev, x, y: (ev(x) * _HALF + ev(y) * _HALF, ev(x * _HALF + y * _HALF)),
+    # slope(x, u) <= slope(u, y), cross-multiplied by (u - x) and (y - u)
+    "monotone": lambda ev, x, u, y: ((ev(y) - ev(u)) * (u - x), (ev(u) - ev(x)) * (y - u)),
+}
 
 
 @dataclass(frozen=True)
@@ -54,23 +63,17 @@ class ViolationCertificate:
             x, u, v = self.witness
             if not (0 < u and 0 < v):
                 raise ValueError(f"Wright steps must be positive, got {u}, {v}")
-            lhs = f.evaluate(x + u + v) + f.evaluate(x)
-            rhs = f.evaluate(x + u) + f.evaluate(x + v)
         elif self.kind == "jensen":
-            x, y = self.witness
+            x, y = self.witness  # a pair, or a ValueError
             if self.context not in ((), _JENSEN_CONTEXT):
                 raise ValueError("Jensen certificates are checked at t = 1/2 only")
-            lhs = f.evaluate(x) * _HALF + f.evaluate(y) * _HALF
-            rhs = f.evaluate(x * _HALF + y * _HALF)
         elif self.kind == "monotone":
             x, u, y = self.witness
             if not x < u < y:
                 raise ValueError(f"monotone witness ({x}, {u}, {y}) is not strictly ascending")
-            lhs = (f.evaluate(y) - f.evaluate(u)) * (u - x)
-            rhs = (f.evaluate(u) - f.evaluate(x)) * (y - u)
         else:
             raise ValueError(f"unknown certificate kind {self.kind!r}")
-        return lhs, rhs
+        return _SIDES[self.kind](f.evaluate, *self.witness)
 
     def verify(self, f: FunctionDef) -> bool:
         """True iff re-evaluation reproduces both sides and the violation."""
@@ -142,7 +145,8 @@ def double_delta(
         raise OutOfDomainError(
             f"triple ({x}, {uv}, {vv}) leaves {f.interval.literal()}"
         )
-    return f.evaluate(top) - f.evaluate(x + uv) - f.evaluate(x + vv) + f.evaluate(x)
+    lhs, rhs = _SIDES["wright"](f.evaluate, x, uv, vv)
+    return lhs - rhs
 
 
 def build_steps(
@@ -184,19 +188,14 @@ def build_steps(
     return tuple(steps)
 
 
-_Case = tuple[tuple[ExactReal, ...], ExactReal, ExactReal, tuple[tuple[str, ExactReal], ...]]
-
-
-def _sweep(kind: str, cases: Iterable[_Case | None]) -> CheckReport:
-    """Walk ``(witness, lhs, rhs, context)`` cases in order, counting each;
-    the first with ``lhs < rhs`` becomes the certificate.  A ``None`` case
-    stands for one already decided as a pass: it is counted, not compared."""
+def _sweep(kind: str, ev: Callable, witnesses: Iterable[tuple], context=()) -> CheckReport:
+    """Walk the witnesses in order, counting each; the first whose sides
+    from ``_SIDES[kind]`` have ``lhs < rhs`` becomes the certificate."""
+    sides = _SIDES[kind]
     checked = 0
-    for case in cases:
+    for witness in witnesses:
         checked += 1
-        if case is None:
-            continue
-        witness, lhs, rhs, context = case
+        lhs, rhs = sides(ev, *witness)
         if compare(lhs, rhs) is Ordering.LESS:
             return CheckReport(False, ViolationCertificate(kind, witness, lhs, rhs, context), checked)
     return CheckReport(True, None, checked)
@@ -229,67 +228,61 @@ def wright_check(
     n = len(step_list)
     hi = f.interval.hi
     ev = functools.cache(f.evaluate)
-
-    def cases() -> Iterable[_Case | None]:
-        for x in grid.points():
-            fx = ev(x)  # raises unless x lies in the interval
-            shifted = [x + s for s in step_list]
-            # mirrored[j] counts the admissible (x, u_i, u_j) with i < j:
-            # row j opens with their mirrors (x, u_j, u_i).  What the
-            # diagonal adds is never read.
-            mirrored = [0] * n
-            for i, u in enumerate(step_list):
-                yield from itertools.repeat(None, mirrored[i])
-                xu = shifted[i]
-                fxu = None
-                for j in range(i, n):
-                    v = step_list[j]
-                    top = xu + v
-                    # x lies in the interval and the steps are positive,
-                    # so top can leave it only at hi.
-                    if hi is not None and compare(top, hi) is not Ordering.LESS:
-                        if j >= n_explicit:
-                            break
-                        continue
-                    if fxu is None:
-                        # f(x+u) before f(x+u+v) before f(x+v): the order
-                        # fixes which point an out-of-span error names.
-                        fxu = ev(xu)
-                    mirrored[j] += 1
-                    yield (x, u, v), ev(top) + fx, fxu + ev(shifted[j]), ()
-
-    return _sweep("wright", cases())
+    checked = 0
+    for x in grid.points():
+        fx = ev(x)  # raises unless x lies in the interval
+        shifted = [x + s for s in step_list]
+        # mirrored[j] counts the admissible (x, u_i, u_j) with i < j: row j
+        # opens with their mirrors (x, u_j, u_i).  What the diagonal adds is
+        # never read.
+        mirrored = [0] * n
+        for i, u in enumerate(step_list):
+            checked += mirrored[i]
+            xu = shifted[i]
+            fxu = None
+            for j in range(i, n):
+                v = step_list[j]
+                top = xu + v
+                # x lies in the interval and the steps are positive, so top
+                # can leave it only at hi.
+                if hi is not None and compare(top, hi) is not Ordering.LESS:
+                    if j >= n_explicit:
+                        break
+                    continue
+                if fxu is None:
+                    # f(x+u) before f(x+u+v) before f(x+v): the order fixes
+                    # which point an out-of-span error names.
+                    fxu = ev(xu)
+                mirrored[j] += 1
+                checked += 1
+                # The sides of _SIDES["wright"], with f(x) and f(x+u) reused.
+                lhs, rhs = ev(top) + fx, fxu + ev(shifted[j])
+                if compare(lhs, rhs) is Ordering.LESS:
+                    return CheckReport(
+                        False, ViolationCertificate("wright", (x, u, v), lhs, rhs), checked
+                    )
+    return CheckReport(True, None, checked)
 
 
 def jensen_check(f: FunctionDef, grid: SampleGrid) -> CheckReport:
     """Exact midpoint-convexity sweep over all grid pairs x < y:
     f(x)/2 + f(y)/2 >= f(x/2 + y/2)."""
     pts = grid.points()
-    ev = functools.cache(f.evaluate)
-    return _sweep(
-        "jensen",
-        (
-            ((x, y), ev(x) * _HALF + ev(y) * _HALF, ev(x * _HALF + y * _HALF), _JENSEN_CONTEXT)
-            for i, x in enumerate(pts)
-            for y in pts[i + 1 :]
-        ),
-    )
+    pairs = ((x, y) for i, x in enumerate(pts) for y in pts[i + 1 :])
+    return _sweep("jensen", functools.cache(f.evaluate), pairs, _JENSEN_CONTEXT)
 
 
 def chord_slope_monotone_check(f: FunctionDef, grid: SampleGrid) -> CheckReport:
     """Check slope(x, u) <= slope(u, y) for all ascending grid triples,
     cross-multiplied by the positive denominators (u-x) and (y-u)."""
     pts = grid.points()
-    ev = functools.cache(f.evaluate)
-    return _sweep(
-        "monotone",
-        (
-            ((x, u, y), (ev(y) - ev(u)) * (u - x), (ev(u) - ev(x)) * (y - u), ())
-            for i, x in enumerate(pts)
-            for j, u in enumerate(pts[i + 1 :], i + 1)
-            for y in pts[j + 1 :]
-        ),
+    triples = (
+        (x, u, y)
+        for i, x in enumerate(pts)
+        for j, u in enumerate(pts[i + 1 :], i + 1)
+        for y in pts[j + 1 :]
     )
+    return _sweep("monotone", functools.cache(f.evaluate), triples)
 
 
 def lipschitz_bound(

@@ -135,7 +135,7 @@ def _cmd_gen(args) -> int:
     basis = tuple(int(b) for b in args.basis.split(",")) if args.basis else None
     inst = generate(
         args.seed,
-        kind=args.variant.replace("-", "_"),
+        kind=args.variant,
         basis_size=args.basis_size,
         basis=basis,
         max_hinges=args.hinges,
@@ -153,6 +153,22 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _config(args, instance, eps, seed, grid_n, irrational_n, **extra) -> dict:
+    """The run configuration that every report embeds."""
+    return {
+        "subcommand": args.subcommand,
+        "instance": instance,
+        "eps": None if eps is None else str(eps),
+        "seed": seed,
+        "grid_n": grid_n,
+        "irrational_n": irrational_n,
+        "steps": [],
+        "out": args.out,
+        "csv": None,
+        **extra,
+    }
+
+
 def _load_grid(args, **extra):
     """Instance, ``--eps`` (if the command has one), grid and report config
     of the commands that sweep a grid."""
@@ -161,18 +177,7 @@ def _load_grid(args, **extra):
     if eps is not None:
         _check_eps_floor(eps)
     grid = make_grid(inst.interval, args.grid_n, args.irrational_n, inst.basis, args.seed)
-    config = {
-        "subcommand": args.subcommand,
-        "instance": args.instance,
-        "eps": None if eps is None else str(eps),
-        "seed": args.seed,
-        "grid_n": args.grid_n,
-        "irrational_n": args.irrational_n,
-        "steps": [],
-        "out": args.out,
-        "csv": None,
-        **extra,
-    }
+    config = _config(args, args.instance, eps, args.seed, args.grid_n, args.irrational_n, **extra)
     return inst, eps, grid, config
 
 
@@ -224,18 +229,7 @@ def _cmd_verify(args) -> int:
     if stored != recomputed:
         payload["passed"] = False
         payload["failures"].append("stored additive enclosures do not match a reproduced run")
-    config = {
-        "subcommand": "verify",
-        "instance": args.truth,
-        "eps": str(eps),
-        "seed": seed,
-        "grid_n": grid_n,
-        "irrational_n": irrational_n,
-        "steps": [],
-        "out": args.out,
-        "csv": None,
-        "result": args.result,
-    }
+    config = _config(args, args.truth, eps, seed, grid_n, irrational_n, result=args.result)
     _emit(config, payload)
     return 0 if payload["passed"] else 2
 

@@ -230,15 +230,10 @@ def difference_transfer_check(
     # Every p and p + v lies in the interval (checked above), so the
     # step-v difference needs no further domain check.
     v_exact = ExactReal.from_rational(v)
-    ev = handle.evaluate
     # Delta_v f(x2) >= Delta_v f(x1) for adjacent x1 < x2 is Wright's
-    # inequality at (x1, x2 - x1, v), with the same sides as wright_check.
+    # inequality at (x1, x2 - x1, v).
     monotone = _sweep(
-        "wright",
-        (
-            ((x1, x2 - x1, v_exact), ev(x2 + v_exact) + ev(x1), ev(x1 + v_exact) + ev(x2), ())
-            for x1, x2 in zip(pts, pts[1:])
-        ),
+        "wright", handle.evaluate, ((x1, x2 - x1, v_exact) for x1, x2 in zip(pts, pts[1:]))
     )
 
     # The difference of the two residual enclosures holds the step-v

@@ -94,7 +94,8 @@ def test_error_hierarchy_is_pinned():
 
 def test_benchmark_tracer_installs_and_restores():
     # The benchmark's tracer wraps library functions and methods by name;
-    # removing or renaming one of them breaks traced benchmark runs.
+    # removing or renaming one of them breaks traced benchmark runs, and
+    # every original must be put back.
     import wrightdecomp.cli  # noqa: F401  (the tracer also patches names imported here)
 
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
@@ -103,8 +104,11 @@ def test_benchmark_tracer_installs_and_restores():
     compare = wrightdecomp.exactreal.compare
     evaluate = wrightdecomp.funcspec._FunctionBase.__dict__["evaluate"]
     tracer = tracing.Tracer()
-    tracer.install()
+    patched = []
     try:
+        tracer.install()  # raises if a wrapped name is gone
+        patched = list(tracer._patches)
+        assert patched
         assert wrightdecomp.analysis.compare is not compare
         # Arithmetic routed around the wrapped operators would read 0 here.
         f = wrightdecomp.generate(0)
@@ -112,6 +116,8 @@ def test_benchmark_tracer_installs_and_restores():
         wrightdecomp.wright_check(f, grid, max_grid_steps=3)
     finally:
         tracer.uninstall()
+    for owner, attr, original in patched:
+        assert owner.__dict__[attr] is original, f"{owner!r}.{attr} not restored"
     assert tracer.counts["exactreal.arith"] > 0
     assert tracer.names.index("exactreal.compare") in tracer.span_name
     assert wrightdecomp.analysis.compare is compare

@@ -39,18 +39,26 @@ def decompose_text(seed: int) -> str:
     return json.dumps(decompose(f, EPS8, grid).to_jsonable(), sort_keys=True, indent=2) + "\n"
 
 
-def checks_text() -> str:
-    """Wright, Jensen and chord-slope reports for each kind and seed."""
-    doc = {}
+def check_runs() -> dict:
+    """Instance and Wright, Jensen and chord-slope reports for each kind and seed."""
+    runs = {}
     for kind in CHECK_KINDS:
         for s in CHECK_SEEDS:
             f = generate(s, kind=kind)
             grid = make_grid(f.interval, 10, 3, f.basis, s)
-            doc[f"{kind}_{s}"] = {
-                "wright": wright_check(f, grid, max_grid_steps=12).to_jsonable(),
-                "jensen": jensen_check(f, grid).to_jsonable(),
-                "monotone": chord_slope_monotone_check(f, grid).to_jsonable(),
+            runs[f"{kind}_{s}"] = f, {
+                "wright": wright_check(f, grid, max_grid_steps=12),
+                "jensen": jensen_check(f, grid),
+                "monotone": chord_slope_monotone_check(f, grid),
             }
+    return runs
+
+
+def checks_text(runs: dict) -> str:
+    doc = {
+        name: {check: report.to_jsonable() for check, report in reports.items()}
+        for name, (_, reports) in runs.items()
+    }
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
@@ -132,7 +140,19 @@ def test_decompose_matches_golden(seed):
 
 
 def test_checker_reports_match_golden():
-    assert checks_text() == (DATA / "checks.json").read_text(encoding="utf-8")
+    runs = check_runs()
+    assert checks_text(runs) == (DATA / "checks.json").read_text(encoding="utf-8")
+    # Every certificate a checker emits re-checks in isolation.
+    failing = [
+        (f, report.certificate)
+        for f, reports in runs.values()
+        for report in reports.values()
+        if not report.passed
+    ]
+    assert {cert.kind for _, cert in failing} == {"wright", "jensen", "monotone"}
+    for f, cert in failing:
+        assert cert.verify(f)
+        assert cert.recompute_sides(f) == (cert.lhs, cert.rhs)
 
 
 def test_report_csv_matches_golden(tmp_path):
@@ -148,7 +168,7 @@ if __name__ == "__main__":
 
     for s in (0, 1, 2):
         (DATA / f"decompose_{s}.json").write_text(decompose_text(s), encoding="utf-8")
-    (DATA / "checks.json").write_text(checks_text(), encoding="utf-8")
+    (DATA / "checks.json").write_text(checks_text(check_runs()), encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
         (DATA / "report_0.csv").write_text(report_csv(Path(tmp)), encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
