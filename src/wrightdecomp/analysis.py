@@ -8,12 +8,15 @@ never a proof.
 
 Certificate convention: the checked inequality is written ``lhs >= rhs``;
 a violation means ``lhs < rhs`` exactly.  ``_SIDES`` writes both sides of
-each kind once, and every sweep and re-check reads it; only ``wright_check``
-inlines the Wright sides, to reuse f(x) and f(x+u) along a row.
+each kind once, and every sweep and re-check reads it.  Only ``wright_check``
+decides the Wright kind its own way: it compares f(x+u+v) - f(x+v) with
+f(x+u) - f(x), formed once per row, and builds the Wright sides only for a
+certificate.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +30,7 @@ from .errors import (
     WrightDecompError,
     _expect_type,
 )
-from .exactreal import ExactReal, Ordering, compare
+from .exactreal import ExactReal, Ordering, _difference_sign, compare
 from .funcspec import FunctionDef
 
 _HALF = Fraction(1, 2)
@@ -220,10 +223,15 @@ def wright_check(
     has the sides of (x, u, v), which the sweep has already passed: it is
     counted in ``checked`` at its own place in the order but not compared
     again, so ``checked`` still counts every ordered admissible triple.
+
+    The loop decides f(x+u+v) - f(x+v) < f(x+u) - f(x), the same exact
+    inequality, with f(x+u) - f(x) formed once per row, and builds the two
+    Wright sides only for a certificate.
     """
     step_list = build_steps(grid, steps, max_grid_steps=max_grid_steps)
     # The grid differences follow the explicit steps in ascending order, so
-    # past the explicit steps the first top outside the interval ends a row.
+    # past the explicit steps a bisection finds where a row leaves the
+    # interval; an explicit step is tested on its own.
     n_explicit = len(build_steps(grid, steps, max_grid_steps=0))
     n = len(step_list)
     hi = f.interval.hi
@@ -239,28 +247,26 @@ def wright_check(
         for i, u in enumerate(step_list):
             checked += mirrored[i]
             xu = shifted[i]
+            # x lies in the interval and the steps are positive, so x+u+v
+            # can leave it only at hi, which grid steps from ``end`` on reach.
+            end = n if hi is None else bisect.bisect_left(step_list, hi - xu, max(i, n_explicit))
             fxu = None
-            for j in range(i, n):
+            for j in range(i, end):
                 v = step_list[j]
                 top = xu + v
-                # x lies in the interval and the steps are positive, so top
-                # can leave it only at hi.
-                if hi is not None and compare(top, hi) is not Ordering.LESS:
-                    if j >= n_explicit:
-                        break
+                if j < n_explicit and hi is not None and compare(top, hi) is not Ordering.LESS:
                     continue
                 if fxu is None:
                     # f(x+u) before f(x+u+v) before f(x+v): the order fixes
                     # which point an out-of-span error names.
                     fxu = ev(xu)
+                    row = fxu - fx
                 mirrored[j] += 1
                 checked += 1
-                # The sides of _SIDES["wright"], with f(x) and f(x+u) reused.
-                lhs, rhs = ev(top) + fx, fxu + ev(shifted[j])
-                if compare(lhs, rhs) is Ordering.LESS:
-                    return CheckReport(
-                        False, ViolationCertificate("wright", (x, u, v), lhs, rhs), checked
-                    )
+                ftop, fxv = ev(top), ev(shifted[j])
+                if _difference_sign(ftop, fxv, row) is Ordering.LESS:
+                    cert = ViolationCertificate("wright", (x, u, v), ftop + fx, fxu + fxv)
+                    return CheckReport(False, cert, checked)
     return CheckReport(True, None, checked)
 
 

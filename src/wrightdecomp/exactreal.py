@@ -203,11 +203,6 @@ class ExactReal:
         nums = self._nums
         return Fraction(nums[0][1], self._den) if nums and nums[0][0] == 1 else _ZERO
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is not rational")
-        return self.rational_part
-
     # -- arithmetic --------------------------------------------------
 
     @staticmethod
@@ -438,27 +433,49 @@ _ZERO_EXACT = ExactReal()
 def compare(a: "ExactReal | Rational", b: "ExactReal | Rational") -> Ordering:
     """Decidable three-way comparison.
 
-    Equality is structural (canonical form); a difference whose integer
-    numerators all share one sign is decided by that sign, and one of the
-    form r + n*sqrt(m) by comparing r**2 with n**2 * m; otherwise the
-    sign of the difference is found by refining a rational enclosure until
-    zero is strictly outside.  Distinct canonical forms are distinct values,
-    so the refinement always ends.
+    Equality is structural (canonical form); otherwise the sign of the
+    difference is decided by ``_sign``.
     """
     ea = a if isinstance(a, ExactReal) else ExactReal.from_rational(a)
     eb = b if isinstance(b, ExactReal) else ExactReal.from_rational(b)
     if ea._nums == eb._nums and ea._den == eb._den:
         return Ordering.EQUAL
-    diff, den = _merge(ea, eb, -1)
-    signs = {n > 0 for _, n in diff}
+    return _sign(*_merge(ea, eb, -1))
+
+
+def _difference_sign(a: ExactReal, b: ExactReal, c: ExactReal) -> Ordering:
+    """Sign of a - b - c, from one pass over the three numerator tuples
+    scaled to their common denominator; the difference is never built."""
+    ad, bd, cd = a._den, b._den, c._den
+    den = math.lcm(ad, bd, cd)
+    sa, sb, sc = den // ad, den // bd, den // cd
+    acc = {m: n * sa for m, n in a._nums}
+    for m, n in b._nums:
+        acc[m] = acc.get(m, 0) - n * sb
+    for m, n in c._nums:
+        acc[m] = acc.get(m, 0) - n * sc
+    return _sign(tuple(sorted([t for t in acc.items() if t[1]])), den)
+
+
+def _sign(nums: _Nums, den: int) -> Ordering:
+    """Sign of ``sum n_m*sqrt(m) / den`` for sorted nonzero numerators.
+
+    An empty sum is zero; numerators that all share one sign decide it, and
+    r + n*sqrt(m) is decided by comparing r**2 with n**2 * m; otherwise a
+    rational enclosure is refined until zero is strictly outside.  A
+    nonzero canonical form is a nonzero value, so the refinement ends.
+    """
+    if not nums:
+        return Ordering.EQUAL
+    signs = {n > 0 for _, n in nums}
     if len(signs) == 1:
         return Ordering.GREATER if True in signs else Ordering.LESS
-    if len(diff) == 2 and diff[0][0] == 1:
+    if len(nums) == 2 and nums[0][0] == 1:
         # r + n*sqrt(m) with r, n of opposite signs: r*r != n*n*m, and the
         # larger square carries its term's sign.
-        (_, r), (m, n) = diff
+        (_, r), (m, n) = nums
         return Ordering.GREATER if (r * r > n * n * m) == (r > 0) else Ordering.LESS
-    d = _reduced(diff, den)
+    d = _reduced(nums, den)
     eps = Fraction(1)
     while True:
         lo, hi = d.bounds(eps)

@@ -225,6 +225,47 @@ def test_wright_check_counts_mirrored_triples(steps, checked, witness):
     assert report.certificate.witness == witness
 
 
+def test_wright_check_row_end_excludes_a_top_on_hi():
+    # Grid steps 1/4 and 1/2: of the tops from x = 1/4 and x = 1/2 only
+    # 1/4 + 1/4 + 1/4 stays below hi = 1; every other lands on it.
+    f = square(interval=Interval.open(0, 1))
+    grid = SampleGrid(f.interval, (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)), (), seed=0)
+    assert wright_check(f, grid).checked == 1
+    # On eighths many tops land on hi, each next to an admissible step
+    # just below it; a spike at 5/8 makes a violation past such edges.
+    grid = SampleGrid(f.interval, tuple(Fraction(k, 8) for k in range(1, 8)), (), seed=0)
+    spiked = Spiked(f.interval, f.basis, f, R(Fraction(5, 8)), Fraction(1, 8))
+    outcomes = []
+    for g in (f, spiked):
+        for cap in (None, 3):
+            expected = _sweep_outcome(wright_sweep_reference, g, grid, (), cap)
+            assert _sweep_outcome(wright_check, g, grid, (), cap) == expected, (g, cap)
+            outcomes.append(expected["passed"])
+    assert outcomes == [True, True, False, False]
+
+
+def test_wright_check_row_end_with_irrational_hi_and_explicit_steps():
+    # On (0, sqrt2) the grid steps are mixed with explicit ones, of which
+    # 2 and 3/2 leave the interval from every x and 1 from some.
+    interval = Interval.open(0, SQRT(2))
+    grid = make_grid(interval, 5, 2, (2,), seed=3)
+    steps = (R(2), SQRT(2) - 1, R(1), R(Fraction(3, 2)), R(2) - SQRT(2))
+    assert any(interval.contains(x + 1) for x in grid.points())
+    assert not all(interval.contains(x + 1) for x in grid.points())
+    base = square(interval=interval)
+    # |A| fails on explicit steps alone; the spike at 3/4 fails only on
+    # triples with a grid step, so it passes at cap 0.
+    abs_part = AbsAdditive(interval, (2,), AdditiveMap.from_mapping({2: 1}))
+    spiked = Spiked(interval, (2,), base, R(Fraction(3, 4)), Fraction(1, 8))
+    tally = []
+    for g in (base, abs_part, spiked):
+        for cap in (None, 0, 4):
+            expected = _sweep_outcome(wright_sweep_reference, g, grid, steps, cap)
+            assert _sweep_outcome(wright_check, g, grid, steps, cap) == expected, (g, cap)
+            tally.append(expected["passed"])
+    assert tally == [True] * 3 + [False] * 3 + [False, True, False]
+
+
 def test_certificate_json_round_trip_and_self_verify():
     f = abs_fixture()
     grid = SampleGrid(I_10, (Fraction(0),), (), seed=0)
@@ -360,7 +401,7 @@ def test_lipschitz_guarantee_on_rational_pairs():
     f = square(interval=Interval.open(-2, 2))
     L = lipschitz_bound(f, Fraction(0), Fraction(1), bracket_fixture(), SLOPE_EPS)
     # spot instance from the bound's contract
-    assert abs(f.evaluate(R(Fraction(3, 4))) - f.evaluate(R(Fraction(1, 4)))).as_fraction() == Fraction(1, 2)
+    assert abs(f.evaluate(R(Fraction(3, 4))) - f.evaluate(R(Fraction(1, 4)))) == R(Fraction(1, 2))
     grid = make_grid(Interval.open(0, 1), 10, 0, (), seed=0)
     for i, x in enumerate(grid.rationals):
         for y in grid.rationals[i + 1 :]:

@@ -16,7 +16,7 @@ from wrightdecomp import (
     parse_rational,
 )
 from wrightdecomp.errors import OutOfSpanError, ParseError
-from wrightdecomp.exactreal import _SqrtBrackets
+from wrightdecomp.exactreal import _difference_sign, _SqrtBrackets
 
 from oracles import is_squarefree, numeric_sign, radical_bounds
 
@@ -284,6 +284,45 @@ def test_compare_decides_one_radical_near_tie_quickly():
     assert time.perf_counter() - start < 0.1
     assert 0 not in signs
     assert got == [(sign, -sign) for sign in signs]
+
+
+# -- the fused sign of a - b - c ---------------------------------------------
+
+
+@given(exact_reals, exact_reals, exact_reals, st.booleans())
+@settings(max_examples=80)
+def test_difference_sign_matches_compare_and_oracle(a, b, c, tie):
+    if tie:
+        c = a - b
+    got = _difference_sign(a, b, c)
+    assert got is compare(a - b, c)
+    sign = numeric_sign(a - b - c)
+    assert (sign == 0) == (a - b == c)
+    assert got == sign
+
+
+def test_difference_sign_refines_mixed_signs_on_disjoint_radicals():
+    # sqrt2 - (-sqrt3) - c against decimals c of sqrt2 + sqrt3, each of
+    # a, b and c on its own radical: the one-sign check and squaring
+    # cannot decide it, so the enclosure loop does.
+    scale = 10**40
+    s = math.isqrt(2 * scale**2) + math.isqrt(3 * scale**2)  # within 2/scale below
+    for c in (Fraction(s - 2, scale), Fraction(s + 2, scale)):
+        cases = [(SQRT(2), -SQRT(3), R(c)), (R(c), SQRT(2), SQRT(3))]
+        for a, b, cc in cases:
+            expected = numeric_sign(a - b - cc)
+            assert expected != 0
+            assert _difference_sign(a, b, cc) == expected == compare(a - b, cc)
+
+
+def test_difference_sign_decides_near_ties_after_cancellation():
+    # sqrt5 cancels between a and b, so a - b - c is a near tie x - y.
+    for x, y, digits in _near_ties():
+        sign = numeric_sign(x - y, digits=2 * digits + 20)
+        assert sign != 0
+        assert _difference_sign(x + SQRT(5), SQRT(5), y) == sign
+        assert _difference_sign(-y, -x, R(0)) == sign
+        assert _difference_sign(x, y, x - y) is Ordering.EQUAL
 
 
 # -- canonical form and validation -------------------------------------------
