@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
@@ -30,7 +31,7 @@ from .errors import (
     WrightDecompError,
     _expect_type,
 )
-from .exactreal import ExactReal, Ordering, _difference_sign, compare
+from .exactreal import ExactReal, Ordering, _difference_sign, _from_lattice, _lattice, compare
 from .funcspec import FunctionDef
 
 _HALF = Fraction(1, 2)
@@ -226,7 +227,11 @@ def wright_check(
 
     The loop decides f(x+u+v) - f(x+v) < f(x+u) - f(x), the same exact
     inequality, with f(x+u) - f(x) formed once per row, and builds the two
-    Wright sides only for a certificate.
+    Wright sides only for a certificate.  Grid points and steps share one
+    common denominator and one sorted radical list, so each point is a
+    tuple of int coordinates: a top x+u+v is a tuple sum, the evaluation
+    memo is keyed by coordinates, and a point becomes an ``ExactReal`` only
+    to be evaluated the first time.
     """
     step_list = build_steps(grid, steps, max_grid_steps=max_grid_steps)
     # The grid differences follow the explicit steps in ascending order, so
@@ -235,11 +240,22 @@ def wright_check(
     n_explicit = len(build_steps(grid, steps, max_grid_steps=0))
     n = len(step_list)
     hi = f.interval.hi
-    ev = functools.cache(f.evaluate)
+    pts = grid.points()
+    radicals, den, coords = _lattice(pts + step_list)
+    step_coords = coords[len(pts) :]
+    memo: dict[tuple[int, ...], ExactReal] = {}
+
+    def ev(c: tuple[int, ...]) -> ExactReal:
+        value = memo.get(c)
+        if value is None:
+            value = memo[c] = f.evaluate(_from_lattice(radicals, c, den))
+        return value
+
     checked = 0
-    for x in grid.points():
-        fx = ev(x)  # raises unless x lies in the interval
-        shifted = [x + s for s in step_list]
+    for x, xc in zip(pts, coords):
+        fx = ev(xc)  # raises unless x lies in the interval
+        room = None if hi is None else hi - x
+        shifted = [tuple(map(operator.add, xc, sc)) for sc in step_coords]
         # mirrored[j] counts the admissible (x, u_i, u_j) with i < j: row j
         # opens with their mirrors (x, u_j, u_i).  What the diagonal adds is
         # never read.
@@ -248,13 +264,17 @@ def wright_check(
             checked += mirrored[i]
             xu = shifted[i]
             # x lies in the interval and the steps are positive, so x+u+v
-            # can leave it only at hi, which grid steps from ``end`` on reach.
-            end = n if hi is None else bisect.bisect_left(step_list, hi - xu, max(i, n_explicit))
+            # leaves it only at hi, exactly when v >= rest = hi - x - u;
+            # grid steps from ``end`` on do.
+            if room is None:
+                end, rest = n, None
+            else:
+                rest = room - u
+                end = bisect.bisect_left(step_list, rest, max(i, n_explicit))
             fxu = None
             for j in range(i, end):
                 v = step_list[j]
-                top = xu + v
-                if j < n_explicit and hi is not None and compare(top, hi) is not Ordering.LESS:
+                if j < n_explicit and rest is not None and v >= rest:
                     continue
                 if fxu is None:
                     # f(x+u) before f(x+u+v) before f(x+v): the order fixes
@@ -263,7 +283,8 @@ def wright_check(
                     row = fxu - fx
                 mirrored[j] += 1
                 checked += 1
-                ftop, fxv = ev(top), ev(shifted[j])
+                ftop = ev(tuple(map(operator.add, xu, step_coords[j])))
+                fxv = ev(shifted[j])
                 if _difference_sign(ftop, fxv, row) is Ordering.LESS:
                     cert = ViolationCertificate("wright", (x, u, v), ftop + fx, fxu + fxv)
                     return CheckReport(False, cert, checked)

@@ -46,11 +46,11 @@ class PredictionReport:
     irrational points x = r + sum q_m*sqrt(m), where it predicts
     sum q_m * a_m.  A probe is flagged only when the residual and the
     prediction enclosures are disjoint, which cannot happen when f is
-    Wright convex."""
+    Wright convex; with no probe checked nothing is consistent."""
 
     probes_checked: int
     worst_gap: Fraction  # rational upper bound of |residual - prediction|
-    consistent: bool  # no probe flagged
+    consistent: bool  # some probe checked and none flagged
 
     def to_jsonable(self) -> dict:
         return {
@@ -147,7 +147,8 @@ def decompose(f: FunctionDef, eps: Fraction, grid: SampleGrid) -> DecompositionR
     map predicts the residual at the grid's irrational points; a flagged
     probe (disjoint enclosures) shows that f - g is not additive there,
     so f is not Wright convex (given the extension's grid-evidenced
-    Lipschitz bound).
+    Lipschitz bound).  It is ``consistent`` only when at least one probe
+    was checked and none was flagged.
     """
     return _decompose(ExtensionHandle(f), eps, grid)
 
@@ -195,7 +196,7 @@ def _decompose(handle: ExtensionHandle, eps: Fraction, grid: SampleGrid) -> Deco
     prediction = PredictionReport(
         probes_checked=len(gaps),
         worst_gap=_worst_magnitude(gaps, eps)[1],
-        consistent=all(gap.contains(0) for gap in gaps),
+        consistent=bool(gaps) and all(gap.contains(0) for gap in gaps),
     )
 
     return DecompositionResult(

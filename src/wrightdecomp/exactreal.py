@@ -10,7 +10,8 @@ linearly independent over Q (trusted fact of this module).  ``Fraction``
 appears only where coefficients, bounds and literals enter or leave, and
 in the hash of a value whose denominator the hash modulus divides.
 
-Comparisons that cannot be decided structurally are settled by adaptive
+Signs with up to two radicals besides the unit are decided from the
+numerators by squaring; signs with more are settled by adaptive
 rational enclosures built from Heron bracket chains for each radical.
 """
 
@@ -144,6 +145,28 @@ def _merge(a: "ExactReal", b: "ExactReal", sign: int) -> tuple[_Nums, int]:
     for m, n in bn:
         acc[m] = acc.get(m, 0) + n * sb
     return tuple(sorted([t for t in acc.items() if t[1]])), ad * sa
+
+
+def _lattice(values: tuple["ExactReal", ...]) -> tuple[tuple[int, ...], int, list[tuple[int, ...]]]:
+    """One sorted radical list and one positive common denominator for
+    ``values``, and each value's int coordinates on them:
+    v = sum c_i*sqrt(radicals_i) / den."""
+    radicals = sorted({m for v in values for m, _ in v._nums})
+    index = {m: i for i, m in enumerate(radicals)}
+    den = math.lcm(*[v._den for v in values])
+    coords = []
+    for v in values:
+        c = [0] * len(radicals)
+        scale = den // v._den
+        for m, n in v._nums:
+            c[index[m]] = n * scale
+        coords.append(tuple(c))
+    return tuple(radicals), den, coords
+
+
+def _from_lattice(radicals: tuple[int, ...], coords: tuple[int, ...], den: int) -> "ExactReal":
+    """The canonical value with ``coords`` on ``radicals`` over ``den``."""
+    return _reduced(tuple([t for t in zip(radicals, coords) if t[1]]), den)
 
 
 class ExactReal:
@@ -338,23 +361,11 @@ class ExactReal:
         if eps.numerator <= 0:
             raise ValueError(f"eps must be positive, got {eps}")
         nums, den = self._nums, self._den
-        irr = [t for t in nums if t[0] != 1]
-        r = nums[0][1] if len(irr) < len(nums) else 0
-        if not irr:
-            q = Fraction(r, den)
+        k = len(self.radicals())
+        if not k:
+            q = self.rational_part
             return q, q
-        # Each radical gets width eps / (len(irr) * |n / den|); lo and hi sum in ints.
-        en, ed = eps.numerator * den, eps.denominator * len(irr)
-        lo_n = hi_n = r
-        lo_d = hi_d = 1
-        for m, n in irr:
-            blo, bhi = _BRACKETS.bracket(m, en, ed * abs(n))
-            if n < 0:
-                blo, bhi = bhi, blo
-            lo_n = lo_n * blo.denominator + n * blo.numerator * lo_d
-            lo_d *= blo.denominator
-            hi_n = hi_n * bhi.denominator + n * bhi.numerator * hi_d
-            hi_d *= bhi.denominator
+        lo_n, lo_d, hi_n, hi_d = _int_bounds(nums, eps.numerator * den, eps.denominator * k)
         return Fraction(lo_n, lo_d * den), Fraction(hi_n, hi_d * den)
 
     # -- text --------------------------------------------------------
@@ -457,33 +468,76 @@ def _difference_sign(a: ExactReal, b: ExactReal, c: ExactReal) -> Ordering:
     return _sign(tuple(sorted([t for t in acc.items() if t[1]])), den)
 
 
+def _int_bounds(nums: _Nums, en: int, ed: int) -> tuple[int, int, int, int]:
+    """Ints (lo_n, lo_d, hi_n, hi_d), lo_d and hi_d positive, with
+    lo_n/lo_d <= sum n_m*sqrt(m) <= hi_n/hi_d; each radical's bracket has
+    width at most en / (ed * |n_m|)."""
+    lo_n = hi_n = nums[0][1] if nums[0][0] == 1 else 0
+    lo_d = hi_d = 1
+    for m, n in nums:
+        if m == 1:
+            continue
+        blo, bhi = _BRACKETS.bracket(m, en, ed * abs(n))
+        if n < 0:
+            blo, bhi = bhi, blo
+        lo_n = lo_n * blo.denominator + n * blo.numerator * lo_d
+        lo_d *= blo.denominator
+        hi_n = hi_n * bhi.denominator + n * bhi.numerator * hi_d
+        hi_d *= bhi.denominator
+    return lo_n, lo_d, hi_n, hi_d
+
+
+def _two_term_sign(b: int, m: int, c: int, k: int) -> int:
+    """Sign, 1 or -1, of b*sqrt(m) + c*sqrt(k) for distinct squarefree m
+    and k (1 is the unit) and c != 0: with opposite signs b*b*m != c*c*k,
+    and the larger square carries its term's sign."""
+    if not b or (b > 0) == (c > 0):
+        return 1 if c > 0 else -1
+    return 1 if (b * b * m > c * c * k) == (b > 0) else -1
+
+
 def _sign(nums: _Nums, den: int) -> Ordering:
     """Sign of ``sum n_m*sqrt(m) / den`` for sorted nonzero numerators.
 
-    An empty sum is zero; numerators that all share one sign decide it, and
-    r + n*sqrt(m) is decided by comparing r**2 with n**2 * m; otherwise a
-    rational enclosure is refined until zero is strictly outside.  A
-    nonzero canonical form is a nonzero value, so the refinement ends.
+    Decided in ints for up to two radicals besides the unit:
+
+    - numerators that all share one sign decide it, and an empty sum is 0;
+    - a two-term sum b*sqrt(m) + c*sqrt(k) (m = 1 for a rational term) by
+      comparing b*b*m with c*c*k;
+    - a + s with s = b*sqrt(m) + c*sqrt(k) by the sign of s, when a has it;
+      otherwise by the sign of a**2 - s**2 = (a**2 - b*b*m - c*c*k)
+      - 2*b*c*g*sqrt(m*k/g**2), g = gcd(m, k), a two-term sum again.  The
+      product index may pass MAX_RADICAL_INDEX; it never becomes a value.
+
+    Three or more radicals refine an enclosure, summed in ints at widths
+    16**-j, until zero is strictly outside.  A nonzero canonical form is a
+    nonzero value, so the refinement ends.
     """
     if not nums:
         return Ordering.EQUAL
     signs = {n > 0 for _, n in nums}
     if len(signs) == 1:
         return Ordering.GREATER if True in signs else Ordering.LESS
-    if len(nums) == 2 and nums[0][0] == 1:
-        # r + n*sqrt(m) with r, n of opposite signs: r*r != n*n*m, and the
-        # larger square carries its term's sign.
-        (_, r), (m, n) = nums
-        return Ordering.GREATER if (r * r > n * n * m) == (r > 0) else Ordering.LESS
-    d = _reduced(nums, den)
-    eps = Fraction(1)
+    if len(nums) == 2:
+        (m, b), (k, c) = nums
+        return Ordering(_two_term_sign(b, m, c, k))
+    if len(nums) == 3 and nums[0][0] == 1:
+        (_, a), (m, b), (k, c) = nums
+        s = _two_term_sign(b, m, c, k)
+        if (a > 0) == (s > 0):
+            return Ordering(s)
+        g = math.gcd(m, k)
+        t = _two_term_sign(a * a - b * b * m - c * c * k, 1, -2 * b * c * g, (m // g) * (k // g))
+        # |a| > |s| exactly when a**2 - s**2 > 0, and then a's sign wins.
+        return Ordering(-s if t > 0 else s)
+    ed = len(nums) - (nums[0][0] == 1)
     while True:
-        lo, hi = d.bounds(eps)
-        if lo > 0:
+        lo_n, _, hi_n, _ = _int_bounds(nums, den, ed)
+        if lo_n > 0:
             return Ordering.GREATER
-        if hi < 0:
+        if hi_n < 0:
             return Ordering.LESS
-        eps /= 16
+        ed <<= 4
 
 
 @dataclass(frozen=True)

@@ -225,6 +225,32 @@ def test_wright_check_counts_mirrored_triples(steps, checked, witness):
     assert report.certificate.witness == witness
 
 
+def _matches_reference(g, grid, steps, cap):
+    """``wright_check``'s outcome, after checking that it equals the
+    reference sweep's and that it evaluated g once per distinct point, at
+    the points the reference evaluated."""
+    seen = {}
+    for check in (wright_sweep_reference, wright_check):
+        points = seen[check] = []
+
+        def evaluate(x, points=points):
+            points.append(x)
+            return type(g).evaluate(g, x)
+
+        object.__setattr__(g, "evaluate", evaluate)
+        try:
+            outcome = _sweep_outcome(check, g, grid, steps, cap)
+        finally:
+            object.__delattr__(g, "evaluate")
+        if check is wright_sweep_reference:
+            expected = outcome
+    assert outcome == expected, (g, cap)
+    points = seen[wright_check]
+    assert len(points) == len(set(points)), (g, cap)
+    assert set(points) == set(seen[wright_sweep_reference]), (g, cap)
+    return outcome
+
+
 def test_wright_check_row_end_excludes_a_top_on_hi():
     # Grid steps 1/4 and 1/2: of the tops from x = 1/4 and x = 1/2 only
     # 1/4 + 1/4 + 1/4 stays below hi = 1; every other lands on it.
@@ -233,15 +259,18 @@ def test_wright_check_row_end_excludes_a_top_on_hi():
     assert wright_check(f, grid).checked == 1
     # On eighths many tops land on hi, each next to an admissible step
     # just below it; a spike at 5/8 makes a violation past such edges.
-    grid = SampleGrid(f.interval, tuple(Fraction(k, 8) for k in range(1, 8)), (), seed=0)
+    # Probes on sqrt2 add tops such as (sqrt2 - 1) + 1/8 + (7/8 - (sqrt2 - 1))
+    # that land on hi as well; with them the three smallest grid steps are
+    # irrational and miss the spike.
+    eighths = tuple(Fraction(k, 8) for k in range(1, 8))
     spiked = Spiked(f.interval, f.basis, f, R(Fraction(5, 8)), Fraction(1, 8))
     outcomes = []
-    for g in (f, spiked):
-        for cap in (None, 3):
-            expected = _sweep_outcome(wright_sweep_reference, g, grid, (), cap)
-            assert _sweep_outcome(wright_check, g, grid, (), cap) == expected, (g, cap)
-            outcomes.append(expected["passed"])
-    assert outcomes == [True, True, False, False]
+    for probes in ((), (SQRT(2) - 1, 1 - SQRT(2) / 2)):
+        grid = SampleGrid(f.interval, eighths, probes, seed=0)
+        for g in (f, spiked):
+            for cap in (None, 3):
+                outcomes.append(_matches_reference(g, grid, (), cap)["passed"])
+    assert outcomes == [True, True, False, False] + [True, True, False, True]
 
 
 def test_wright_check_row_end_with_irrational_hi_and_explicit_steps():
@@ -260,10 +289,19 @@ def test_wright_check_row_end_with_irrational_hi_and_explicit_steps():
     tally = []
     for g in (base, abs_part, spiked):
         for cap in (None, 0, 4):
-            expected = _sweep_outcome(wright_sweep_reference, g, grid, steps, cap)
-            assert _sweep_outcome(wright_check, g, grid, steps, cap) == expected, (g, cap)
-            tally.append(expected["passed"])
+            tally.append(_matches_reference(g, grid, steps, cap)["passed"])
     assert tally == [True] * 3 + [False] * 3 + [False, True, False]
+    # On the rational points alone no grid point carries the steps' sqrt2;
+    # a step on sqrt3, outside f's basis, makes a point out of span, and
+    # both sweeps must name the same one.
+    rational = grid.rational_only()
+    outside = steps[:3] + (SQRT(3) - 1,) + steps[3:]
+    errors = 0
+    for g in (base, abs_part, spiked):
+        for cap in (None, 0, 4):
+            _matches_reference(g, rational, steps, cap)
+            errors += isinstance(_matches_reference(g, grid, outside, cap), tuple)
+    assert errors == 9
 
 
 def test_certificate_json_round_trip_and_self_verify():

@@ -118,6 +118,16 @@ def test_decompose_prediction_consistent():
     assert result.prediction.worst_gap <= 4 * EPS8
 
 
+def test_decompose_without_probes_is_not_consistent():
+    # a grid without irrational points checks no prediction, and a check
+    # of nothing must not read as a pass
+    f = generate(41, kind="decomposable", nonzero_rational_part=True)
+    result = decompose(f, EPS8, grid_for(f, seed=41, n_i=0))
+    assert result.prediction.probes_checked == 0
+    assert not result.prediction.consistent
+    assert result.to_jsonable()["residuals"]["additive_prediction"]["consistent"] is False
+
+
 def test_prediction_contains_true_additive_value():
     # at x = r + sum q_m*sqrt(m) the additive part vanishing on Q is
     # sum q_m*(c_m - c1*sqrt(m)); both the prediction from the recovered

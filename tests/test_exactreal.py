@@ -34,6 +34,25 @@ nonzero_rationals = coefficients.filter(bool)
 epsilons = st.sampled_from([Fraction(1, 10**k) for k in (1, 3, 6, 9)])
 
 
+@st.composite
+def two_radical_sums(draw):
+    """b*sqrt(m) + c*sqrt(k), alone or after a rational a, in every sign mix;
+    a is drawn freely or as a near tie, -round(b*sqrt(m) + c*sqrt(k)) + d
+    with |d| <= 1, so the squares of the two sides nearly cancel."""
+    m, k = draw(st.lists(squarefree_keys.filter(lambda m: m > 1), min_size=2, max_size=2, unique=True))
+    sb, sc, sa = (draw(st.sampled_from([1, -1])) for _ in range(3))
+    b = sb * draw(st.fractions(min_value=Fraction(1, 16), max_value=10**6, max_denominator=16))
+    c = sc * draw(st.fractions(min_value=Fraction(1, 16), max_value=10**6, max_denominator=16))
+    s = ExactReal({m: b, k: c})
+    rational = draw(st.sampled_from(["none", "free", "tie"]))
+    if rational == "none":
+        return s
+    if rational == "free":
+        return s + sa * draw(st.fractions(min_value=Fraction(1, 16), max_value=10**6, max_denominator=16))
+    lo, _ = radical_bounds(s, digits=30)
+    return s - round(lo) + draw(st.sampled_from([-1, 0, 1]))
+
+
 # -- addition / multiplication examples -------------------------------------
 
 
@@ -286,6 +305,33 @@ def test_compare_decides_one_radical_near_tie_quickly():
     assert got == [(sign, -sign) for sign in signs]
 
 
+def _pell(m, x1, y1, digits):
+    """First (p, q) from (x1 + y1*sqrt(m))**k = p + q*sqrt(m) whose q has
+    ``digits`` digits; p**2 - m*q**2 = 1, so p - q*sqrt(m) = 1/(p + q*sqrt(m))."""
+    p, q = x1, y1
+    while len(str(q)) < digits:
+        p, q = x1 * p + m * y1 * q, y1 * p + x1 * q
+    assert p * p - m * q * q == 1
+    return p, q
+
+
+def test_compare_decides_two_radical_near_tie_quickly():
+    # (p - q*sqrt2) +- (s - t*sqrt3) with 1000-digit q and t: each part is
+    # about 1e-1000, so both values are a + b*sqrt2 + c*sqrt3 within about
+    # 1e-1000 of zero; squaring decides them in ints, where refining
+    # enclosures took seconds.
+    p, q = _pell(2, 3, 2, 1000)
+    s, t = _pell(3, 2, 1, 1000)
+    a, b = R(p) - SQRT(2) * q, R(s) - SQRT(3) * t
+    pairs = [(a, -b), (a, b), (-a, b), (-a, -b)]
+    signs = [numeric_sign(x - y, digits=4100) for x, y in pairs]
+    start = time.perf_counter()
+    got = [(compare(x, y), compare(y, x), compare(x - y, 0)) for x, y in pairs]
+    assert time.perf_counter() - start < 0.1
+    assert 0 not in signs
+    assert got == [(sign, -sign, sign) for sign in signs]
+
+
 # -- the fused sign of a - b - c ---------------------------------------------
 
 
@@ -302,17 +348,25 @@ def test_difference_sign_matches_compare_and_oracle(a, b, c, tie):
 
 
 def test_difference_sign_refines_mixed_signs_on_disjoint_radicals():
-    # sqrt2 - (-sqrt3) - c against decimals c of sqrt2 + sqrt3, each of
-    # a, b and c on its own radical: the one-sign check and squaring
-    # cannot decide it, so the enclosure loop does.
+    # sqrt2 - (-sqrt3) - c against decimals c of sqrt2 + sqrt3 + sqrt5 less
+    # sqrt5: with three radicals neither the one-sign check nor squaring
+    # applies, so the enclosure loop decides.
     scale = 10**40
-    s = math.isqrt(2 * scale**2) + math.isqrt(3 * scale**2)  # within 2/scale below
-    for c in (Fraction(s - 2, scale), Fraction(s + 2, scale)):
-        cases = [(SQRT(2), -SQRT(3), R(c)), (R(c), SQRT(2), SQRT(3))]
+    s = sum(math.isqrt(m * scale**2) for m in (2, 3, 5))  # within 3/scale below
+    for c in (Fraction(s - 3, scale), Fraction(s + 3, scale)):
+        cases = [(SQRT(2), -SQRT(3), R(c) - SQRT(5)), (R(c), SQRT(2) + SQRT(5), SQRT(3))]
         for a, b, cc in cases:
             expected = numeric_sign(a - b - cc)
             assert expected != 0
             assert _difference_sign(a, b, cc) == expected == compare(a - b, cc)
+    # Each near tie x - y plus sqrt5 - sqrt7 - d, with d a decimal of
+    # sqrt5 - sqrt7 exact far below the tie, has the tie's sign: three or
+    # four radicals, refined as deep as the tie needs.
+    for x, y, digits in _near_ties():
+        sign = numeric_sign(x - y, digits=2 * digits + 20)
+        k = 10 ** (2 * digits + 40)
+        rest = Fraction(math.isqrt(5 * k * k) - math.isqrt(7 * k * k), k)
+        assert _difference_sign(x + SQRT(5) - SQRT(7), y, R(rest)) == sign
 
 
 def test_difference_sign_decides_near_ties_after_cancellation():
@@ -426,9 +480,15 @@ def test_enclosure_containment_against_oracle(x, eps):
     assert lo <= olo and ohi <= hi  # and is in fact contained (oracle is tighter)
 
 
-@given(exact_reals, exact_reals)
-@settings(max_examples=60)
-def test_compare_consistent_with_numeric_oracle(a, b):
+@given(exact_reals, exact_reals, two_radical_sums())
+@settings(max_examples=120)
+def test_compare_consistent_with_numeric_oracle(a, b, x):
+    # x is decided by squaring in ints: against 0, and as its rational
+    # part against minus its radical part, in both orders.
+    sign = numeric_sign(x)
+    assert sign != 0, "oracle failed to separate distinct values"
+    r = R(x.rational_part)
+    assert compare(x, 0) == compare(r, r - x) == -compare(r - x, r) == sign
     result = compare(a, b)
     if a == b:
         assert result is Ordering.EQUAL
