@@ -147,6 +147,18 @@ def _merge(a: "ExactReal", b: "ExactReal", sign: int) -> tuple[_Nums, int]:
     return tuple(sorted([t for t in acc.items() if t[1]])), ad * sa
 
 
+def _add_products(acc: dict[int, int], an: _Nums, bn: _Nums, scale: int) -> None:
+    """Add the numerators of scale * (sum an) * (sum bn) into ``acc``."""
+    for m, p in an:
+        p *= scale
+        for k, q in bn:
+            # sqrt(m) * sqrt(k) = d * sqrt((m/d) * (k/d)) with d = gcd(m, k);
+            # the reduced index is again squarefree, and may pass MAX_RADICAL_INDEX.
+            d = math.gcd(m, k)
+            key = (m // d) * (k // d)
+            acc[key] = acc.get(key, 0) + p * q * d
+
+
 def _lattice(values: tuple["ExactReal", ...]) -> tuple[tuple[int, ...], int, list[tuple[int, ...]]]:
     """One sorted radical list and one positive common denominator for
     ``values``, and each value's int coordinates on them:
@@ -264,13 +276,7 @@ class ExactReal:
         if o is None:
             return NotImplemented
         acc: dict[int, int] = {}
-        for m, p in self._nums:
-            for k, q in o._nums:
-                # sqrt(m) * sqrt(k) = d * sqrt((m/d) * (k/d)) with d = gcd(m, k);
-                # the reduced index is again squarefree.
-                d = math.gcd(m, k)
-                key = (m // d) * (k // d)
-                acc[key] = acc.get(key, 0) + p * q * d
+        _add_products(acc, self._nums, o._nums, 1)
         nums = tuple(sorted([t for t in acc.items() if t[1]]))
         if nums and nums[-1][0] > MAX_RADICAL_INDEX:
             raise OutOfSpanError(
@@ -468,6 +474,57 @@ def _difference_sign(a: ExactReal, b: ExactReal, c: ExactReal) -> Ordering:
     return _sign(tuple(sorted([t for t in acc.items() if t[1]])), den)
 
 
+_Table = tuple[int, int, dict[int, _Nums], _Nums]
+
+
+def _quadratic_table(
+    quad: Fraction, slope: ExactReal, images: tuple[tuple[int, ExactReal], ...], offset: ExactReal
+) -> _Table:
+    """Int form of v(x) = quad*x**2 + slope*x + A(x) + offset, with A the
+    Q-linear map taking sqrt(m) to the image of each coordinate m in
+    ``images``: one positive den, quad*den, and over den the numerators of
+    each row L_m = slope*sqrt(m) + A(sqrt(m)) and of offset.  A product
+    index in a row may pass MAX_RADICAL_INDEX; ``_quadratic_value`` raises
+    only if one survives in a value."""
+    den = math.lcm(quad.denominator, slope._den, offset._den, *[a._den for _, a in images])
+    ss = den // slope._den
+    rows = {}
+    for m, image in images:
+        acc: dict[int, int] = {}
+        _add_products(acc, slope._nums, ((m, 1),), ss)
+        s = den // image._den
+        for k, n in image._nums:
+            acc[k] = acc.get(k, 0) + n * s
+        rows[m] = tuple(sorted([t for t in acc.items() if t[1]]))
+    s = den // offset._den
+    qn = quad.numerator * (den // quad.denominator)
+    return den, qn, rows, tuple([(k, n * s) for k, n in offset._nums])
+
+
+def _quadratic_value(x: ExactReal, table: _Table) -> ExactReal:
+    """v(x) for a ``_quadratic_table`` whose coordinates include x's
+    radicals: quad*x**2 + sum_m x_m*L_m + offset summed in one pass over
+    x's numerators, over den*x_den**2, and reduced once."""
+    den, qn, rows, offset = table
+    xn, xd = x._nums, x._den
+    acc: dict[int, int] = {}
+    if qn:
+        _add_products(acc, xn, xn, qn)
+    for m, p in xn:
+        p *= xd
+        for k, n in rows[m]:
+            acc[k] = acc.get(k, 0) + p * n
+    xd *= xd
+    for k, n in offset:
+        acc[k] = acc.get(k, 0) + n * xd
+    nums = tuple(sorted([t for t in acc.items() if t[1]]))
+    if nums and nums[-1][0] > MAX_RADICAL_INDEX:
+        raise OutOfSpanError(
+            f"value at {x} has radical index {nums[-1][0]} above {MAX_RADICAL_INDEX}"
+        )
+    return _reduced(nums, den * xd)
+
+
 def _int_bounds(nums: _Nums, en: int, ed: int) -> tuple[int, int, int, int]:
     """Ints (lo_n, lo_d, hi_n, hi_d), lo_d and hi_d positive, with
     lo_n/lo_d <= sum n_m*sqrt(m) <= hi_n/hi_d; each radical's bracket has
@@ -509,9 +566,11 @@ def _sign(nums: _Nums, den: int) -> Ordering:
       - 2*b*c*g*sqrt(m*k/g**2), g = gcd(m, k), a two-term sum again.  The
       product index may pass MAX_RADICAL_INDEX; it never becomes a value.
 
-    Three or more radicals refine an enclosure, summed in ints at widths
-    16**-j, until zero is strictly outside.  A nonzero canonical form is a
-    nonzero value, so the refinement ends.
+    Three or more radicals refine an enclosure, summed in ints, until zero
+    is strictly outside.  Each round multiplies the precision ed by 16 or
+    squares it, whichever is larger, so a tie within 10**-d takes O(log d)
+    rounds.  A nonzero canonical form is a nonzero value, so the
+    refinement ends.
     """
     if not nums:
         return Ordering.EQUAL
@@ -537,7 +596,7 @@ def _sign(nums: _Nums, den: int) -> Ordering:
             return Ordering.GREATER
         if hi_n < 0:
             return Ordering.LESS
-        ed <<= 4
+        ed = max(ed << 4, ed * ed)
 
 
 @dataclass(frozen=True)

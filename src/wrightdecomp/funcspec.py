@@ -23,13 +23,20 @@ from typing import Mapping, Union
 from .domain import Interval, rational_anchors
 from .errors import OutOfDomainError, OutOfSpanError, ParseError, _expect_type
 from .exactreal import ExactReal, Ordering, check_radical_index, compare, parse_rational
+from .exactreal import _quadratic_table, _quadratic_value
 
 _SQUAREFREE_POOL = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15)
 
 
 @dataclass(frozen=True)
 class ConvexSpec:
-    """Convex catalog function a*x^2 + b*x + c0 + sum_i w_i * max(0, x - k_i)."""
+    """Convex catalog function a*x^2 + b*x + c0 + sum_i w_i * max(0, x - k_i).
+
+    ``value`` finds x's piece by bisecting the sorted knots (``_piece``)
+    and evaluates that piece's a*x^2 + b_i*x + c_i in Horner form with
+    ``ExactReal`` arithmetic; it is the reference that ``Decomposable``'s
+    integer pass is tested against.
+    """
 
     quad: Fraction = Fraction(0)
     slope: ExactReal = ExactReal()
@@ -49,10 +56,11 @@ class ConvexSpec:
             pieces.append((b, c))
         return tuple(k for k, _ in hinges), tuple(pieces)
 
-    def value(self, x: ExactReal) -> ExactReal:
-        knots, pieces = self._pieces
-        # Bisect for the number of knots below x.  At a knot the two
-        # neighbouring pieces give the same canonical value.
+    def _piece(self, x: ExactReal) -> int:
+        """Index into ``_pieces`` of x's piece: the number of knots below x,
+        by bisection.  At a knot the two neighbouring pieces give the same
+        canonical value."""
+        knots = self._pieces[0]
         lo, hi = 0, len(knots)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -60,7 +68,10 @@ class ConvexSpec:
                 lo = mid + 1
             else:
                 hi = mid
-        b, c = pieces[lo]
+        return lo
+
+    def value(self, x: ExactReal) -> ExactReal:
+        b, c = self._pieces[1][self._piece(x)]
         return (x * self.quad + b) * x + c
 
     def validate(self) -> None:
@@ -167,13 +178,29 @@ class _FunctionBase:
 
 @dataclass(frozen=True)
 class Decomposable(_FunctionBase):
+    """f = convex + additive, Ng's decomposition by construction.
+
+    On hinge piece i, f(x) = a*x^2 + b_i*x + c_i + A(x), and b_i*x + A(x)
+    is Q-linear in x's coordinates.  So each piece keeps one integer table
+    (``exactreal._quadratic_table``) of L_{i,m} = b_i*sqrt(m) + A(sqrt(m))
+    for m in 1 and the basis, and c_i, over one denominator; ``_value``
+    finds the piece with ``ConvexSpec._piece`` and sums the table in one
+    pass.  It equals ``convex.value(x) + additive.value(x)``.
+    """
+
     interval: Interval
     basis: tuple[int, ...]
     convex: ConvexSpec
     additive: AdditiveMap = AdditiveMap()
 
+    @functools.cached_property
+    def _tables(self) -> tuple:
+        quad = self.convex.quad
+        images = tuple((m, self.additive.coefficient(m)) for m in (1, *self.basis))
+        return tuple(_quadratic_table(quad, b, images, c) for b, c in self.convex._pieces[1])
+
     def _value(self, x: ExactReal) -> ExactReal:
-        return self.convex.value(x) + self.additive.value(x)
+        return _quadratic_value(x, self._tables[self.convex._piece(x)])
 
     def validate(self) -> None:
         self.convex.validate()

@@ -305,6 +305,23 @@ def test_compare_decides_one_radical_near_tie_quickly():
     assert got == [(sign, -sign) for sign in signs]
 
 
+def test_compare_decides_three_radical_near_tie_quickly():
+    # sqrt2 + sqrt3 + sqrt5 against its decimals to 4000 places, within
+    # 3e-4000 below, and 3e-4000 above that: the refinement loop squares
+    # its precision each round, where multiplying it by 16 took tens of
+    # seconds.
+    x = SQRT(2) + SQRT(3) + SQRT(5)
+    scale = 10**4000
+    s = sum(math.isqrt(m * scale**2) for m in (2, 3, 5))
+    ys = [R(Fraction(s, scale)), R(Fraction(s + 3, scale))]
+    signs = [numeric_sign(x - y, digits=4100) for y in ys]
+    start = time.perf_counter()
+    got = [(compare(x, y), compare(y, x)) for y in ys]
+    assert time.perf_counter() - start < 1
+    assert signs == [1, -1]
+    assert got == [(sign, -sign) for sign in signs]
+
+
 def _pell(m, x1, y1, digits):
     """First (p, q) from (x1 + y1*sqrt(m))**k = p + q*sqrt(m) whose q has
     ``digits`` digits; p**2 - m*q**2 = 1, so p - q*sqrt(m) = 1/(p + q*sqrt(m))."""

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from wrightdecomp import (
 )
 from wrightdecomp import funcspec
 from wrightdecomp.errors import OutOfDomainError, OutOfSpanError, ParseError
+from wrightdecomp.exactreal import MAX_RADICAL_INDEX
 
 R = ExactReal.from_rational
 SQRT = ExactReal.sqrt
@@ -235,13 +237,61 @@ def test_convexspec_value_bisects_knots(monkeypatch):
         assert calls <= 4, f"{calls} compares at {x}"
 
 
-@given(_span_strategy())
-@settings(max_examples=40)
-def test_decomposable_evaluation_decomposes(x):
-    inst = generate(23, basis=(2, 3), nonzero_rational_part=True)
-    if not inst.interval.contains(x):
-        return
-    assert inst.evaluate(x) == inst.convex.value(x) + inst.additive.value(x)
+def test_decomposable_evaluation_decomposes():
+    # The integer pass against the reference sum convex.value + additive.value,
+    # at grid rationals, irrational probes and every knot, on decomposable
+    # and spiked instances with and without quad.
+    seen = set()
+    for seed in range(48):
+        size, nonzero, hinges = 1 + seed % 4, seed % 8 < 4, 8 if seed % 3 else 0
+        for kind in ("decomposable", "spiked"):
+            inst = generate(
+                seed,
+                kind=kind,
+                basis_size=size,
+                max_hinges=hinges,
+                nonzero_rational_part=nonzero and kind == "decomposable",
+            )
+            f = inst.base if kind == "spiked" else inst
+            grid = make_grid(inst.interval, 8, 4, inst.basis, seed)
+            knots = [k for k, _ in f.convex.hinges]
+            points = [*grid.points(), *knots] + ([inst.at] if kind == "spiked" else [])
+            for g in (f, replace(f, convex=replace(f.convex, quad=Fraction(0)))):
+                for x in points:
+                    expected = g.convex.value(x) + g.additive.value(x)
+                    if kind == "spiked" and x == inst.at:
+                        assert replace(inst, base=g).evaluate(x) == expected + inst.lift
+                    assert g.evaluate(x) == expected
+            irrational = any(not x.is_rational for x in points)
+            seen.add((size, bool(f.additive.rational_slope), len(knots), irrational))
+    assert {s for s, *_ in seen} == {1, 2, 3, 4}
+    assert {r for _, r, *_ in seen} == {False, True}
+    assert {0, 8} <= {h for _, _, h, _ in seen}
+    assert all(i for *_, i in seen)
+
+
+def test_evaluate_leaves_the_span_only_where_the_reference_does():
+    # Two primes whose product passes MAX_RADICAL_INDEX.  The table of
+    # slope*sqrt(m) + A(sqrt(m)) holds sqrt(p)*sqrt(q) for the row of q,
+    # but only a point that uses sqrt(q) may reach it.
+    p, q = 4294967291, 4294967279
+    assert p * q > MAX_RADICAL_INDEX
+    f = Decomposable(
+        I_10, (q, p), ConvexSpec(quad=Fraction(1), slope=R(1) + SQRT(p) / 10**6)
+    )
+    f.validate()
+    for x in (R(Fraction(1, 3)), SQRT(p) / 10**6):
+        assert f.evaluate(x) == f.convex.value(x) + f.additive.value(x)
+    x = R(1) + SQRT(q) / 10**6
+    with pytest.raises(OutOfSpanError):
+        f.convex.value(x)
+    with pytest.raises(OutOfSpanError):
+        f.evaluate(x)
+    # The slope's sqrt(p)*sqrt(q) cancels against x**2's here, as it does
+    # in the reference product (x + slope)*x.
+    g = Decomposable(I_10, (q, p), ConvexSpec(quad=Fraction(1), slope=SQRT(p) * -2 / 10**6))
+    x = (SQRT(p) + SQRT(q)) / 10**6
+    assert g.evaluate(x) == g.convex.value(x) + g.additive.value(x)
 
 
 # -- instance files ---------------------------------------------------------------
