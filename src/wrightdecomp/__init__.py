@@ -24,8 +24,6 @@ from .funcspec import (
     Spiked,
     dumps_instance,
     generate,
-    instance_from_jsonable,
-    instance_to_jsonable,
     load_instance,
     loads_instance,
 )
@@ -89,8 +87,6 @@ __all__ = [
     "dumps_instance",
     "errors",
     "generate",
-    "instance_from_jsonable",
-    "instance_to_jsonable",
     "jensen_check",
     "lipschitz_bound",
     "load_instance",

@@ -298,7 +298,7 @@ class ExactReal:
         return NotImplemented  # field division is deliberately unsupported
 
     def __abs__(self):
-        return -self if compare(self, _ZERO_EXACT) is Ordering.LESS else self
+        return -self if _sign(self._nums, self._den) is Ordering.LESS else self
 
     # -- comparison --------------------------------------------------
 
@@ -444,19 +444,13 @@ def parse_rational(text: str) -> Fraction:
     raise ParseError(f"{text!r} exceeds the {_MAX_EXPONENT}-digit limit")
 
 
-_ZERO_EXACT = ExactReal()
-
-
 def compare(a: "ExactReal | Rational", b: "ExactReal | Rational") -> Ordering:
-    """Decidable three-way comparison.
-
-    Equality is structural (canonical form); otherwise the sign of the
-    difference is decided by ``_sign``.
+    """Decidable three-way comparison: the sign of a - b, decided by
+    ``_sign``.  Equal canonical forms merge to no numerators, which
+    ``_sign`` reads as EQUAL.
     """
     ea = a if isinstance(a, ExactReal) else ExactReal.from_rational(a)
     eb = b if isinstance(b, ExactReal) else ExactReal.from_rational(b)
-    if ea._nums == eb._nums and ea._den == eb._den:
-        return Ordering.EQUAL
     return _sign(*_merge(ea, eb, -1))
 
 

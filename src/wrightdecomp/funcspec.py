@@ -153,9 +153,8 @@ class _FunctionBase:
     def evaluate(self, x: ExactReal) -> ExactReal:
         if not self.interval.contains(x):
             raise OutOfDomainError(f"{x} is outside {self.interval.literal()}")
-        allowed = set(self.basis)
         for m in x.radicals():
-            if m not in allowed:
+            if m not in self.basis:
                 raise OutOfSpanError(f"{x} uses radical {m} outside basis {self.basis}")
         return self._value(x)
 
@@ -215,8 +214,7 @@ class AbsAdditive(_FunctionBase):
     additive: AdditiveMap
 
     def _value(self, x: ExactReal) -> ExactReal:
-        v = self.additive.value(x)
-        return -v if compare(v, 0) is Ordering.LESS else v
+        return abs(self.additive.value(x))
 
     def validate(self) -> None:
         self.additive.validate()
@@ -356,13 +354,21 @@ def generate(
 # -- instance files ------------------------------------------------------
 
 
-def _convex_to_jsonable(c: ConvexSpec) -> dict:
-    return {
-        "quad": str(c.quad),
-        "slope": c.slope.literal(),
-        "offset": c.offset.literal(),
-        "hinges": [{"knot": k.literal(), "weight": str(w)} for k, w in c.hinges],
-    }
+def _parts_to_jsonable(f: FunctionDef) -> dict:
+    """The ``additive`` and, for a ``Decomposable``, ``convex`` fields of
+    f, at top level or as a spiked instance's base."""
+    if not isinstance(f, (Decomposable, AbsAdditive)):
+        raise ValueError("instance files support one level of spiking only")
+    doc: dict = {"additive": {str(m): c.literal() for m, c in f.additive.coeffs}}
+    if isinstance(f, Decomposable):
+        c = f.convex
+        doc["convex"] = {
+            "quad": str(c.quad),
+            "slope": c.slope.literal(),
+            "offset": c.offset.literal(),
+            "hinges": [{"knot": k.literal(), "weight": str(w)} for k, w in c.hinges],
+        }
+    return doc
 
 
 def _convex_from_jsonable(d: dict) -> ConvexSpec:
@@ -379,17 +385,6 @@ def _convex_from_jsonable(d: dict) -> ConvexSpec:
     )
 
 
-def _additive_to_jsonable(add: AdditiveMap) -> dict:
-    return {str(m): c.literal() for m, c in add.coeffs}
-
-
-def _additive_from_jsonable(d: dict) -> AdditiveMap:
-    items = _expect_type(d, dict, "additive").items()
-    return AdditiveMap.from_mapping(
-        {_index(k, "additive key"): ExactReal.parse(v) for k, v in items}
-    )
-
-
 def _index(value, what: str) -> int:
     """A radical index written as a JSON integer or a decimal string."""
     try:
@@ -398,65 +393,52 @@ def _index(value, what: str) -> int:
         raise ParseError(f"{what} {value!r} is not an integer") from exc
 
 
-def instance_to_jsonable(f: FunctionDef) -> dict:
-    doc: dict = {
-        "interval": f.interval.literal(),
-        "basis": list(f.basis),
-    }
-    if isinstance(f, Decomposable):
-        doc["variant"] = "decomposable"
-        doc["convex"] = _convex_to_jsonable(f.convex)
-        doc["additive"] = _additive_to_jsonable(f.additive)
-    elif isinstance(f, AbsAdditive):
-        doc["variant"] = "abs_additive"
-        doc["additive"] = _additive_to_jsonable(f.additive)
-    elif isinstance(f, Spiked):
+def dumps_instance(f: FunctionDef) -> str:
+    """The instance document of f.  A document holds one interval and one
+    basis, so a ``Spiked`` f's base must share them, and must not itself
+    be spiked."""
+    if isinstance(f, Spiked):
+        if f.base.interval != f.interval or f.base.basis != f.basis:
+            raise ValueError("a spiked instance's base must share its interval and basis")
+        doc = _parts_to_jsonable(f.base)
         doc["variant"] = "spiked"
-        base = f.base
-        if isinstance(base, Decomposable):
-            doc["convex"] = _convex_to_jsonable(base.convex)
-            doc["additive"] = _additive_to_jsonable(base.additive)
-        elif isinstance(base, AbsAdditive):
-            doc["additive"] = _additive_to_jsonable(base.additive)
-        else:
-            raise ValueError("instance files support one level of spiking only")
         doc["spike"] = {"at": f.at.literal(), "lift": str(f.lift)}
     else:
-        raise ValueError(f"unknown instance type {type(f)!r}")
-    return doc
+        doc = _parts_to_jsonable(f)
+        doc["variant"] = "decomposable" if isinstance(f, Decomposable) else "abs_additive"
+    doc["interval"] = f.interval.literal()
+    doc["basis"] = list(f.basis)
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def instance_from_jsonable(doc: dict) -> FunctionDef:
+def loads_instance(text: str) -> FunctionDef:
+    """Parse and validate an instance document; every malformed one is a
+    ParseError.  The base is an ``AbsAdditive`` for ``abs_additive`` and
+    for a ``spiked`` document without ``convex``, else a ``Decomposable``."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an integer past Python's digit limit
+        raise ParseError(f"invalid instance JSON: {exc}") from exc
     _expect_type(doc, dict, "instance document")
     try:
         variant = doc["variant"]
         interval = Interval.parse(doc["interval"])
         entries = _expect_type(doc["basis"], list, "basis")
         basis = tuple(sorted(_index(m, "basis entry") for m in entries))
-        additive = _additive_from_jsonable(doc.get("additive", {}))
-        if variant == "decomposable":
-            inst: FunctionDef = Decomposable(
-                interval, basis, _convex_from_jsonable(doc["convex"]), additive
-            )
-        elif variant == "abs_additive":
-            inst = AbsAdditive(interval, basis, additive)
-        elif variant == "spiked":
-            if "convex" in doc:
-                base: FunctionDef = Decomposable(
-                    interval, basis, _convex_from_jsonable(doc["convex"]), additive
-                )
-            else:
-                base = AbsAdditive(interval, basis, additive)
-            spike = _expect_type(doc["spike"], dict, "spike")
-            inst = Spiked(
-                interval,
-                basis,
-                base,
-                ExactReal.parse(spike["at"]),
-                parse_rational(spike["lift"]),
-            )
-        else:
+        items = _expect_type(doc.get("additive", {}), dict, "additive").items()
+        additive = AdditiveMap.from_mapping(
+            {_index(k, "additive key"): ExactReal.parse(v) for k, v in items}
+        )
+        if variant not in ("decomposable", "abs_additive", "spiked"):
             raise ParseError(f"unknown variant {variant!r}")
+        if variant == "abs_additive" or (variant == "spiked" and "convex" not in doc):
+            inst: FunctionDef = AbsAdditive(interval, basis, additive)
+        else:
+            inst = Decomposable(interval, basis, _convex_from_jsonable(doc["convex"]), additive)
+        if variant == "spiked":
+            spike = _expect_type(doc["spike"], dict, "spike")
+            at, lift = ExactReal.parse(spike["at"]), parse_rational(spike["lift"])
+            inst = Spiked(interval, basis, inst, at, lift)
     except KeyError as exc:
         raise ParseError(f"instance document missing field {exc}") from exc
     try:
@@ -466,18 +448,6 @@ def instance_from_jsonable(doc: dict) -> FunctionDef:
     except ValueError as exc:
         raise ParseError(f"invalid instance: {exc}") from exc
     return inst
-
-
-def dumps_instance(f: FunctionDef) -> str:
-    return json.dumps(instance_to_jsonable(f), sort_keys=True, indent=2) + "\n"
-
-
-def loads_instance(text: str) -> FunctionDef:
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also an integer past Python's digit limit
-        raise ParseError(f"invalid instance JSON: {exc}") from exc
-    return instance_from_jsonable(doc)
 
 
 def load_instance(path: str | Path) -> FunctionDef:

@@ -45,8 +45,6 @@ def test_public_surface_is_pinned():
         "dumps_instance",
         "errors",
         "generate",
-        "instance_from_jsonable",
-        "instance_to_jsonable",
         "jensen_check",
         "lipschitz_bound",
         "load_instance",

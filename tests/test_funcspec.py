@@ -307,6 +307,41 @@ def test_instance_json_round_trip_bit_exact():
             assert dumps_instance(again) == text
 
 
+def test_instance_json_spiked_base_shapes():
+    # generate() spikes only a Decomposable; a spiked AbsAdditive writes
+    # no convex field and reads back as the same function.
+    base = AbsAdditive(I_10, (2, 3), AdditiveMap.from_mapping({2: 1, 3: Fraction(-1, 2)}))
+    f = Spiked(I_10, (2, 3), base, R(Fraction(1, 3)), Fraction(7, 8))
+    f.validate()
+    text = dumps_instance(f)
+    assert "convex" not in json.loads(text)
+    again = loads_instance(text)
+    assert again == f
+    assert dumps_instance(again) == text
+
+    twice = Spiked(I_10, (2, 3), f, R(0), Fraction(1))
+    twice.validate()
+    with pytest.raises(ValueError, match="one level"):
+        dumps_instance(twice)
+
+    # A document stores one interval and one basis, so a base on others
+    # would read back as a different function: f(5) is out of the base's
+    # domain, but the base rebuilt on (-10, 10) would give 25.
+    narrow = Decomposable(
+        Interval.open(-1, 1), (2,), ConvexSpec(Fraction(1)), AdditiveMap.from_mapping({2: 3})
+    )
+    mismatched = Spiked(I_10, (2, 3), narrow, R(0), Fraction(1))
+    mismatched.validate()
+    with pytest.raises(OutOfDomainError):
+        mismatched.evaluate(R(5))
+    with pytest.raises(ValueError, match="interval and basis"):
+        dumps_instance(mismatched)
+    wide = replace(narrow, interval=I_10)
+    with pytest.raises(ValueError, match="interval and basis"):
+        dumps_instance(Spiked(I_10, (2, 3), wide, R(0), Fraction(1)))
+    assert loads_instance(dumps_instance(Spiked(I_10, (2,), wide, R(0), Fraction(1)))).base == wide
+
+
 def test_instance_json_rejects_malformed():
     doc = json.loads(dumps_instance(generate(0)))  # basis (11, 15) on (-9/2, 8)
     for text in (
