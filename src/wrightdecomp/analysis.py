@@ -9,9 +9,12 @@ never a proof.
 Certificate convention: the checked inequality is written ``lhs >= rhs``;
 a violation means ``lhs < rhs`` exactly.  ``_SIDES`` writes both sides of
 each kind once, and every sweep and re-check reads it.  Only ``wright_check``
-decides the Wright kind its own way: it compares f(x+u+v) - f(x+v) with
-f(x+u) - f(x), formed once per row, and builds the Wright sides only for a
-certificate.
+decides the Wright kind its own way.  It holds points as int coordinates
+on one lattice and values as int tuples on one value lattice (the
+function's ``_on_lattice``), so it compares f(x+u+v) - f(x+v) with
+f(x+u) - f(x), formed once per row, as a tuple difference.  It checks
+the domain once per grid row and builds the Wright sides, as
+``ExactReal`` values, only for a certificate.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import (
     WrightDecompError,
     _expect_type,
 )
-from .exactreal import ExactReal, Ordering, _difference_sign, _from_lattice, _lattice, compare
+from .exactreal import ExactReal, Ordering, _from_lattice, _lattice, _lattice_sign, compare
 from .funcspec import FunctionDef
 
 _HALF = Fraction(1, 2)
@@ -229,9 +232,16 @@ def wright_check(
     inequality, with f(x+u) - f(x) formed once per row, and builds the two
     Wright sides only for a certificate.  Grid points and steps share one
     common denominator and one sorted radical list, so each point is a
-    tuple of int coordinates: a top x+u+v is a tuple sum, the evaluation
-    memo is keyed by coordinates, and a point becomes an ``ExactReal`` only
-    to be evaluated the first time.
+    tuple of int coordinates and a top x+u+v is a tuple sum.  Values live
+    on the value lattice of ``f._on_lattice``: the memo maps a point's
+    coordinates to f's value as an int tuple over one denominator, the
+    inequality is the sign of a tuple difference (``_lattice_sign``), and
+    a certificate's sides are built from the tuples.  Domain and span are
+    checked once per grid row, at x (``f._check``, with ``evaluate``'s
+    errors).  x+u, x+v and x+u+v lie above x, and the row's end keeps
+    them below hi, so they stay in the interval.  They are checked again
+    only when they have a coordinate on a radical outside ``f.basis``,
+    which raises the out-of-span error ``evaluate`` would.
     """
     step_list = build_steps(grid, steps, max_grid_steps=max_grid_steps)
     # The grid differences follow the explicit steps in ascending order, so
@@ -243,17 +253,23 @@ def wright_check(
     pts = grid.points()
     radicals, den, coords = _lattice(pts + step_list)
     step_coords = coords[len(pts) :]
-    memo: dict[tuple[int, ...], ExactReal] = {}
+    vrad, vden, value = f._on_lattice(radicals, den)
+    # A point with a coordinate on one of these radicals leaves f's span.
+    outside = [i for i, m in enumerate(radicals) if m != 1 and m not in f.basis]
+    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
 
-    def ev(c: tuple[int, ...]) -> ExactReal:
-        value = memo.get(c)
-        if value is None:
-            value = memo[c] = f.evaluate(_from_lattice(radicals, c, den))
-        return value
+    def ev(c: tuple[int, ...]) -> tuple[int, ...]:
+        fc = memo.get(c)
+        if fc is None:
+            if outside and any(c[i] for i in outside):
+                f._check(_from_lattice(radicals, c, den))  # raises OutOfSpanError
+            fc = memo[c] = value(c)
+        return fc
 
     checked = 0
     for x, xc in zip(pts, coords):
-        fx = ev(xc)  # raises unless x lies in the interval
+        f._check(x)  # the row's one domain check
+        fx = ev(xc)
         room = None if hi is None else hi - x
         shifted = [tuple(map(operator.add, xc, sc)) for sc in step_coords]
         # mirrored[j] counts the admissible (x, u_i, u_j) with i < j: row j
@@ -265,7 +281,7 @@ def wright_check(
             xu = shifted[i]
             # x lies in the interval and the steps are positive, so x+u+v
             # leaves it only at hi, exactly when v >= rest = hi - x - u;
-            # grid steps from ``end`` on do.
+            # grid steps from ``end`` on do.  x+u and x+v lie below x+u+v.
             if room is None:
                 end, rest = n, None
             else:
@@ -280,13 +296,16 @@ def wright_check(
                     # f(x+u) before f(x+u+v) before f(x+v): the order fixes
                     # which point an out-of-span error names.
                     fxu = ev(xu)
-                    row = fxu - fx
+                    row = tuple(map(operator.sub, fxu, fx))
                 mirrored[j] += 1
                 checked += 1
                 ftop = ev(tuple(map(operator.add, xu, step_coords[j])))
                 fxv = ev(shifted[j])
-                if _difference_sign(ftop, fxv, row) is Ordering.LESS:
-                    cert = ViolationCertificate("wright", (x, u, v), ftop + fx, fxu + fxv)
+                diff = map(operator.sub, map(operator.sub, ftop, fxv), row)
+                if _lattice_sign(vrad, diff, vden) is Ordering.LESS:
+                    lhs = _from_lattice(vrad, tuple(map(operator.add, ftop, fx)), vden)
+                    rhs = _from_lattice(vrad, tuple(map(operator.add, fxu, fxv)), vden)
+                    cert = ViolationCertificate("wright", (x, u, v), lhs, rhs)
                     return CheckReport(False, cert, checked)
     return CheckReport(True, None, checked)
 

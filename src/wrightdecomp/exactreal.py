@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Union
 
 from .errors import InconsistentEnclosureError, OutOfSpanError, ParseError
 from .errors import _expect_type
@@ -163,17 +163,23 @@ def _lattice(values: tuple["ExactReal", ...]) -> tuple[tuple[int, ...], int, lis
     """One sorted radical list and one positive common denominator for
     ``values``, and each value's int coordinates on them:
     v = sum c_i*sqrt(radicals_i) / den."""
-    radicals = sorted({m for v in values for m, _ in v._nums})
-    index = {m: i for i, m in enumerate(radicals)}
+    radicals = tuple(sorted({m for v in values for m, _ in v._nums}))
     den = math.lcm(*[v._den for v in values])
-    coords = []
-    for v in values:
-        c = [0] * len(radicals)
-        scale = den // v._den
-        for m, n in v._nums:
-            c[index[m]] = n * scale
-        coords.append(tuple(c))
-    return tuple(radicals), den, coords
+    return radicals, den, [_coordinates(v, radicals, den) for v in values]
+
+
+def _coordinates(x: "ExactReal", radicals: tuple[int, ...], den: int) -> tuple[int, ...] | None:
+    """x's int coordinates on ``radicals`` over ``den``, or None when x is
+    not on that lattice."""
+    if den % x._den:
+        return None
+    scale = den // x._den
+    c = dict.fromkeys(radicals, 0)
+    for m, n in x._nums:
+        if m not in c:
+            return None
+        c[m] = n * scale
+    return tuple(c.values())
 
 
 def _from_lattice(radicals: tuple[int, ...], coords: tuple[int, ...], den: int) -> "ExactReal":
@@ -454,18 +460,11 @@ def compare(a: "ExactReal | Rational", b: "ExactReal | Rational") -> Ordering:
     return _sign(*_merge(ea, eb, -1))
 
 
-def _difference_sign(a: ExactReal, b: ExactReal, c: ExactReal) -> Ordering:
-    """Sign of a - b - c, from one pass over the three numerator tuples
-    scaled to their common denominator; the difference is never built."""
-    ad, bd, cd = a._den, b._den, c._den
-    den = math.lcm(ad, bd, cd)
-    sa, sb, sc = den // ad, den // bd, den // cd
-    acc = {m: n * sa for m, n in a._nums}
-    for m, n in b._nums:
-        acc[m] = acc.get(m, 0) - n * sb
-    for m, n in c._nums:
-        acc[m] = acc.get(m, 0) - n * sc
-    return _sign(tuple(sorted([t for t in acc.items() if t[1]])), den)
+def _lattice_sign(radicals: tuple[int, ...], coords: Iterable[int], den: int) -> Ordering:
+    """Sign of the value with int ``coords`` on ``radicals`` over ``den``,
+    decided by ``_sign`` over the nonzero coordinates; ``coords`` may be
+    any iterable, such as a coordinate difference, and is never reduced."""
+    return _sign(tuple([t for t in zip(radicals, coords) if t[1]]), den)
 
 
 _Table = tuple[int, int, dict[int, _Nums], _Nums]
@@ -517,6 +516,69 @@ def _quadratic_value(x: ExactReal, table: _Table) -> ExactReal:
             f"value at {x} has radical index {nums[-1][0]} above {MAX_RADICAL_INDEX}"
         )
     return _reduced(nums, den * xd)
+
+
+def _lattice_quadratic(
+    tables: tuple[_Table, ...], radicals: tuple[int, ...], den: int
+) -> tuple[tuple[int, ...], int, Callable[[tuple[int, ...], int], tuple[int, ...]]]:
+    """``_quadratic_table``s that share quad and rows' coordinates,
+    compiled for points x = sum c_i*sqrt(radicals_i) / den.
+
+    Returns the sorted value radicals ``vrad`` (1 first), vden = T*den**2
+    with T the lcm of the table denominators, and ``value(c, p)``: table
+    p's v(x) as int coordinates on vrad over vden, never reduced.  The
+    quad term is kept as (i, j, slot, multiplier) for i <= j, each row is
+    scaled by den and each offset by den**2.  A coordinate on a radical
+    without a row must be 0.  A product index past MAX_RADICAL_INDEX
+    raises OutOfSpanError only if it survives in a value, with the message
+    of ``_quadratic_value``."""
+    t = math.lcm(*[table[0] for table in tables])
+    qn = tables[0][1] * (t // tables[0][0])
+    span = [i for i, m in enumerate(radicals) if m in tables[0][2]]
+    quad = []
+    if qn:
+        for a, i in enumerate(span):
+            for j in span[a:]:
+                product: dict[int, int] = {}
+                _add_products(product, ((radicals[i], 1),), ((radicals[j], 1),), qn)
+                ((key, mult),) = product.items()
+                quad.append((i, j, key, mult if i == j else 2 * mult))
+    keys = {1} | {key for *_, key, _ in quad}
+    for _, _, rows, offset in tables:
+        keys.update(k for i in span for k, _ in rows[radicals[i]])
+        keys.update(k for k, _ in offset)
+    vrad = tuple(sorted(keys))
+    slot = {m: s for s, m in enumerate(vrad)}
+    quad = [(i, j, slot[key], mult) for i, j, key, mult in quad]
+    pieces = []
+    for tden, _, rows, offset in tables:
+        s = t // tden * den
+        start = [0] * len(vrad)
+        for k, n in offset:
+            start[slot[k]] = n * s * den
+        scaled = [(i, [(slot[k], n * s) for k, n in rows[radicals[i]]]) for i in span]
+        pieces.append((start, [(i, row) for i, row in scaled if row]))
+    big = [s for s in range(len(vrad) - 1, -1, -1) if vrad[s] > MAX_RADICAL_INDEX]
+
+    def value(c: tuple[int, ...], p: int) -> tuple[int, ...]:
+        start, rows = pieces[p]
+        acc = start.copy()
+        for i, j, s, mult in quad:
+            acc[s] += mult * c[i] * c[j]
+        for i, row in rows:
+            ci = c[i]
+            if ci:
+                for s, n in row:
+                    acc[s] += ci * n
+        for s in big:
+            if acc[s]:
+                raise OutOfSpanError(
+                    f"value at {_from_lattice(radicals, c, den)} has radical index "
+                    f"{vrad[s]} above {MAX_RADICAL_INDEX}"
+                )
+        return tuple(acc)
+
+    return vrad, t * den * den, value
 
 
 def _int_bounds(nums: _Nums, en: int, ed: int) -> tuple[int, int, int, int]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +24,7 @@ from typing import Mapping, Union
 from .domain import Interval, rational_anchors
 from .errors import OutOfDomainError, OutOfSpanError, ParseError, _expect_type
 from .exactreal import ExactReal, Ordering, check_radical_index, compare, parse_rational
+from .exactreal import _coordinates, _from_lattice, _lattice_quadratic, _lattice_sign
 from .exactreal import _quadratic_table, _quadratic_value
 
 _SQUAREFREE_POOL = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15)
@@ -151,14 +153,25 @@ class _FunctionBase:
     basis: tuple[int, ...]
 
     def evaluate(self, x: ExactReal) -> ExactReal:
+        self._check(x)
+        return self._value(x)
+
+    def _check(self, x: ExactReal) -> None:
+        """Raise unless x lies in the interval and in the basis's span."""
         if not self.interval.contains(x):
             raise OutOfDomainError(f"{x} is outside {self.interval.literal()}")
         for m in x.radicals():
             if m not in self.basis:
                 raise OutOfSpanError(f"{x} uses radical {m} outside basis {self.basis}")
-        return self._value(x)
 
     def _value(self, x: ExactReal) -> ExactReal:
+        raise NotImplementedError
+
+    def _on_lattice(self, radicals: tuple[int, ...], den: int) -> tuple:
+        """``(vrad, vden, value)`` for points x = sum c_i*sqrt(radicals_i) / den:
+        ``value(c)`` is f(x) as int coordinates on the value radicals
+        ``vrad`` (1 first) over ``vden``, never reduced.  It checks neither
+        domain nor span: each c must be a point that ``_check`` accepts."""
         raise NotImplementedError
 
     def _validate_basis(self, used: set[int]) -> None:
@@ -185,6 +198,9 @@ class Decomposable(_FunctionBase):
     for m in 1 and the basis, and c_i, over one denominator; ``_value``
     finds the piece with ``ConvexSpec._piece`` and sums the table in one
     pass.  It equals ``convex.value(x) + additive.value(x)``.
+    ``_on_lattice`` compiles the same tables once for a sweep's lattice
+    (``exactreal._lattice_quadratic``), so a point's value is a tuple of
+    ints over one denominator; the piece is still found by ``_piece``.
     """
 
     interval: Interval
@@ -201,6 +217,13 @@ class Decomposable(_FunctionBase):
     def _value(self, x: ExactReal) -> ExactReal:
         return _quadratic_value(x, self._tables[self.convex._piece(x)])
 
+    def _on_lattice(self, radicals: tuple[int, ...], den: int) -> tuple:
+        vrad, vden, value = _lattice_quadratic(self._tables, radicals, den)
+        if len(self._tables) == 1:
+            return vrad, vden, lambda c: value(c, 0)
+        piece = self.convex._piece
+        return vrad, vden, lambda c: value(c, piece(_from_lattice(radicals, c, den)))
+
     def validate(self) -> None:
         self.convex.validate()
         self.additive.validate()
@@ -215,6 +238,17 @@ class AbsAdditive(_FunctionBase):
 
     def _value(self, x: ExactReal) -> ExactReal:
         return abs(self.additive.value(x))
+
+    def _on_lattice(self, radicals: tuple[int, ...], den: int) -> tuple:
+        images = tuple((m, self.additive.coefficient(m)) for m in (1, *self.basis))
+        table = _quadratic_table(Fraction(0), ExactReal(), images, ExactReal())
+        vrad, vden, value = _lattice_quadratic((table,), radicals, den)
+
+        def absolute(c: tuple[int, ...]) -> tuple[int, ...]:
+            v = value(c, 0)
+            return tuple([-n for n in v]) if _lattice_sign(vrad, v, vden) is Ordering.LESS else v
+
+        return vrad, vden, absolute
 
     def validate(self) -> None:
         self.additive.validate()
@@ -235,13 +269,36 @@ class Spiked(_FunctionBase):
             v = v + self.lift
         return v
 
+    def _on_lattice(self, radicals: tuple[int, ...], den: int) -> tuple:
+        self._check_base()
+        vrad, vden, value = self.base._on_lattice(radicals, den)
+        # Scale the base's values when vden does not carry lift's denominator.
+        k = self.lift.denominator // math.gcd(self.lift.denominator, vden)
+        vden *= k
+        lift = self.lift.numerator * (vden // self.lift.denominator)
+        at = _coordinates(self.at, radicals, den)  # None off the lattice
+
+        def spiked(c: tuple[int, ...]) -> tuple[int, ...]:
+            v = value(c)
+            if k != 1:
+                v = tuple([k * n for n in v])
+            return (v[0] + lift, *v[1:]) if c == at else v
+
+        return vrad, vden, spiked
+
+    def _check_base(self) -> None:
+        # A base on another interval or basis would raise inside this one's.
+        if self.base.interval != self.interval or self.base.basis != self.basis:
+            raise ValueError("a spiked instance's base must share its interval and basis")
+
     def validate(self) -> None:
         if self.lift <= 0:
             raise ValueError(f"spike lift must be > 0, got {self.lift}")
+        self._check_base()
         self.base.validate()
         if not self.interval.contains(self.at):
             raise ValueError("spike point must lie in the interval")
-        self._validate_basis(set(self.at.radicals()) | set(self.base.basis))
+        self._validate_basis(set(self.at.radicals()))
 
 
 FunctionDef = Union[Decomposable, AbsAdditive, Spiked]
@@ -398,8 +455,7 @@ def dumps_instance(f: FunctionDef) -> str:
     basis, so a ``Spiked`` f's base must share them, and must not itself
     be spiked."""
     if isinstance(f, Spiked):
-        if f.base.interval != f.interval or f.base.basis != f.basis:
-            raise ValueError("a spiked instance's base must share its interval and basis")
+        f._check_base()
         doc = _parts_to_jsonable(f.base)
         doc["variant"] = "spiked"
         doc["spike"] = {"at": f.at.literal(), "lift": str(f.lift)}

@@ -31,6 +31,7 @@ from wrightdecomp.errors import (
     OutOfDomainError,
     WrightDecompError,
 )
+from wrightdecomp.exactreal import _from_lattice
 
 R = ExactReal.from_rational
 SQRT = ExactReal.sqrt
@@ -228,24 +229,51 @@ def test_wright_check_counts_mirrored_triples(steps, checked, witness):
 def _matches_reference(g, grid, steps, cap):
     """``wright_check``'s outcome, after checking that it equals the
     reference sweep's and that it evaluated g once per distinct point, at
-    the points the reference evaluated."""
-    seen = {}
-    for check in (wright_sweep_reference, wright_check):
-        points = seen[check] = []
+    the points the reference evaluated.  The reference evaluates through
+    ``evaluate``; ``wright_check`` through the value function of
+    ``_on_lattice``, plus ``_check`` at a point it refuses, and never
+    through ``evaluate``."""
+    seen = {wright_sweep_reference: [], wright_check: []}
+    points = seen[wright_check]
 
-        def evaluate(x, points=points):
-            points.append(x)
-            return type(g).evaluate(g, x)
+    def evaluate(x):
+        seen[wright_sweep_reference].append(x)
+        return type(g).evaluate(g, x)
 
-        object.__setattr__(g, "evaluate", evaluate)
+    def on_lattice(radicals, den):
+        vrad, vden, value = type(g)._on_lattice(g, radicals, den)
+
+        def recorded(c):
+            points.append(_from_lattice(radicals, c, den))
+            return value(c)
+
+        return vrad, vden, recorded
+
+    def check(x):
         try:
-            outcome = _sweep_outcome(check, g, grid, steps, cap)
+            type(g)._check(g, x)
+        except WrightDecompError:
+            points.append(x)
+            raise
+
+    def no_evaluate(x):
+        raise AssertionError(f"wright_check evaluated {x} through evaluate")
+
+    patches = {
+        wright_sweep_reference: {"evaluate": evaluate},
+        wright_check: {"evaluate": no_evaluate, "_on_lattice": on_lattice, "_check": check},
+    }
+    for sweep, attrs in patches.items():
+        for name, patch in attrs.items():
+            object.__setattr__(g, name, patch)
+        try:
+            outcome = _sweep_outcome(sweep, g, grid, steps, cap)
         finally:
-            object.__delattr__(g, "evaluate")
-        if check is wright_sweep_reference:
+            for name in attrs:
+                object.__delattr__(g, name)
+        if sweep is wright_sweep_reference:
             expected = outcome
     assert outcome == expected, (g, cap)
-    points = seen[wright_check]
     assert len(points) == len(set(points)), (g, cap)
     assert set(points) == set(seen[wright_sweep_reference]), (g, cap)
     return outcome
@@ -302,6 +330,21 @@ def test_wright_check_row_end_with_irrational_hi_and_explicit_steps():
             _matches_reference(g, rational, steps, cap)
             errors += isinstance(_matches_reference(g, grid, outside, cap), tuple)
     assert errors == 9
+
+
+def test_wright_check_checks_each_grid_point():
+    # wright_check checks the domain once per row, at the grid point; on
+    # a grid of a wider interval both sweeps stop at the same point
+    # outside f's interval, after rows inside it or at the first row.
+    # The spike at 1/3 is off the grid's lattice.
+    f = square(interval=Interval.open(0, 1))
+    gs = (f, Spiked(f.interval, f.basis, f, R(Fraction(1, 3)), Fraction(1, 8)))
+    for wider in (Interval.open(0, 2), Interval.open(-1, 1)):
+        grid = make_grid(wider, 6, 2, (2,), seed=1)
+        for g in gs:
+            for cap in (None, 3):
+                error, message = _matches_reference(g, grid, (), cap)
+                assert error is OutOfDomainError, message
 
 
 def test_certificate_json_round_trip_and_self_verify():

@@ -16,7 +16,7 @@ from wrightdecomp import (
     parse_rational,
 )
 from wrightdecomp.errors import OutOfSpanError, ParseError
-from wrightdecomp.exactreal import _difference_sign, _SqrtBrackets
+from wrightdecomp.exactreal import _lattice, _lattice_sign, _SqrtBrackets
 
 from oracles import is_squarefree, numeric_sign, radical_bounds
 
@@ -349,7 +349,15 @@ def test_compare_decides_two_radical_near_tie_quickly():
     assert got == [(sign, -sign, sign) for sign in signs]
 
 
-# -- the fused sign of a - b - c ---------------------------------------------
+# -- the sign of a - b - c on a lattice ----------------------------------------
+
+
+def _difference_sign(a, b, c):
+    """The sign of a - b - c as ``wright_check`` decides a triple: a, b
+    and c as int coordinates on one lattice, and ``_lattice_sign`` over
+    their coordinate difference."""
+    radicals, den, (ca, cb, cc) = _lattice((a, b, c))
+    return _lattice_sign(radicals, map(operator.sub, map(operator.sub, ca, cb), cc), den)
 
 
 @given(exact_reals, exact_reals, exact_reals, st.booleans())

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from wrightdecomp import (
     AbsAdditive,
+    build_steps,
     AdditiveMap,
     ConvexSpec,
     Decomposable,
@@ -23,7 +24,7 @@ from wrightdecomp import (
 )
 from wrightdecomp import funcspec
 from wrightdecomp.errors import OutOfDomainError, OutOfSpanError, ParseError
-from wrightdecomp.exactreal import MAX_RADICAL_INDEX
+from wrightdecomp.exactreal import MAX_RADICAL_INDEX, _coordinates, _from_lattice, _lattice
 
 R = ExactReal.from_rational
 SQRT = ExactReal.sqrt
@@ -294,6 +295,89 @@ def test_evaluate_leaves_the_span_only_where_the_reference_does():
     assert g.evaluate(x) == g.convex.value(x) + g.additive.value(x)
 
 
+def _outcome(fn, x):
+    try:
+        return fn(x)
+    except OutOfSpanError as exc:
+        return str(exc)
+
+
+def _lattice_agrees(f, xs, steps):
+    """For every point x, x+u and x+u+v, with x from xs and u, v from
+    steps, that ``_check`` accepts: f's lattice evaluator over the lattice
+    of xs and steps gives ``evaluate``'s value, or its OutOfSpanError
+    message.  Returns the points compared."""
+    radicals, den, _ = _lattice(tuple(xs) + tuple(steps))
+    vrad, vden, value = f._on_lattice(radicals, den)
+    shifted = {x + u for x in xs for u in steps}
+    compared = []
+    for x in {*xs, *shifted, *(y + v for y in shifted for v in steps)}:
+        try:
+            f._check(x)
+        except (OutOfDomainError, OutOfSpanError):
+            continue
+        on_lattice = lambda x: _from_lattice(vrad, value(_coordinates(x, radicals, den)), vden)
+        assert _outcome(on_lattice, x) == _outcome(f.evaluate, x), (f, x)
+        compared.append(x)
+    return compared
+
+
+def test_lattice_evaluators_match_evaluate():
+    # Each family's lattice evaluator against evaluate, on generated
+    # instances at grid points, grid steps, conjugate steps r +- s*sqrt(m)
+    # and a step on a radical outside the basis (every point using it is
+    # out of span, so the lattice carries a radical without a row).
+    counts = {}
+    for seed in range(24):
+        for kind in ("decomposable", "abs_additive", "spiked"):
+            f = generate(seed, kind=kind, basis_size=1 + seed % 4, max_hinges=8 * (seed % 2))
+            grid = make_grid(f.interval, 5, 2, f.basis, seed)
+            m = f.basis[seed % len(f.basis)]
+            outside = next(k for k in (2, 3, 5, 7, 11) if k not in f.basis)
+            conjugate = (1 - SQRT(m) / 4, 1 + SQRT(m) / 4, SQRT(outside) / 8)
+            xs = grid.points() + ((f.at,) if kind == "spiked" else ())
+            steps = build_steps(grid, conjugate, max_grid_steps=4)
+            compared = _lattice_agrees(f, xs, steps)
+            counts[kind] = counts.get(kind, 0) + len(compared)
+            if kind == "spiked":
+                assert f.at in compared
+    assert min(counts.values()) > 1000, counts
+
+    # |A| at zeros of A and across its sign changes: A(x) = x itself, and
+    # A(a + b*sqrt2 + c*sqrt3) = b - c*sqrt2, which needs three radicals.
+    for images in ({1: 1, 2: SQRT(2)}, {2: 1, 3: -SQRT(2)}, {2: SQRT(3), 3: -SQRT(2)}):
+        g = AbsAdditive(I_10, (2, 3), AdditiveMap.from_mapping(images))
+        g.validate()
+        xs = (R(0), R(Fraction(1, 3)), SQRT(2) / 4, -SQRT(2) / 4, SQRT(3) / 4 - SQRT(2) / 4)
+        steps = (R(Fraction(1, 3)), SQRT(2) / 4, SQRT(3) / 4, 1 - SQRT(3) / 4)
+        compared = _lattice_agrees(g, xs, steps)
+        values = [g.additive.value(x) for x in compared]
+        assert any(v.is_zero for v in values)
+        assert {compare(v, 0) for v in values} == set(Ordering)
+
+    # A spike on the lattice, with a lift whose denominator the lattice's
+    # lacks, and spikes off it: a denominator or a radical it does not carry.
+    base = Decomposable(
+        I_10, (2, 3), ConvexSpec(Fraction(1, 3), SQRT(2)), AdditiveMap.from_mapping({3: 2})
+    )
+    xs, steps = (R(0), R(Fraction(1, 2)), SQRT(2) / 2), (R(Fraction(1, 4)), R(1))
+    spikes = ((R(Fraction(3, 4)), True), (R(Fraction(1, 7)), False), (SQRT(3) / 4, False))
+    for at, on_lattice in spikes:
+        g = Spiked(I_10, (2, 3), base, at, Fraction(5, 7**3))
+        g.validate()
+        radicals, den, _ = _lattice(xs + steps)
+        assert (_coordinates(at, radicals, den) is not None) == on_lattice
+        assert (at in _lattice_agrees(g, xs, steps)) == on_lattice
+
+    # A product index past MAX_RADICAL_INDEX raises where evaluate does,
+    # with its message.
+    p, q = 4294967291, 4294967279
+    f = Decomposable(I_10, (q, p), ConvexSpec(quad=Fraction(1), slope=R(1) + SQRT(p) / 10**6))
+    xs = (R(Fraction(1, 3)), SQRT(p) / 10**6, R(1) + SQRT(q) / 10**6)
+    compared = _lattice_agrees(f, xs, (R(Fraction(1, 7)),))
+    assert sum(isinstance(_outcome(f.evaluate, x), str) for x in compared) > 1
+
+
 # -- instance files ---------------------------------------------------------------
 
 
@@ -326,19 +410,25 @@ def test_instance_json_spiked_base_shapes():
 
     # A document stores one interval and one basis, so a base on others
     # would read back as a different function: f(5) is out of the base's
-    # domain, but the base rebuilt on (-10, 10) would give 25.
+    # domain, but the base rebuilt on (-10, 10) would give 25.  Such a
+    # base fails validation, and a sweep refuses it before evaluating.
     narrow = Decomposable(
         Interval.open(-1, 1), (2,), ConvexSpec(Fraction(1)), AdditiveMap.from_mapping({2: 3})
     )
     mismatched = Spiked(I_10, (2, 3), narrow, R(0), Fraction(1))
-    mismatched.validate()
+    with pytest.raises(ValueError, match="interval and basis"):
+        mismatched.validate()
     with pytest.raises(OutOfDomainError):
         mismatched.evaluate(R(5))
     with pytest.raises(ValueError, match="interval and basis"):
         dumps_instance(mismatched)
-    wide = replace(narrow, interval=I_10)
     with pytest.raises(ValueError, match="interval and basis"):
-        dumps_instance(Spiked(I_10, (2, 3), wide, R(0), Fraction(1)))
+        mismatched._on_lattice((1,), 1)
+    wide = replace(narrow, interval=I_10)
+    for spiked in (Spiked(I_10, (2, 3), wide, R(0), Fraction(1)), replace(mismatched, basis=(2,))):
+        for refuse in (spiked.validate, lambda: dumps_instance(spiked)):
+            with pytest.raises(ValueError, match="interval and basis"):
+                refuse()
     assert loads_instance(dumps_instance(Spiked(I_10, (2,), wide, R(0), Fraction(1)))).base == wide
 
 
