@@ -1,17 +1,21 @@
 """Recovery of the additive part and verification of the decomposition.
 
-Pipeline for a midpoint-convex instance f on an open interval: build the
-certified extension g of f restricted to the rationals, probe the
-residual f - g, and recover the additive coefficient on each basis
-radical from a single span point r + q*sqrt(m).  The recovered additive
-part vanishes on Q by construction: g returns f itself at every
-rational, so the residual there is exactly zero and nothing about it is
-computed or reported.
+A run has two phases.  The recovery phase (``_recover``) takes a
+midpoint-convex instance f on an open interval, builds the certified
+extension g of f restricted to the rationals, probes the residual f - g,
+and recovers the additive coefficient on each basis radical from a
+single span point r + q*sqrt(m).  The recovered additive part vanishes
+on Q by construction: g returns f itself at every rational, so the
+residual there is exactly zero and nothing about it is computed or
+reported.
 
-For a Wright convex f the residual is additive (Ng's theorem), so the
-recovered coefficients predict it at every span point: at
-x = r + sum q_m*sqrt(m) it is sum q_m * a_m.  The run checks that
-prediction at the grid's irrational points.
+The evidence phase checks what the recovery assumes.  For a Wright
+convex f the residual is additive (Ng's theorem), so the recovered
+coefficients predict it at every span point: at x = r + sum q_m*sqrt(m)
+it is sum q_m * a_m.  The run checks that prediction at the grid's
+irrational points, and that the step-v differences of f transfer to the
+extension.  Checking a stored recovery against ground truth needs only
+the first phase.
 
 The residual is never materialized as a function; its additive part is
 in general everywhere-discontinuous, so pointwise enclosures are the
@@ -153,10 +157,14 @@ def decompose(f: FunctionDef, eps: Fraction, grid: SampleGrid) -> DecompositionR
     return _decompose(ExtensionHandle(f), eps, grid)
 
 
-def _decompose(handle: ExtensionHandle, eps: Fraction, grid: SampleGrid) -> DecompositionResult:
-    """``decompose`` with every evaluation of the run through ``handle``."""
+def _recover(
+    handle: ExtensionHandle, eps: Fraction, grid: SampleGrid
+) -> tuple[dict[int, Enclosure], dict[int, tuple[Fraction, Fraction]]]:
+    """The recovery phase of ``decompose``: the eps and grid checks, the
+    Jensen gate, and each radical's coefficient enclosure with its
+    recovery point (r, q).  Everything ``additive_hat`` depends on is
+    here, so a run that compares only the coefficients stops after it."""
     f = handle.source
-    eps = Fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     _check_eps_floor(eps)
@@ -167,15 +175,22 @@ def _decompose(handle: ExtensionHandle, eps: Fraction, grid: SampleGrid) -> Deco
     if not gate.passed:
         raise NotJensenConvexError(gate.certificate)
 
-    residual = handle.residual
-
     additive_hat: dict[int, Enclosure] = {}
     recovery_points: dict[int, tuple[Fraction, Fraction]] = {}
     for m in f.basis:
         r, q = _recovery_point(f.interval, m)
         probe = ExactReal.from_rational(r) + ExactReal.sqrt(m) * q
-        additive_hat[m] = residual(probe, eps * q).scale(1 / q)
+        additive_hat[m] = handle.residual(probe, eps * q).scale(1 / q)
         recovery_points[m] = (r, q)
+    return additive_hat, recovery_points
+
+
+def _decompose(handle: ExtensionHandle, eps: Fraction, grid: SampleGrid) -> DecompositionResult:
+    """``decompose`` with every evaluation of the run through ``handle``:
+    the recovery phase, then the evidence phase (transfer checks and the
+    prediction at the grid's irrational points)."""
+    eps = Fraction(eps)
+    additive_hat, recovery_points = _recover(handle, eps, grid)
 
     transfer_reports: list[TransferReport] = []
     steps = sorted(
@@ -183,7 +198,7 @@ def _decompose(handle: ExtensionHandle, eps: Fraction, grid: SampleGrid) -> Deco
     )
     for v in steps[:2]:
         try:
-            sub_interval = shifted_intersection(f.interval, v)
+            sub_interval = shifted_intersection(handle.interval, v)
         except EmptyDomainError:
             continue
         sub = grid.restricted_to(sub_interval)
@@ -192,7 +207,7 @@ def _decompose(handle: ExtensionHandle, eps: Fraction, grid: SampleGrid) -> Deco
         transfer_reports.append(difference_transfer_check(handle, v, sub, eps))
 
     # The transfer check has built the chains of most of these points.
-    gaps = [residual(x, eps) - _additive_at(additive_hat, x) for x in grid.irrationals]
+    gaps = [handle.residual(x, eps) - _additive_at(additive_hat, x) for x in grid.irrationals]
     prediction = PredictionReport(
         probes_checked=len(gaps),
         worst_gap=_worst_magnitude(gaps, eps)[1],
@@ -233,27 +248,38 @@ def verify_against_truth(result: DecompositionResult, instance: FunctionDef) -> 
     the convex part, so the expected coefficient on sqrt(m) is
     c_m - c1 * sqrt(m) and the expected extension is g_true(x) + c1 * x.
     """
+    return _verify(
+        result.additive_hat, result.eps, result.grid_seed, instance, ExtensionHandle(instance)
+    )
+
+
+def _verify(
+    additive_hat: dict[int, Enclosure],
+    eps: Fraction,
+    seed: int,
+    instance: FunctionDef,
+    handle: ExtensionHandle,
+) -> VerificationReport:
+    """``verify_against_truth`` of the coefficients recovered at ``eps`` on
+    the grid of ``seed``, probing the extension through ``handle``."""
     if not isinstance(instance, Decomposable):
         raise ValueError("ground-truth verification needs a Decomposable instance")
     failures: list[str] = []
     c1 = instance.additive.rational_slope
 
-    for m, enc in sorted(result.additive_hat.items()):
+    for m, enc in sorted(additive_hat.items()):
         truth = instance.additive.coefficient(m) - c1 * ExactReal.sqrt(m)
         if not enc.contains(truth):
             failures.append(
                 f"additive[{m}]: enclosure [{enc.lo}, {enc.hi}] misses true value {truth}"
             )
-        if compare(enc.width, result.eps) is Ordering.GREATER:
-            failures.append(f"additive[{m}]: width {enc.width} exceeds eps {result.eps}")
+        if compare(enc.width, eps) is Ordering.GREATER:
+            failures.append(f"additive[{m}]: width {enc.width} exceeds eps {eps}")
 
-    probe_grid = make_grid(
-        instance.interval, 3, 4, instance.basis, seed=result.grid_seed + 1
-    )
-    handle = ExtensionHandle(instance)
+    probe_grid = make_grid(instance.interval, 3, 4, instance.basis, seed=seed + 1)
     probes = 0
     for x in probe_grid.points():
-        enc = handle.extend_eval(x, result.eps)
+        enc = handle.extend_eval(x, eps)
         truth_ext = instance.convex.value(x) + c1 * x
         probes += 1
         if not enc.contains(truth_ext):
@@ -262,7 +288,7 @@ def verify_against_truth(result: DecompositionResult, instance: FunctionDef) -> 
     return VerificationReport(
         passed=not failures,
         failures=tuple(failures),
-        radicals_checked=len(result.additive_hat),
+        radicals_checked=len(additive_hat),
         probes_checked=probes,
     )
 

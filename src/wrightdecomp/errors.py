@@ -15,9 +15,12 @@ def _expect_type(value, kind, what: str):
     """``value`` if it is a ``kind``, else ParseError.
 
     Documents are untyped JSON, so a value of the wrong type is malformed
-    input rather than a program fault.
+    input rather than a program fault.  A JSON ``true`` or ``false`` is a
+    Python ``bool``, which is an ``int``; it is refused unless ``kind``
+    names ``bool`` itself.
     """
-    if not isinstance(value, kind):
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
         raise ParseError(f"{what} has the wrong JSON type {type(value).__name__}")
     return value
 

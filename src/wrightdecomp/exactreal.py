@@ -73,16 +73,17 @@ class _SqrtBrackets:
     ``(hi + m/hi)/2`` and ``lo`` to ``m/hi``, so both endpoints stay
     rational and straddle sqrt(m); each element is kept with its width as
     a reduced (numerator, denominator) pair of ints.
-    ``bracket(m, en, ed)`` returns the first chain element of width <= eps,
-    where eps = en/ed with positive ints en and ed, found by comparing
-    ``wn * ed <= en * wd`` in ints; the result depends only on ``(m, eps)``
-    regardless of request order, which keeps every consumer deterministic.
+    ``bracket(m, en, ed)`` returns the first chain element
+    ``(lo, hi, wn, wd)`` of width wn/wd <= eps, where eps = en/ed with
+    positive ints en and ed, found by comparing ``wn * ed <= en * wd`` in
+    ints; the result depends only on ``(m, eps)`` regardless of request
+    order, which keeps every consumer deterministic.
     """
 
     def __init__(self) -> None:
         self._chains: dict[int, list[tuple[Fraction, Fraction, int, int]]] = {}
 
-    def bracket(self, m: int, en: int, ed: int) -> tuple[Fraction, Fraction]:
+    def bracket(self, m: int, en: int, ed: int) -> tuple[Fraction, Fraction, int, int]:
         chain = self._chains.get(m)
         if chain is None:
             s = math.isqrt(m)
@@ -90,7 +91,7 @@ class _SqrtBrackets:
             self._chains[m] = chain
         for lo, hi, wn, wd in chain:
             if wn * ed <= en * wd:
-                return lo, hi
+                return lo, hi, wn, wd
         lo, hi, wn, wd = chain[-1]
         while wn * ed > en * wd:
             hi = (hi + Fraction(m) / hi) / 2
@@ -98,7 +99,7 @@ class _SqrtBrackets:
             width = hi - lo
             wn, wd = width.numerator, width.denominator
             chain.append((lo, hi, wn, wd))
-        return lo, hi
+        return lo, hi, wn, wd
 
 
 _BRACKETS = _SqrtBrackets()
@@ -590,7 +591,7 @@ def _int_bounds(nums: _Nums, en: int, ed: int) -> tuple[int, int, int, int]:
     for m, n in nums:
         if m == 1:
             continue
-        blo, bhi = _BRACKETS.bracket(m, en, ed * abs(n))
+        blo, bhi, _, _ = _BRACKETS.bracket(m, en, ed * abs(n))
         if n < 0:
             blo, bhi = bhi, blo
         lo_n = lo_n * blo.denominator + n * blo.numerator * lo_d
@@ -598,6 +599,27 @@ def _int_bounds(nums: _Nums, en: int, ed: int) -> tuple[int, int, int, int]:
         hi_n = hi_n * bhi.denominator + n * bhi.numerator * hi_d
         hi_d *= bhi.denominator
     return lo_n, lo_d, hi_n, hi_d
+
+
+def _narrower_bounds(x: "ExactReal", delta: Fraction) -> tuple[Fraction, tuple[Fraction, Fraction]]:
+    """The largest delta / 2**j, j >= 1, at which ``x.bounds`` differs from
+    ``x.bounds(delta)``, and the bounds there; x must be irrational.
+
+    ``x.bounds(delta)`` gives each of its k radical terms n*sqrt(m) the
+    first Heron element of width wn/wd <= delta*den / (k*|n|).  That element
+    is kept through j halvings of delta while 2**j <= Q, the floor of
+    delta*den*wd / (wn*k*|n|), so it first changes at j = Q.bit_length().
+    A narrower element strictly raises its term's lower end (through hi for
+    a negative n), so the bounds change exactly when some element does.
+    """
+    en, ed = delta.numerator * x._den, delta.denominator * len(x.radicals())
+    halvings = []
+    for m, n in x._nums:
+        if m != 1:
+            _, _, wn, wd = _BRACKETS.bracket(m, en, ed * abs(n))
+            halvings.append((en * wd // (wn * ed * abs(n))).bit_length())
+    delta = delta / (1 << min(halvings))
+    return delta, x.bounds(delta)
 
 
 def _two_term_sign(b: int, m: int, c: int, k: int) -> int:

@@ -32,7 +32,7 @@ from typing import Iterable
 from .analysis import ViolationCertificate, _sweep, lipschitz_bound
 from .domain import SampleGrid, shifted_intersection
 from .errors import BracketUnavailableError, NonPositiveStepError, OutOfDomainError
-from .exactreal import Enclosure, ExactReal, Ordering, compare
+from .exactreal import Enclosure, ExactReal, Ordering, _narrower_bounds, compare
 from .funcspec import FunctionDef
 
 _MAX_SHRINK = 500  # halvings tried before no window and bracket fit
@@ -52,8 +52,7 @@ class BracketPolicy:
 @dataclass
 class _Chain:
     lipschitz_bar: Fraction  # rational upper bound of the window modulus
-    delta: Fraction  # enclosure width of x at the latest round
-    bounds: tuple[Fraction, Fraction]  # rational enclosure of x at the latest round
+    delta: Fraction  # enclosure width of x asked at the latest round
     enclosures: list[Enclosure] = field(default_factory=list)  # running intersections
 
 
@@ -127,7 +126,7 @@ class ExtensionHandle:
                 f"could not fit a rational window around {x} inside {self.interval.literal()}"
             )
         bracket = (a - w, a, b, b + w)
-        chain = _Chain(lipschitz_bound(self, a, b, bracket, self.policy.slope_eps), d, (a, b))
+        chain = _Chain(lipschitz_bound(self, a, b, bracket, self.policy.slope_eps), d)
         self._seed_round(chain, a, b)
         return chain
 
@@ -142,14 +141,12 @@ class ExtensionHandle:
         chain.enclosures.append(enc)
 
     def _refine(self, x: ExactReal, chain: _Chain) -> Enclosure:
-        # A Heron bracket overshoots the width asked of it, so halving delta
-        # often gives the last bounds again, and a round on them would
-        # repeat the last enclosure.
-        last = chain.bounds
-        while chain.bounds == last:
-            chain.delta /= 2
-            chain.bounds = x.bounds(chain.delta)
-        self._seed_round(chain, *chain.bounds)
+        # One round per bracket: a Heron bracket overshoots the width asked
+        # of it, so the next halving of delta often gives the last bounds
+        # again, and a round on them would repeat the last enclosure.  The
+        # round goes straight to the first halving whose bounds are new.
+        chain.delta, bounds = _narrower_bounds(x, chain.delta)
+        self._seed_round(chain, *bounds)
         return chain.enclosures[-1]
 
 

@@ -259,6 +259,10 @@ def test_decompose_evaluates_each_point_once(tmp_path, monkeypatch):
     monkeypatch.setattr(_FunctionBase, "evaluate", counting)
     assert run_cli("decompose", str(inst), "--out", str(tmp_path / "result.json")) == 0
     assert len(points) == len(set(points)) == 170
+    # verify's recovery and its truth check share one handle too
+    points.clear()
+    assert run_cli("verify", str(tmp_path / "result.json"), "--truth", str(inst)) == 0
+    assert len(points) == len(set(points)) == 79
 
 
 def test_check_jensen(abs_instance, tmp_path):
@@ -331,6 +335,42 @@ def test_decompose_verify_round_trip(tmp_path):
     assert run_cli("verify", str(result), "--truth", str(inst)) == 0
 
 
+def test_verify_runs_only_the_recovery_phase(tmp_path, monkeypatch):
+    # verify compares the stored coefficients, so it never needs the
+    # transfer checks or the prediction that decompose reports
+    from wrightdecomp import decomposition
+
+    inst = tmp_path / "inst.json"
+    result = tmp_path / "result.json"
+    assert run_cli("gen", "--seed", "21", "--nonzero-c1", "--out", str(inst)) == 0
+    assert run_cli("decompose", str(inst), "--out", str(result)) == 0
+
+    def evidence_phase(*args, **kwargs):
+        raise AssertionError("verify ran the evidence phase")
+
+    monkeypatch.setattr(decomposition, "difference_transfer_check", evidence_phase)
+    monkeypatch.setattr(decomposition, "_additive_at", evidence_phase)
+    assert run_cli("verify", str(result), "--truth", str(inst)) == 0
+
+
+@pytest.mark.parametrize(
+    "variant, message",
+    [
+        ("abs-additive", "ground-truth verification needs a Decomposable instance"),
+        ("spiked", "source is not Jensen convex on the sampled rationals"),
+    ],
+)
+def test_verify_error_order(tmp_path, capsys, variant, message):
+    # the Jensen gate runs before the truth check
+    inst, truth, result = tmp_path / "inst.json", tmp_path / "truth.json", tmp_path / "r.json"
+    assert run_cli("gen", "--seed", "2", "--out", str(inst)) == 0
+    assert run_cli("gen", "--seed", "2", "--variant", variant, "--out", str(truth)) == 0
+    assert run_cli("decompose", str(inst), "--out", str(result)) == 0
+    capsys.readouterr()
+    assert run_cli("verify", str(result), "--truth", str(truth), "--out", str(tmp_path / "v")) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_report_emits_csv(tmp_path):
     inst = tmp_path / "inst.json"
     csv_path = tmp_path / "plot.csv"
@@ -386,13 +426,14 @@ def test_usage_error_exits_1():
         ("eval", dict(SQUARE, convex=[])),
         ("eval", [1, 2]),
         ("eval", dict(SQUARE, basis=2)),
+        ("eval", dict(SQUARE, basis=[2, True])),
         ("eval", dict(SQUARE, interval=5)),
         ("eval", dict(SQUARE, convex=dict(SQUARE["convex"], quad=1))),
         ("verify-certificate", {"report": {"certificate": "x"}}),
         ("verify", {"eps": "1/100", "seed": 0, "config": [8, 4], "additive": {}}),
     ],
-    ids=["convex-list", "top-level-list", "basis-int", "interval-int", "quad-int",
-         "certificate-str", "verify-config-list"],
+    ids=["convex-list", "top-level-list", "basis-int", "basis-entry-bool", "interval-int",
+         "quad-int", "certificate-str", "verify-config-list"],
 )
 def test_malformed_document_exits_1(tmp_path, capsys, command, doc):
     inst = tmp_path / "inst.json"
@@ -406,6 +447,23 @@ def test_malformed_document_exits_1(tmp_path, capsys, command, doc):
     }[command]
     assert run_cli(*argv) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("key", ["seed", "grid_n", "irrational_n"])
+def test_verify_refuses_json_booleans(tmp_path, capsys, key):
+    # bool is an int subclass: unchecked, a JSON true would read as 1
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(SQUARE))
+    doc = {"eps": "1/100", "seed": 0, "config": {"grid_n": 8, "irrational_n": 4}, "additive": {}}
+    if key == "seed":
+        doc["seed"] = True
+    else:
+        doc["config"][key] = True
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli("verify", str(bad), "--truth", str(inst)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{key} has the wrong JSON type bool" in err
 
 
 def test_missing_file_exits_1():

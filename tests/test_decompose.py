@@ -22,7 +22,7 @@ from wrightdecomp import (
     uniqueness_check,
     verify_against_truth,
 )
-from wrightdecomp.decomposition import _additive_at
+from wrightdecomp.decomposition import _additive_at, _recover
 from wrightdecomp.errors import NotJensenConvexError
 
 R = ExactReal.from_rational
@@ -243,6 +243,17 @@ def test_uniqueness_check_builds_each_chain_once(monkeypatch):
     report = uniqueness_check(generate(0, nonzero_rational_part=True), EPS8, (0, 7))
     assert report.passed
     assert len(starts) == len(set(starts)) == 30
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_recovery_phase_equals_decompose(seed):
+    f = generate(seed)
+    grid = grid_for(f, seed=seed, n_r=8)
+    result = decompose(f, EPS8, grid)
+    assert _recover(ExtensionHandle(f), EPS8, grid) == (
+        result.additive_hat,
+        result.recovery_points,
+    )
 
 
 def test_refinement_never_widens():

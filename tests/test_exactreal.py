@@ -16,7 +16,7 @@ from wrightdecomp import (
     parse_rational,
 )
 from wrightdecomp.errors import OutOfSpanError, ParseError
-from wrightdecomp.exactreal import _lattice, _lattice_sign, _SqrtBrackets
+from wrightdecomp.exactreal import _lattice, _lattice_sign, _narrower_bounds, _SqrtBrackets
 
 from oracles import is_squarefree, numeric_sign, radical_bounds
 
@@ -614,6 +614,29 @@ def test_bounds_match_fraction_bracket_reference(x, k):
     assert x.bounds(eps) == _reference_bounds(x, eps)
 
 
+@given(
+    coefficients,
+    st.dictionaries(
+        st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 15]),
+        coefficients.filter(bool),
+        min_size=1,
+        max_size=4,
+    ),
+    st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=12),
+)
+@settings(max_examples=150)
+def test_narrower_bounds_matches_the_halving_loop(rational, radicals, delta):
+    # the loop it replaces: halve delta until the bounds of x change
+    x = ExactReal({1: rational, **radicals})
+    for _ in range(6):
+        last = x.bounds(delta)
+        want = delta / 2
+        while x.bounds(want) == last:
+            want /= 2
+        assert _narrower_bounds(x, delta) == (want, x.bounds(want))
+        delta = want
+
+
 def test_sqrt_brackets_independent_of_request_order():
     requests = [
         (m, n, 16**k * d) for m in (2, 3, 6, 7, 10) for k in range(13) for n, d in ((1, 1), (3, 7))
@@ -621,5 +644,6 @@ def test_sqrt_brackets_independent_of_request_order():
     forward, backward, reference = _SqrtBrackets(), _SqrtBrackets(), _FractionBrackets()
     got = [forward.bracket(*r) for r in requests]
     assert got == [backward.bracket(*r) for r in reversed(requests)][::-1]
-    assert got == [reference.bracket(m, Fraction(n, d)) for m, n, d in requests]
+    assert [g[:2] for g in got] == [reference.bracket(m, Fraction(n, d)) for m, n, d in requests]
+    assert all(Fraction(wn, wd) == hi - lo for lo, hi, wn, wd in got)
     assert forward._chains == backward._chains
