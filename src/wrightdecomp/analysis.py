@@ -11,7 +11,8 @@ a violation means ``lhs < rhs`` exactly.  ``_SIDES`` writes both sides of
 each kind once, and every sweep and re-check reads it.  Only ``wright_check``
 decides the Wright kind its own way.  It holds points as int coordinates
 on one lattice and values as int tuples on one value lattice (the
-function's ``_on_lattice``), so it compares f(x+u+v) - f(x+v) with
+function's ``_on_lattice``, which selects from the form the instance
+compiles once), so it compares f(x+u+v) - f(x+v) with
 f(x+u) - f(x), formed once per row, as a tuple difference.  It checks
 the domain once per grid row and builds the Wright sides, as
 ``ExactReal`` values, only for a certificate.
@@ -233,7 +234,9 @@ def wright_check(
     Wright sides only for a certificate.  Grid points and steps share one
     common denominator and one sorted radical list, so each point is a
     tuple of int coordinates and a top x+u+v is a tuple sum.  Values live
-    on the value lattice of ``f._on_lattice``: the memo maps a point's
+    on the value lattice of ``f._on_lattice``, selected for the sweep's
+    radicals from the form f compiles once, with the sweep's denominator
+    applied per value: the memo maps a point's
     coordinates to f's value as an int tuple over one denominator, the
     inequality is the sign of a tuple difference (``_lattice_sign``), and
     a certificate's sides are built from the tuples.  Domain and span are
@@ -253,7 +256,8 @@ def wright_check(
     pts = grid.points()
     radicals, den, coords = _lattice(pts + step_list)
     step_coords = coords[len(pts) :]
-    vrad, vden, value = f._on_lattice(radicals, den)
+    vrad, t, value = f._on_lattice(radicals)
+    vden = t * den * den
     # A point with a coordinate on one of these radicals leaves f's span.
     outside = [i for i, m in enumerate(radicals) if m != 1 and m not in f.basis]
     memo: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -263,7 +267,7 @@ def wright_check(
         if fc is None:
             if outside and any(c[i] for i in outside):
                 f._check(_from_lattice(radicals, c, den))  # raises OutOfSpanError
-            fc = memo[c] = value(c)
+            fc = memo[c] = value(c, den)
         return fc
 
     checked = 0

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -20,7 +21,7 @@ from pathlib import Path
 from .analysis import ViolationCertificate, jensen_check, wright_check
 from .decomposition import _check_eps_floor, _recover, _verify, decompose
 from .domain import make_grid
-from .errors import NotJensenConvexError, WrightDecompError, _expect_type
+from .errors import NotJensenConvexError, ParseError, WrightDecompError, _expect_type
 from .exactreal import ExactReal, parse_rational
 from .extension import ExtensionHandle
 from .funcspec import dumps_instance, generate, load_instance
@@ -35,19 +36,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write(out: str | None, text: str) -> None:
-    """Write ``text`` to stdout if ``out`` is None, else atomically to ``out``."""
+    """Write ``text`` to stdout if ``out`` is None, else atomically to ``out``
+    through a temporary file beside it; an OSError names ``out``."""
     if not out:
         sys.stdout.write(text)
         return
     path = Path(out)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=".tmp-", text=True)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=".tmp-", text=True)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno:
+            raise OSError(exc.errno, exc.strerror, out) from exc
         raise
 
 
@@ -66,7 +71,9 @@ def _emit_not_midpoint_convex(config: dict, certificate: ViolationCertificate | 
     return 2
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built once per process: parse_args reads the parser and never changes it.
     parser = _Parser(prog="wrightdecomp", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -211,19 +218,22 @@ def _cmd_verify(args) -> int:
     truth = load_instance(args.truth)
     with open(args.result, "r", encoding="utf-8") as fh:
         doc = _expect_type(json.load(fh), dict, "decomposition result")
-    eps = parse_rational(doc["eps"])
-    seed = int(_expect_type(doc["seed"], (int, str), "seed"))
-    run = _expect_type(doc.get("config", {"grid_n": 8, "irrational_n": 4}), dict, "config")
-    grid_n = _expect_type(run["grid_n"], int, "grid_n")
-    irrational_n = _expect_type(run["irrational_n"], int, "irrational_n")
+    try:
+        eps = parse_rational(doc["eps"])
+        seed = int(_expect_type(doc["seed"], (int, str), "seed"))
+        run = _expect_type(doc.get("config", {"grid_n": 8, "irrational_n": 4}), dict, "config")
+        grid_n = _expect_type(run["grid_n"], int, "grid_n")
+        irrational_n = _expect_type(run["irrational_n"], int, "irrational_n")
+        stored = {
+            int(k): (_expect_type(enc, dict, "additive enclosure")["lo"], enc["hi"])
+            for k, enc in _expect_type(doc["additive"], dict, "additive").items()
+        }
+    except KeyError as exc:
+        raise ParseError(f"decomposition result {args.result} missing field {exc}") from exc
     grid = make_grid(truth.interval, grid_n, irrational_n, truth.basis, seed)
     # Only the recovery phase: the stored coefficients are all this compares.
     handle = ExtensionHandle(truth)
     additive_hat, _ = _recover(handle, eps, grid)
-    stored = {
-        int(k): (_expect_type(enc, dict, "additive enclosure")["lo"], enc["hi"])
-        for k, enc in _expect_type(doc["additive"], dict, "additive").items()
-    }
     recomputed = {m: (enc.lo.literal(), enc.hi.literal()) for m, enc in additive_hat.items()}
     payload = _verify(additive_hat, eps, seed, truth, handle).to_jsonable()
     if stored != recomputed:
@@ -293,7 +303,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
-    except (WrightDecompError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (WrightDecompError, OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

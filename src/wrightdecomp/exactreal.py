@@ -468,118 +468,121 @@ def _lattice_sign(radicals: tuple[int, ...], coords: Iterable[int], den: int) ->
     return _sign(tuple([t for t in zip(radicals, coords) if t[1]]), den)
 
 
-_Table = tuple[int, int, dict[int, _Nums], _Nums]
-
-
-def _quadratic_table(
-    quad: Fraction, slope: ExactReal, images: tuple[tuple[int, ExactReal], ...], offset: ExactReal
-) -> _Table:
-    """Int form of v(x) = quad*x**2 + slope*x + A(x) + offset, with A the
-    Q-linear map taking sqrt(m) to the image of each coordinate m in
-    ``images``: one positive den, quad*den, and over den the numerators of
-    each row L_m = slope*sqrt(m) + A(sqrt(m)) and of offset.  A product
-    index in a row may pass MAX_RADICAL_INDEX; ``_quadratic_value`` raises
-    only if one survives in a value."""
-    den = math.lcm(quad.denominator, slope._den, offset._den, *[a._den for _, a in images])
-    ss = den // slope._den
-    rows = {}
-    for m, image in images:
-        acc: dict[int, int] = {}
-        _add_products(acc, slope._nums, ((m, 1),), ss)
-        s = den // image._den
-        for k, n in image._nums:
-            acc[k] = acc.get(k, 0) + n * s
-        rows[m] = tuple(sorted([t for t in acc.items() if t[1]]))
-    s = den // offset._den
-    qn = quad.numerator * (den // quad.denominator)
-    return den, qn, rows, tuple([(k, n * s) for k, n in offset._nums])
-
-
-def _quadratic_value(x: ExactReal, table: _Table) -> ExactReal:
-    """v(x) for a ``_quadratic_table`` whose coordinates include x's
-    radicals: quad*x**2 + sum_m x_m*L_m + offset summed in one pass over
-    x's numerators, over den*x_den**2, and reduced once."""
-    den, qn, rows, offset = table
-    xn, xd = x._nums, x._den
-    acc: dict[int, int] = {}
-    if qn:
-        _add_products(acc, xn, xn, qn)
-    for m, p in xn:
-        p *= xd
-        for k, n in rows[m]:
-            acc[k] = acc.get(k, 0) + p * n
-    xd *= xd
-    for k, n in offset:
-        acc[k] = acc.get(k, 0) + n * xd
-    nums = tuple(sorted([t for t in acc.items() if t[1]]))
-    if nums and nums[-1][0] > MAX_RADICAL_INDEX:
-        raise OutOfSpanError(
-            f"value at {x} has radical index {nums[-1][0]} above {MAX_RADICAL_INDEX}"
-        )
-    return _reduced(nums, den * xd)
-
-
 def _lattice_quadratic(
-    tables: tuple[_Table, ...], radicals: tuple[int, ...], den: int
-) -> tuple[tuple[int, ...], int, Callable[[tuple[int, ...], int], tuple[int, ...]]]:
-    """``_quadratic_table``s that share quad and rows' coordinates,
-    compiled for points x = sum c_i*sqrt(radicals_i) / den.
+    quad: Fraction,
+    pieces: tuple[tuple[ExactReal, ExactReal], ...],
+    images: tuple[tuple[int, ExactReal], ...],
+) -> Callable[[tuple[int, ...]], tuple[tuple[int, ...], int, Callable[..., tuple[int, ...]]]]:
+    """Int form of v_p(x) = quad*x**2 + b_p*x + A(x) + c_p for each piece
+    (b_p, c_p), with A the Q-linear map taking sqrt(m) to its image for
+    each (m, image) in ``images``, whose m (1 and the basis) make the
+    lattice.  It is compiled once, den-free: over T, the lcm of every
+    denominator, quad*T, the numerators of each piece's rows
+    L_m = b_p*sqrt(m) + A(sqrt(m)) and those of its c_p, and the quad term
+    as (a, b, index, multiplier) for lattice positions a <= b.
 
-    Returns the sorted value radicals ``vrad`` (1 first), vden = T*den**2
-    with T the lcm of the table denominators, and ``value(c, p)``: table
-    p's v(x) as int coordinates on vrad over vden, never reduced.  The
-    quad term is kept as (i, j, slot, multiplier) for i <= j, each row is
-    scaled by den and each offset by den**2.  A coordinate on a radical
-    without a row must be 0.  A product index past MAX_RADICAL_INDEX
-    raises OutOfSpanError only if it survives in a value, with the message
-    of ``_quadratic_value``."""
-    t = math.lcm(*[table[0] for table in tables])
-    qn = tables[0][1] * (t // tables[0][0])
-    span = [i for i, m in enumerate(radicals) if m in tables[0][2]]
-    quad = []
+    Returns ``on(radicals)``, which selects from the compiled form, for
+    points x = sum c_i*sqrt(radicals_i) / den, the sorted value radicals
+    ``vrad`` (1 first) those points reach, T, and ``value(c, den, p)``:
+    v_p(x) as int coordinates on vrad over T*den**2, never reduced.  den
+    is applied at call time, to each row once and to the offset as den**2.
+    A coordinate on a radical off the lattice must be 0.  A product index
+    past MAX_RADICAL_INDEX raises OutOfSpanError only if it survives in a
+    value."""
+    dens = [v._den for piece in pieces for v in piece] + [a._den for _, a in images]
+    t = math.lcm(quad.denominator, *dens)
+    qn = quad.numerator * (t // quad.denominator)
+    lattice = tuple(m for m, _ in images)
+    quad_terms = []
     if qn:
-        for a, i in enumerate(span):
-            for j in span[a:]:
+        for a, m in enumerate(lattice):
+            for b in range(a, len(lattice)):
                 product: dict[int, int] = {}
-                _add_products(product, ((radicals[i], 1),), ((radicals[j], 1),), qn)
+                _add_products(product, ((m, 1),), ((lattice[b], 1),), qn)
                 ((key, mult),) = product.items()
-                quad.append((i, j, key, mult if i == j else 2 * mult))
-    keys = {1} | {key for *_, key, _ in quad}
-    for _, _, rows, offset in tables:
-        keys.update(k for i in span for k, _ in rows[radicals[i]])
-        keys.update(k for k, _ in offset)
-    vrad = tuple(sorted(keys))
-    slot = {m: s for s, m in enumerate(vrad)}
-    quad = [(i, j, slot[key], mult) for i, j, key, mult in quad]
-    pieces = []
-    for tden, _, rows, offset in tables:
-        s = t // tden * den
-        start = [0] * len(vrad)
-        for k, n in offset:
-            start[slot[k]] = n * s * den
-        scaled = [(i, [(slot[k], n * s) for k, n in rows[radicals[i]]]) for i in span]
-        pieces.append((start, [(i, row) for i, row in scaled if row]))
-    big = [s for s in range(len(vrad) - 1, -1, -1) if vrad[s] > MAX_RADICAL_INDEX]
+                quad_terms.append((a, b, key, mult if a == b else 2 * mult))
+    compiled_pieces = []
+    for slope, offset in pieces:
+        rows = []
+        for m, image in images:
+            acc: dict[int, int] = {}
+            _add_products(acc, slope._nums, ((m, 1),), t // slope._den)
+            _add_products(acc, image._nums, ((1, 1),), t // image._den)
+            rows.append([(k, n) for k, n in acc.items() if n])
+        compiled_pieces.append(([(k, n * (t // offset._den)) for k, n in offset._nums], rows))
 
-    def value(c: tuple[int, ...], p: int) -> tuple[int, ...]:
-        start, rows = pieces[p]
-        acc = start.copy()
-        for i, j, s, mult in quad:
-            acc[s] += mult * c[i] * c[j]
-        for i, row in rows:
-            ci = c[i]
-            if ci:
-                for s, n in row:
-                    acc[s] += ci * n
-        for s in big:
-            if acc[s]:
-                raise OutOfSpanError(
-                    f"value at {_from_lattice(radicals, c, den)} has radical index "
-                    f"{vrad[s]} above {MAX_RADICAL_INDEX}"
-                )
-        return tuple(acc)
+    def on(radicals: tuple[int, ...]) -> tuple:
+        index = {lattice.index(m): i for i, m in enumerate(radicals) if m in lattice}
+        terms = [(index[a], index[b], key, mult) for a, b, key, mult in quad_terms
+                 if a in index and b in index]
+        keys = {1} | {key for *_, key, _ in terms}
+        for offset, rows in compiled_pieces:
+            keys.update(k for k, _ in offset)
+            keys.update(k for a in index for k, _ in rows[a])
+        vrad = tuple(sorted(keys))
+        slot = {m: s for s, m in enumerate(vrad)}
+        terms = [(i, j, slot[key], mult) for i, j, key, mult in terms]
+        compiled = []
+        for offset, rows in compiled_pieces:
+            start = [0] * len(vrad)
+            for k, n in offset:
+                start[slot[k]] = n
+            selected = [(index[a], [(slot[k], n) for k, n in rows[a]]) for a in sorted(index)]
+            compiled.append((start, [(i, row) for i, row in selected if row]))
+        big = [s for s in range(len(vrad) - 1, -1, -1) if vrad[s] > MAX_RADICAL_INDEX]
 
-    return vrad, t * den * den, value
+        def value(c: tuple[int, ...], den: int, p: int) -> tuple[int, ...]:
+            start, rows = compiled[p]
+            d2 = den * den
+            acc = [n * d2 for n in start]
+            for i, j, s, mult in terms:
+                acc[s] += mult * c[i] * c[j]
+            for i, row in rows:
+                ci = c[i]
+                if ci:
+                    ci *= den
+                    for s, n in row:
+                        acc[s] += ci * n
+            for s in big:
+                if acc[s]:
+                    raise OutOfSpanError(
+                        f"value at {_from_lattice(radicals, c, den)} has radical index "
+                        f"{vrad[s]} above {MAX_RADICAL_INDEX}"
+                    )
+            return tuple(acc)
+
+        return vrad, t, value
+
+    return on
+
+
+def _minus(
+    radicals: tuple[int, ...], y: ExactReal
+) -> tuple[tuple[int, ...], Callable[[tuple[int, ...], int], list[int]]]:
+    """The sorted radicals of x - y, for x = sum c_i*sqrt(radicals_i) / den,
+    and ``diff(c, den)``: x - y's int coordinates on them over den*y's
+    denominator, never reduced.  Points with different denominators are
+    compared this way, not by their coordinate tuples."""
+    ynums = dict(y._nums)
+    union = tuple(sorted(set(radicals) | set(ynums)))
+    terms = [(radicals.index(m) if m in radicals else -1, ynums.get(m, 0)) for m in union]
+    yden = y._den
+
+    def diff(c: tuple[int, ...], den: int) -> list[int]:
+        return [(c[i] * yden if i >= 0 else 0) - n * den for i, n in terms]
+
+    return union, diff
+
+
+def _above(radicals: tuple[int, ...], y: ExactReal) -> Callable[[tuple[int, ...], int], bool]:
+    """``above(c, den)``: whether x > y, for x = sum c_i*sqrt(radicals_i) / den,
+    the sign of ``_minus``'s difference; when x and y share their one
+    radical, the sign of one int."""
+    union, diff = _minus(radicals, y)
+    if len(union) == 1 and union[0] in radicals:
+        i, n, yden = radicals.index(union[0]), y._nums[0][1] if y._nums else 0, y._den
+        return lambda c, den: c[i] * yden > n * den
+    return lambda c, den: _lattice_sign(union, diff(c, den), 1) is Ordering.GREATER
 
 
 def _int_bounds(nums: _Nums, en: int, ed: int) -> tuple[int, int, int, int]:

@@ -14,12 +14,20 @@ extension at an irrational x it
    points would do, and w only sets how tight L is;
 3. probes f at rational midpoints x_r of shrinking enclosures of x and
    intersects the certified intervals [f(x_r) - L*d, f(x_r) + L*d],
-   where d bounds |x - x_r|.
+   where d bounds |x - x_r|.  A round runs in ints: x_r is a numerator
+   over one denominator, f(x_r) comes from the source's compiled value
+   (``_on_lattice``) as an int tuple, and the slack, the running
+   intersection and the width test are int tuples whose signs
+   ``_lattice_sign`` decides.  An ``Enclosure`` is built only for a round
+   that ``extend_eval`` hands out, once per round.
 
-Every value f is probed at is rational; at rational x the enclosure is
-the exact point value.  The refinement chain for a given x is a pure
-function of x, so cached and fresh evaluations agree and enclosures for
-shrinking eps are nested.
+The domain is checked once per chain, at its bracket: every later
+enclosure of x lies inside the window [a, b] (each radical's Heron
+brackets nest), and so does every midpoint.  Every value f is probed at
+is rational; at rational x the enclosure is the exact point value.  The
+refinement chain for a given x is a pure function of the policy and x,
+so cached and fresh evaluations agree and enclosures for shrinking eps
+are nested.
 """
 
 from __future__ import annotations
@@ -27,12 +35,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .analysis import ViolationCertificate, _sweep, lipschitz_bound
 from .domain import SampleGrid, shifted_intersection
 from .errors import BracketUnavailableError, NonPositiveStepError, OutOfDomainError
-from .exactreal import Enclosure, ExactReal, Ordering, _narrower_bounds, compare
+from .exactreal import Enclosure, ExactReal, Ordering, compare
+from .exactreal import _from_lattice, _lattice_sign, _narrower_bounds
 from .funcspec import FunctionDef
 
 _MAX_SHRINK = 500  # halvings tried before no window and bracket fit
@@ -49,18 +58,34 @@ class BracketPolicy:
     slope_eps: Fraction = Fraction(1, 64)  # enclosure width when bounding the modulus
 
 
+class _Round(NamedTuple):
+    """One refinement round, in ints on the chain's value radicals: the
+    midpoint mid/den of the round's rational enclosure of x, f there over
+    t*den**2, and the running intersection [lo/lo_den, hi/hi_den]."""
+
+    mid: int
+    den: int
+    fmid: tuple[int, ...]
+    lo: tuple[int, ...]
+    lo_den: int
+    hi: tuple[int, ...]
+    hi_den: int
+
+
 @dataclass
 class _Chain:
     lipschitz_bar: Fraction  # rational upper bound of the window modulus
     delta: Fraction  # enclosure width of x asked at the latest round
-    enclosures: list[Enclosure] = field(default_factory=list)  # running intersections
+    rounds: list[_Round] = field(default_factory=list)
+    handed_out: dict[int, Enclosure] = field(default_factory=dict)  # round -> its enclosure
 
 
 class ExtensionHandle:
     """On-demand certified enclosures of the extension of ``source``\\|Q.
 
-    The extension only ever reads the source at rational points.  The
-    handle is a run's evaluation context: ``evaluate`` memoises
+    The extension only ever reads the source at rational points; its
+    chains read the source's compiled value directly.  The handle is a
+    run's evaluation context: ``evaluate`` memoises
     ``source.evaluate``, so the handle stands in for the source in any
     checker that reads only ``evaluate`` and ``interval``.  The memo and
     the refinement chains are performance artifacts, so results are
@@ -79,6 +104,11 @@ class ExtensionHandle:
     def f_rational(self, r: Fraction) -> ExactReal:
         return self.evaluate(ExactReal.from_rational(r))
 
+    @functools.cached_property
+    def _rationals(self) -> tuple:
+        """The source's compiled value at rationals: ``(vrad, t, value)``."""
+        return self.source._compiled((1,))
+
     # -- public API ----------------------------------------------------
 
     def extend_eval(self, x: ExactReal, eps: Fraction) -> Enclosure:
@@ -95,13 +125,13 @@ class ExtensionHandle:
         if chain is None:
             chain = self._start_chain(x)
             self._chains[x] = chain
-        for enc in chain.enclosures:
-            if compare(enc.width, eps) is not Ordering.GREATER:
-                return enc
+        k = 0
         while True:
-            enc = self._refine(x, chain)
-            if compare(enc.width, eps) is not Ordering.GREATER:
-                return enc
+            if k == len(chain.rounds):
+                self._refine(x, chain)
+            if self._fits(chain.rounds[k], eps):
+                return self._enclosure(chain, k)
+            k += 1
 
     def residual(self, x: ExactReal, eps: Fraction) -> Enclosure:
         """Enclosure of f(x) minus the extension at x, of width <= eps."""
@@ -113,7 +143,9 @@ class ExtensionHandle:
 
     def _start_chain(self, x: ExactReal) -> _Chain:
         # x is irrational, so a < b; the interval is open, so the bracket
-        # lies inside it once its two outer points do.
+        # lies inside it once its two outer points do.  This is the chain's
+        # one domain check: every later round's enclosure of x lies inside
+        # [a, b] (each radical's Heron brackets nest), so its midpoint does.
         d = self.policy.initial_eps
         for _ in range(_MAX_SHRINK):
             a, b = x.bounds(d)
@@ -131,23 +163,62 @@ class ExtensionHandle:
         return chain
 
     def _seed_round(self, chain: _Chain, lo: Fraction, hi: Fraction) -> None:
-        mid = (lo + hi) / 2
-        half = (hi - lo) / 2
-        fx = self.f_rational(mid)
-        slack = chain.lipschitz_bar * half
-        enc = Enclosure(fx - slack, fx + slack)
-        if chain.enclosures:
-            enc = chain.enclosures[-1].intersect(enc)
-        chain.enclosures.append(enc)
+        """Append the round on x's rational enclosure [lo, hi]: f at its
+        midpoint widened by L*half, intersected with the last round's."""
+        vrad, t, value = self._rationals
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        den = 2 * ld * hd
+        mid = ln * hd + hn * ld
+        fmid = value((mid,), den)
+        # Over lq*t*den**2: f(mid)*lq, and the slack L*half with half = (hn*ld - ln*hd)/den.
+        lbar = chain.lipschitz_bar
+        rden = lbar.denominator * t * den * den
+        slack = lbar.numerator * (hn * ld - ln * hd) * t * den
+        first, *rest = [n * lbar.denominator for n in fmid]
+        new_lo, new_hi = (first - slack, *rest), (first + slack, *rest)
+        lo_v, lo_den, hi_v, hi_den = new_lo, rden, new_hi, rden
+        if chain.rounds:
+            last = chain.rounds[-1]
+            sign = lambda a, a_den, b, b_den: _lattice_sign(vrad, _cross(a, a_den, b, b_den), 1)
+            if sign(last.lo, last.lo_den, new_lo, rden) is not Ordering.LESS:
+                lo_v, lo_den = last.lo, last.lo_den
+            if sign(last.hi, last.hi_den, new_hi, rden) is not Ordering.GREATER:
+                hi_v, hi_den = last.hi, last.hi_den
+            if sign(lo_v, lo_den, hi_v, hi_den) is Ordering.GREATER:
+                # Disjoint rounds: ``intersect`` raises, naming both.
+                new = Enclosure(*(_from_lattice(vrad, v, rden) for v in (new_lo, new_hi)))
+                self._enclosure(chain, len(chain.rounds) - 1).intersect(new)
+        chain.rounds.append(_Round(mid, den, fmid, lo_v, lo_den, hi_v, hi_den))
 
-    def _refine(self, x: ExactReal, chain: _Chain) -> Enclosure:
+    def _refine(self, x: ExactReal, chain: _Chain) -> None:
         # One round per bracket: a Heron bracket overshoots the width asked
         # of it, so the next halving of delta often gives the last bounds
         # again, and a round on them would repeat the last enclosure.  The
         # round goes straight to the first halving whose bounds are new.
         chain.delta, bounds = _narrower_bounds(x, chain.delta)
         self._seed_round(chain, *bounds)
-        return chain.enclosures[-1]
+
+    def _fits(self, r: _Round, eps: Fraction) -> bool:
+        """Whether round r's running intersection has width <= eps."""
+        width = _cross(r.hi, r.hi_den, r.lo, r.lo_den)
+        width = [n * eps.denominator for n in width]
+        width[0] -= eps.numerator * r.lo_den * r.hi_den
+        return _lattice_sign(self._rationals[0], width, 1) is not Ordering.GREATER
+
+    def _enclosure(self, chain: _Chain, k: int) -> Enclosure:
+        """Round k's running intersection, built once, when handed out."""
+        enc = chain.handed_out.get(k)
+        if enc is None:
+            r, vrad = chain.rounds[k], self._rationals[0]
+            enc = chain.handed_out[k] = Enclosure(
+                _from_lattice(vrad, r.lo, r.lo_den), _from_lattice(vrad, r.hi, r.hi_den)
+            )
+        return enc
+
+
+def _cross(a: tuple[int, ...], a_den: int, b: tuple[int, ...], b_den: int) -> list[int]:
+    """a/a_den - b/b_den as int coordinates over a_den*b_den."""
+    return [p * b_den - q * a_den for p, q in zip(a, b)]
 
 
 @dataclass(frozen=True)

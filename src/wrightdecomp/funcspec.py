@@ -19,13 +19,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .domain import Interval, rational_anchors
 from .errors import OutOfDomainError, OutOfSpanError, ParseError, _expect_type
 from .exactreal import ExactReal, Ordering, check_radical_index, compare, parse_rational
-from .exactreal import _coordinates, _from_lattice, _lattice_quadratic, _lattice_sign
-from .exactreal import _quadratic_table, _quadratic_value
+from .exactreal import _above, _coordinates, _from_lattice, _lattice_quadratic, _lattice_sign
+from .exactreal import _minus
 
 _SQUAREFREE_POOL = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15)
 
@@ -154,7 +154,11 @@ class _FunctionBase:
 
     def evaluate(self, x: ExactReal) -> ExactReal:
         self._check(x)
-        return self._value(x)
+        # Two selections per instance: the rationals, and the whole span.
+        radicals = (1,) if x.is_rational else (1, *sorted(self.basis))
+        vrad, t, value = self._compiled(radicals)
+        den = x._den
+        return _from_lattice(vrad, value(_coordinates(x, radicals, den), den), t * den * den)
 
     def _check(self, x: ExactReal) -> None:
         """Raise unless x lies in the interval and in the basis's span."""
@@ -164,15 +168,28 @@ class _FunctionBase:
             if m not in self.basis:
                 raise OutOfSpanError(f"{x} uses radical {m} outside basis {self.basis}")
 
-    def _value(self, x: ExactReal) -> ExactReal:
+    def _on_lattice(self, radicals: tuple[int, ...]) -> tuple:
+        """``(vrad, t, value)`` for points x = sum c_i*sqrt(radicals_i) / den:
+        ``value(c, den)`` is f(x) as int coordinates on the value radicals
+        ``vrad`` (1 first) over t*den**2, never reduced.  It checks neither
+        domain nor span: each c must be a point that ``_check`` accepts,
+        so a coordinate on a radical outside the basis is 0.  This is the
+        family's one definition of its value; it selects from a form
+        compiled once per instance, den-free, on the lattice of 1 and the
+        basis."""
         raise NotImplementedError
 
-    def _on_lattice(self, radicals: tuple[int, ...], den: int) -> tuple:
-        """``(vrad, vden, value)`` for points x = sum c_i*sqrt(radicals_i) / den:
-        ``value(c)`` is f(x) as int coordinates on the value radicals
-        ``vrad`` (1 first) over ``vden``, never reduced.  It checks neither
-        domain nor span: each c must be a point that ``_check`` accepts."""
-        raise NotImplementedError
+    @functools.cached_property
+    def _lattices(self) -> dict:
+        return {}
+
+    def _compiled(self, radicals: tuple[int, ...]) -> tuple:
+        """``_on_lattice(radicals)``, kept per instance for ``evaluate``
+        and the extension chain."""
+        compiled = self._lattices.get(radicals)
+        if compiled is None:
+            compiled = self._lattices[radicals] = self._on_lattice(radicals)
+        return compiled
 
     def _validate_basis(self, used: set[int]) -> None:
         basis = set(self.basis)
@@ -193,14 +210,15 @@ class Decomposable(_FunctionBase):
     """f = convex + additive, Ng's decomposition by construction.
 
     On hinge piece i, f(x) = a*x^2 + b_i*x + c_i + A(x), and b_i*x + A(x)
-    is Q-linear in x's coordinates.  So each piece keeps one integer table
-    (``exactreal._quadratic_table``) of L_{i,m} = b_i*sqrt(m) + A(sqrt(m))
-    for m in 1 and the basis, and c_i, over one denominator; ``_value``
-    finds the piece with ``ConvexSpec._piece`` and sums the table in one
-    pass.  It equals ``convex.value(x) + additive.value(x)``.
-    ``_on_lattice`` compiles the same tables once for a sweep's lattice
-    (``exactreal._lattice_quadratic``), so a point's value is a tuple of
-    ints over one denominator; the piece is still found by ``_piece``.
+    is Q-linear in x's coordinates.  So each piece is an integer table of
+    L_{i,m} = b_i*sqrt(m) + A(sqrt(m)) for m in 1 and the basis, and of
+    c_i, all over one denominator, compiled once per instance without a
+    point's denominator (``exactreal._lattice_quadratic``).  ``_on_lattice``
+    selects from it for a set of radicals: it finds a point's piece by
+    bisecting the knots, each compared in ints (``exactreal._above``), and
+    gives the value as a tuple of ints over one denominator.  ``evaluate``, the
+    extension chain and ``wright_check`` all read this one form, and it
+    equals ``convex.value(x) + additive.value(x)``.
     """
 
     interval: Interval
@@ -209,20 +227,28 @@ class Decomposable(_FunctionBase):
     additive: AdditiveMap = AdditiveMap()
 
     @functools.cached_property
-    def _tables(self) -> tuple:
-        quad = self.convex.quad
+    def _form(self) -> Callable:
         images = tuple((m, self.additive.coefficient(m)) for m in (1, *self.basis))
-        return tuple(_quadratic_table(quad, b, images, c) for b, c in self.convex._pieces[1])
+        return _lattice_quadratic(self.convex.quad, self.convex._pieces[1], images)
 
-    def _value(self, x: ExactReal) -> ExactReal:
-        return _quadratic_value(x, self._tables[self.convex._piece(x)])
+    def _on_lattice(self, radicals: tuple[int, ...]) -> tuple:
+        vrad, t, value = self._form(radicals)
+        if not self.convex.hinges:
+            return vrad, t, lambda c, den: value(c, den, 0)
+        knots = [_above(radicals, k) for k in self.convex._pieces[0]]
 
-    def _on_lattice(self, radicals: tuple[int, ...], den: int) -> tuple:
-        vrad, vden, value = _lattice_quadratic(self._tables, radicals, den)
-        if len(self._tables) == 1:
-            return vrad, vden, lambda c: value(c, 0)
-        piece = self.convex._piece
-        return vrad, vden, lambda c: value(c, piece(_from_lattice(radicals, c, den)))
+        def piecewise(c: tuple[int, ...], den: int) -> tuple[int, ...]:
+            # x's piece is the number of knots below x; at a knot both pieces agree.
+            lo, hi = 0, len(knots)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if knots[mid](c, den):
+                    lo = mid + 1
+                else:
+                    hi = mid
+            return value(c, den, lo)
+
+        return vrad, t, piecewise
 
     def validate(self) -> None:
         self.convex.validate()
@@ -236,19 +262,19 @@ class AbsAdditive(_FunctionBase):
     basis: tuple[int, ...]
     additive: AdditiveMap
 
-    def _value(self, x: ExactReal) -> ExactReal:
-        return abs(self.additive.value(x))
-
-    def _on_lattice(self, radicals: tuple[int, ...], den: int) -> tuple:
+    @functools.cached_property
+    def _form(self) -> Callable:
         images = tuple((m, self.additive.coefficient(m)) for m in (1, *self.basis))
-        table = _quadratic_table(Fraction(0), ExactReal(), images, ExactReal())
-        vrad, vden, value = _lattice_quadratic((table,), radicals, den)
+        return _lattice_quadratic(Fraction(0), ((ExactReal(), ExactReal()),), images)
 
-        def absolute(c: tuple[int, ...]) -> tuple[int, ...]:
-            v = value(c, 0)
-            return tuple([-n for n in v]) if _lattice_sign(vrad, v, vden) is Ordering.LESS else v
+    def _on_lattice(self, radicals: tuple[int, ...]) -> tuple:
+        vrad, t, value = self._form(radicals)
 
-        return vrad, vden, absolute
+        def absolute(c: tuple[int, ...], den: int) -> tuple[int, ...]:
+            v = value(c, den, 0)
+            return tuple([-n for n in v]) if _lattice_sign(vrad, v, 1) is Ordering.LESS else v
+
+        return vrad, t, absolute
 
     def validate(self) -> None:
         self.additive.validate()
@@ -263,28 +289,25 @@ class Spiked(_FunctionBase):
     at: ExactReal
     lift: Fraction
 
-    def _value(self, x: ExactReal) -> ExactReal:
-        v = self.base.evaluate(x)
-        if x == self.at:
-            v = v + self.lift
-        return v
-
-    def _on_lattice(self, radicals: tuple[int, ...], den: int) -> tuple:
+    def _on_lattice(self, radicals: tuple[int, ...]) -> tuple:
         self._check_base()
-        vrad, vden, value = self.base._on_lattice(radicals, den)
-        # Scale the base's values when vden does not carry lift's denominator.
-        k = self.lift.denominator // math.gcd(self.lift.denominator, vden)
-        vden *= k
-        lift = self.lift.numerator * (vden // self.lift.denominator)
-        at = _coordinates(self.at, radicals, den)  # None off the lattice
+        vrad, t, value = self.base._compiled(radicals)
+        # Scale the base's values when t does not carry lift's denominator.
+        k = self.lift.denominator // math.gcd(self.lift.denominator, t)
+        lift = self.lift.numerator * (t * k // self.lift.denominator)
+        _, diff = _minus(radicals, self.at)
 
-        def spiked(c: tuple[int, ...]) -> tuple[int, ...]:
-            v = value(c)
+        def spiked(c: tuple[int, ...], den: int) -> tuple[int, ...]:
+            v = value(c, den)
             if k != 1:
                 v = tuple([k * n for n in v])
-            return (v[0] + lift, *v[1:]) if c == at else v
+            return v if any(diff(c, den)) else (v[0] + lift * den * den, *v[1:])
 
-        return vrad, vden, spiked
+        return vrad, t * k, spiked
+
+    def _check(self, x: ExactReal) -> None:
+        super()._check(x)
+        self.base._check(x)  # a base on another interval or basis refuses x
 
     def _check_base(self) -> None:
         # A base on another interval or basis would raise inside this one's.

@@ -6,7 +6,9 @@ library's Heron bracket chains, so containment checks are genuinely
 two-route.  The reference Wright sweep visits every ordered triple and
 tests both interval bounds, where the library skips mirrored triples
 and stops rows early.  Pell convergents give near-ties whose sign is
-known from p^2 - m*q^2 = 1 alone.
+known from p^2 - m*q^2 = 1 alone.  The reference extension chain keeps
+its rounds as ``Enclosure``s of ``ExactReal`` values read through
+``evaluate``, where the library keeps them as ints.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ from fractions import Fraction
 
 from wrightdecomp import (
     CheckReport,
+    Enclosure,
     ExactReal,
     Ordering,
     ViolationCertificate,
     build_steps,
     compare,
+    lipschitz_bound,
 )
 
 
@@ -92,3 +96,33 @@ def wright_sweep_reference(f, grid, steps=(), *, max_grid_steps=None) -> CheckRe
                         cert = ViolationCertificate("wright", (x, u, v), lhs, rhs)
                         return CheckReport(False, cert, checked)
     return CheckReport(True, None, checked)
+
+
+def reference_chain(f, policy, x, rounds):
+    """The first ``rounds`` running enclosures of the extension chain of f
+    at the irrational x under ``policy``, in ``Enclosure`` arithmetic.
+
+    The window and its bracket are placed as ``ExtensionHandle`` places
+    them.  Each round halves delta until ``x.bounds`` changes, takes f at
+    the midpoint through ``evaluate``, widens it by the modulus times the
+    half-width, and intersects it with the last round
+    (``Enclosure.intersect``, which raises on disjoint rounds)."""
+    d = policy.initial_eps
+    while True:
+        a, b = x.bounds(d)
+        w = policy.margin_widths * (b - a)
+        if f.interval.contains(a - w) and f.interval.contains(b + w):
+            break
+        d /= 2
+    lbar = lipschitz_bound(f, a, b, (a - w, a, b, b + w), policy.slope_eps)
+    encs = []
+    lo, hi = a, b
+    while len(encs) < rounds:
+        fx = f.evaluate(ExactReal.from_rational((lo + hi) / 2))
+        slack = lbar * (hi - lo) / 2
+        enc = Enclosure(fx - slack, fx + slack)
+        encs.append(encs[-1].intersect(enc) if encs else enc)
+        while x.bounds(d) == (lo, hi):
+            d /= 2
+        lo, hi = x.bounds(d)
+    return encs

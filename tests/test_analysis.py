@@ -240,14 +240,14 @@ def _matches_reference(g, grid, steps, cap):
         seen[wright_sweep_reference].append(x)
         return type(g).evaluate(g, x)
 
-    def on_lattice(radicals, den):
-        vrad, vden, value = type(g)._on_lattice(g, radicals, den)
+    def on_lattice(radicals):
+        vrad, t, value = type(g)._on_lattice(g, radicals)
 
-        def recorded(c):
+        def recorded(c, den):
             points.append(_from_lattice(radicals, c, den))
-            return value(c)
+            return value(c, den)
 
-        return vrad, vden, recorded
+        return vrad, t, recorded
 
     def check(x):
         try:

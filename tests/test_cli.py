@@ -244,25 +244,43 @@ def test_verify_certificate_rejects_forged_witness(tmp_path, capsys, kind, witne
 
 def test_decompose_evaluates_each_point_once(tmp_path, monkeypatch):
     # the Jensen gate, the Lipschitz brackets, the probes and the transfer
-    # check all read f through the run's one extension handle
+    # check all read f through the run's one extension handle, and the
+    # chains take f at their midpoints from the compiled form, which
+    # evaluate reads too: no point is valued twice
+    from wrightdecomp.exactreal import _from_lattice
     from wrightdecomp.funcspec import _FunctionBase
 
     inst = tmp_path / "inst.json"
     assert run_cli("gen", "--seed", "0", "--out", str(inst)) == 0
-    points = []
-    evaluate = _FunctionBase.evaluate
+    points, valued = [], []
+    evaluate, compiled = _FunctionBase.evaluate, _FunctionBase._compiled
 
     def counting(self, x):
         points.append(x)
         return evaluate(self, x)
 
+    def counted(self, radicals):
+        vrad, t, value = compiled(self, radicals)
+
+        def recorded(c, den):
+            valued.append(_from_lattice(radicals, c, den))
+            return value(c, den)
+
+        return vrad, t, recorded
+
     monkeypatch.setattr(_FunctionBase, "evaluate", counting)
+    monkeypatch.setattr(_FunctionBase, "_compiled", counted)
     assert run_cli("decompose", str(inst), "--out", str(tmp_path / "result.json")) == 0
-    assert len(points) == len(set(points)) == 170
+    assert len(points) == len(set(points)) == 106
+    assert set(points) < set(valued)
+    assert len(valued) == len(set(valued)) == 170
     # verify's recovery and its truth check share one handle too
     points.clear()
+    valued.clear()
     assert run_cli("verify", str(tmp_path / "result.json"), "--truth", str(inst)) == 0
-    assert len(points) == len(set(points)) == 79
+    assert len(points) == len(set(points)) == 52
+    assert set(points) < set(valued)
+    assert len(valued) == len(set(valued)) == 79
 
 
 def test_check_jensen(abs_instance, tmp_path):
@@ -421,21 +439,28 @@ def test_usage_error_exits_1():
 
 
 @pytest.mark.parametrize(
-    "command, doc",
+    "command, doc, names",
     [
-        ("eval", dict(SQUARE, convex=[])),
-        ("eval", [1, 2]),
-        ("eval", dict(SQUARE, basis=2)),
-        ("eval", dict(SQUARE, basis=[2, True])),
-        ("eval", dict(SQUARE, interval=5)),
-        ("eval", dict(SQUARE, convex=dict(SQUARE["convex"], quad=1))),
-        ("verify-certificate", {"report": {"certificate": "x"}}),
-        ("verify", {"eps": "1/100", "seed": 0, "config": [8, 4], "additive": {}}),
+        ("eval", dict(SQUARE, convex=[]), ""),
+        ("eval", [1, 2], ""),
+        ("eval", dict(SQUARE, basis=2), ""),
+        ("eval", dict(SQUARE, basis=[2, True]), ""),
+        ("eval", dict(SQUARE, interval=5), ""),
+        ("eval", dict(SQUARE, convex=dict(SQUARE["convex"], quad=1)), ""),
+        ("verify-certificate", {"report": {"certificate": "x"}}, ""),
+        ("verify", {"eps": "1/100", "seed": 0, "config": [8, 4], "additive": {}}, ""),
+        # an instance document given as the result has no eps
+        ("verify", SQUARE, "missing field 'eps'"),
+        ("verify", {"eps": "1/100", "seed": 0, "additive": {"2": {"lo": "0"}}},
+         "missing field 'hi'"),
+        ("verify", {"eps": "1/100", "seed": 0, "config": {"grid_n": 8}, "additive": {}},
+         "missing field 'irrational_n'"),
     ],
     ids=["convex-list", "top-level-list", "basis-int", "basis-entry-bool", "interval-int",
-         "quad-int", "certificate-str", "verify-config-list"],
+         "quad-int", "certificate-str", "verify-config-list", "verify-missing-eps",
+         "verify-missing-hi", "verify-missing-irrational-n"],
 )
-def test_malformed_document_exits_1(tmp_path, capsys, command, doc):
+def test_malformed_document_exits_1(tmp_path, capsys, command, doc, names):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(SQUARE))
     bad = tmp_path / "bad.json"
@@ -446,7 +471,50 @@ def test_malformed_document_exits_1(tmp_path, capsys, command, doc):
         "verify": ["verify", str(bad), "--truth", str(inst)],
     }[command]
     assert run_cli(*argv) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if names:
+        # the message names the document and its missing field
+        assert f"decomposition result {bad} {names}" in err
+
+
+def test_write_error_names_the_target(tmp_path, capsys):
+    # the report is written through a temporary file beside its target;
+    # an error names the target, never the temporary file
+    inst = tmp_path / "sq.json"
+    inst.write_text(json.dumps(SQUARE))
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    for target, reason in ((tmp_path / "nodir" / "x.csv", "No such file or directory"),
+                           (taken, "Is a directory")):
+        assert run_cli("report", str(inst), "--grid-n", "2", "--irrational-n", "0",
+                       "--csv", str(target)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{reason}: '{target}'" in err
+        assert ".tmp-" not in err
+    assert sorted(tmp_path.iterdir()) == [inst, taken] and not list(taken.iterdir())
+
+
+def test_parser_built_once_keeps_no_options_between_runs(tmp_path):
+    # main reuses one parser per process; a run with defaults after one
+    # with options must still see the defaults
+    from wrightdecomp.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    inst = tmp_path / "sq.json"
+    inst.write_text(json.dumps(SQUARE))
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert run_cli("decompose", str(inst), "--eps", "1/1000", "--grid-n", "6",
+                   "--irrational-n", "2", "--seed", "3", "--out", str(first)) == 0
+    assert run_cli("decompose", str(inst), "--out", str(second)) == 0
+    config = json.loads(first.read_text())["config"]
+    assert (config["eps"], config["grid_n"], config["irrational_n"], config["seed"]) == (
+        "1/1000", 6, 2, 3
+    )
+    config = json.loads(second.read_text())["config"]
+    assert (config["eps"], config["grid_n"], config["irrational_n"], config["seed"]) == (
+        "1/100000000", 8, 4, 0
+    )
 
 
 @pytest.mark.parametrize("key", ["seed", "grid_n", "irrational_n"])

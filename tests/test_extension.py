@@ -14,6 +14,7 @@ from wrightdecomp import (
     Interval,
     Ordering,
     SampleGrid,
+    Spiked,
     ViolationCertificate,
     compare,
     difference_transfer_check,
@@ -22,9 +23,13 @@ from wrightdecomp import (
     uniqueness_check,
 )
 from wrightdecomp.errors import (
+    InconsistentEnclosureError,
     NonPositiveStepError,
     OutOfDomainError,
 )
+from wrightdecomp.exactreal import _from_lattice
+
+from oracles import reference_chain
 
 R = ExactReal.from_rational
 SQRT = ExactReal.sqrt
@@ -32,6 +37,7 @@ I_10 = Interval.open(-10, 10)
 
 EPS6 = Fraction(1, 10**6)
 EPS_SET = (Fraction(1, 100), Fraction(1, 10**4), Fraction(1, 10**8))
+EPS12 = Fraction(1, 10**12)
 
 
 def square(additive=None, interval=I_10, basis=(2,)):
@@ -133,23 +139,25 @@ def test_extend_fits_bracket_on_narrow_sliver():
     assert enc.contains(R(2))
 
 
+def _round_probes(handle, x):
+    """Each round's rational midpoint and f there, read from the int rounds."""
+    vrad, t, _ = handle._rationals
+    return [
+        (Fraction(r.mid, r.den), _from_lattice(vrad, r.fmid, t * r.den * r.den))
+        for r in handle._chains[x].rounds
+    ]
+
+
 def test_intermediate_probes_respect_modulus():
     f = generate(33, kind="decomposable", nonzero_rational_part=True)
     h = ExtensionHandle(f)
     x = make_grid(f.interval, 0, 2, f.basis, seed=33).irrationals[0]
-    probes = []
-    f_rational = h.f_rational
-
-    def recording(r):
-        value = f_rational(r)
-        probes.append((r, value))
-        return value
-
-    h.f_rational = recording
     h.extend_eval(x, Fraction(1, 10**8))
+    probes = _round_probes(h, x)
     assert len(probes) >= 3
     lbar = h._chains[x].lipschitz_bar
     for i, (r1, v1) in enumerate(probes):
+        assert v1 == f.evaluate(R(r1))
         for r2, v2 in probes[i + 1 :]:
             gap = abs(v1 - v2)
             assert compare(gap, R(lbar * abs(r1 - r2))) is not Ordering.GREATER
@@ -208,10 +216,106 @@ def test_refinement_rounds_are_distinct():
         f = generate(seed, kind="decomposable", nonzero_rational_part=True)
         handle = ExtensionHandle(f)
         for x in make_grid(f.interval, 0, 2, f.basis, seed=seed).irrationals:
-            handle.extend_eval(x, Fraction(1, 10**12))
-            encs = handle._chains[x].enclosures
+            handle.extend_eval(x, EPS12)
+            chain = handle._chains[x]
+            encs = [handle._enclosure(chain, k) for k in range(len(chain.rounds))]
             assert len(encs) > 1
             assert len({(e.lo, e.hi) for e in encs}) == len(encs), (seed, x)
+
+
+def _matches_reference_chain(f, x, eps, policy=BracketPolicy()):
+    """The int chain's rounds at x, down to width eps, against the
+    ``Enclosure``-based reference chain round by round; a disjoint round
+    must raise in both, with one message.  Returns the rounds run, and
+    whether a disjoint round raised."""
+    handle = ExtensionHandle(f, policy)
+    try:
+        handle.extend_eval(x, eps)
+        error = None
+    except InconsistentEnclosureError as exc:
+        error = str(exc)
+    chain = handle._chains[x]  # the first round has nothing to intersect
+    reference = reference_chain(f, policy, x, len(chain.rounds))
+    for k, enc in enumerate(reference):
+        assert handle._enclosure(chain, k) == enc, (f, x, k)
+    if error is not None:
+        with pytest.raises(InconsistentEnclosureError) as ref:
+            reference_chain(f, policy, x, len(chain.rounds) + 1)
+        assert str(ref.value) == error
+    return chain.rounds, error is not None
+
+
+def _between(lo, hi):
+    """A rational strictly between the values lo < hi."""
+    gap = (hi - lo).bounds(Fraction(1, 10**60))[0]
+    return ((lo + hi) / 2).bounds(gap / 4)[0]
+
+
+def test_int_chain_matches_reference_chain():
+    # A Decomposable with quad 0 on an interval with irrational ends,
+    # whose knots (one rational, one irrational, one on a probe) sit in
+    # the first windows of the probes.
+    interval = Interval(-SQRT(2), 2 + SQRT(3) / 2)
+    probes = (SQRT(2) / 8, SQRT(2) / 8 + Fraction(1, 1000), SQRT(3) / 9 - Fraction(1, 10))
+    convex = ConvexSpec(
+        Fraction(0),
+        R(Fraction(1, 3)) + SQRT(2) / 5,
+        SQRT(3) / 7,
+        ((SQRT(3) / 9 - Fraction(1, 10), Fraction(1, 2)), (probes[1], Fraction(1, 8)),
+         (R(Fraction(1, 5)), Fraction(3, 4))),
+    )
+    f = Decomposable(
+        interval, (2, 3), convex, AdditiveMap.from_mapping({2: 1 - SQRT(3) / 2, 3: 2})
+    )
+    f.validate()
+    for x in probes:
+        rounds, raised = _matches_reference_chain(f, x, EPS12)
+        assert len(rounds) > 3 and not raised
+    policy = BracketPolicy(Fraction(1, 8), 2, Fraction(1, 128))
+    assert not _matches_reference_chain(f, probes[0], Fraction(1, 10**10), policy)[1]
+
+    # |A| where A on Q is r*A(1): rounds whose windows hold 0 take f at
+    # midpoints of both signs, on one, two and three radicals.
+    for basis, a1 in (((2,), 1 - SQRT(2)), ((2, 3), SQRT(2) - SQRT(3)),
+                      ((2, 3, 5), SQRT(5) - SQRT(2) - SQRT(3) / 2)):
+        g = AbsAdditive(I_10, basis, AdditiveMap.from_mapping({1: a1, 2: 1}))
+        g.validate()
+        mids = []
+        for x in (SQRT(2) / 100, Fraction(1, 1000) - SQRT(2) / 64):
+            rounds, raised = _matches_reference_chain(g, x, EPS12)
+            assert not raised
+            mids += [Fraction(r.mid, r.den) for r in rounds]
+        assert min(mids) < 0 < max(mids), basis
+
+    # A spike exactly at round j's midpoint, whose reduced denominator is
+    # not the round's: the spike test compares points.  For a convex f the
+    # rounds nest, so only a spike makes the intersection keep an earlier
+    # bound: a lift that moves round j's top past round j-1's keeps that
+    # top, one that moves round j's bottom past round j+1's keeps that
+    # bottom, and a large lift makes a round disjoint.
+    base = square(additive=AdditiveMap.from_mapping({2: 3}))
+    x = R(Fraction(1, 2)) + SQRT(2) / 3
+    handle = ExtensionHandle(base)
+    handle.extend_eval(x, EPS12)
+    chain = handle._chains[x]
+    j = next(
+        j for j, r in enumerate(chain.rounds) if j and Fraction(r.mid, r.den).denominator != r.den
+    )
+    at = R(Fraction(chain.rounds[j].mid, chain.rounds[j].den))
+    before, here, after = (handle._enclosure(chain, k) for k in (j - 1, j, j + 1))
+    lifts = (
+        (_between(before.hi - here.hi, before.hi - here.lo), "hi"),
+        (_between(after.lo - here.lo, after.hi - here.lo), "lo"),
+        (Fraction(1, 10), None),
+    )
+    for lift, kept in lifts:
+        g = Spiked(I_10, (2,), base, at, lift)
+        g.validate()
+        rounds, raised = _matches_reference_chain(g, x, EPS12)
+        if kept is None:
+            assert raised
+        else:
+            assert any(getattr(r, kept) is getattr(s, kept) for r, s in zip(rounds, rounds[1:]))
 
 
 # -- difference transfer -------------------------------------------------------

@@ -308,7 +308,7 @@ def _lattice_agrees(f, xs, steps):
     of xs and steps gives ``evaluate``'s value, or its OutOfSpanError
     message.  Returns the points compared."""
     radicals, den, _ = _lattice(tuple(xs) + tuple(steps))
-    vrad, vden, value = f._on_lattice(radicals, den)
+    vrad, t, value = f._on_lattice(radicals)
     shifted = {x + u for x in xs for u in steps}
     compared = []
     for x in {*xs, *shifted, *(y + v for y in shifted for v in steps)}:
@@ -316,7 +316,9 @@ def _lattice_agrees(f, xs, steps):
             f._check(x)
         except (OutOfDomainError, OutOfSpanError):
             continue
-        on_lattice = lambda x: _from_lattice(vrad, value(_coordinates(x, radicals, den)), vden)
+        on_lattice = lambda x: _from_lattice(
+            vrad, value(_coordinates(x, radicals, den), den), t * den * den
+        )
         assert _outcome(on_lattice, x) == _outcome(f.evaluate, x), (f, x)
         compared.append(x)
     return compared
@@ -423,7 +425,7 @@ def test_instance_json_spiked_base_shapes():
     with pytest.raises(ValueError, match="interval and basis"):
         dumps_instance(mismatched)
     with pytest.raises(ValueError, match="interval and basis"):
-        mismatched._on_lattice((1,), 1)
+        mismatched._on_lattice((1,))
     wide = replace(narrow, interval=I_10)
     for spiked in (Spiked(I_10, (2, 3), wide, R(0), Fraction(1)), replace(mismatched, basis=(2,))):
         for refuse in (spiked.validate, lambda: dumps_instance(spiked)):
