@@ -11,8 +11,8 @@ a violation means ``lhs < rhs`` exactly.  ``_SIDES`` writes both sides of
 each kind once, and every sweep and re-check reads it.  Only ``wright_check``
 decides the Wright kind its own way.  It holds points as int coordinates
 on one lattice and values as int tuples on one value lattice (the
-function's ``_on_lattice``, which selects from the form the instance
-compiles once), so it compares f(x+u+v) - f(x+v) with
+function's ``_compiled``, the form the instance compiles once for the
+sweep's radicals), so it compares f(x+u+v) - f(x+v) with
 f(x+u) - f(x), formed once per row, as a tuple difference.  It checks
 the domain once per grid row and builds the Wright sides, as
 ``ExactReal`` values, only for a certificate.
@@ -234,17 +234,17 @@ def wright_check(
     Wright sides only for a certificate.  Grid points and steps share one
     common denominator and one sorted radical list, so each point is a
     tuple of int coordinates and a top x+u+v is a tuple sum.  Values live
-    on the value lattice of ``f._on_lattice``, selected for the sweep's
-    radicals from the form f compiles once, with the sweep's denominator
-    applied per value: the memo maps a point's
-    coordinates to f's value as an int tuple over one denominator, the
-    inequality is the sign of a tuple difference (``_lattice_sign``), and
-    a certificate's sides are built from the tuples.  Domain and span are
-    checked once per grid row, at x (``f._check``, with ``evaluate``'s
-    errors).  x+u, x+v and x+u+v lie above x, and the row's end keeps
-    them below hi, so they stay in the interval.  They are checked again
-    only when they have a coordinate on a radical outside ``f.basis``,
-    which raises the out-of-span error ``evaluate`` would.
+    on the value lattice of ``f._compiled``, the form f compiles once for
+    the sweep's radicals, with the sweep's denominator applied per value:
+    the memo maps a point's coordinates to f's value as an int tuple over
+    one denominator, the inequality is the sign of a tuple difference
+    (``_lattice_sign``), and a certificate's sides are built from the
+    tuples.  Domain and span are checked once per grid row, at x
+    (``f._check``, with ``evaluate``'s errors).  x+u, x+v and x+u+v lie
+    above x, and the row's end keeps them below hi, so they stay in the
+    interval.  They are checked again only when they have a coordinate on
+    a radical outside ``f.basis``, which raises the out-of-span error
+    ``evaluate`` would.
     """
     step_list = build_steps(grid, steps, max_grid_steps=max_grid_steps)
     # The grid differences follow the explicit steps in ascending order, so
@@ -256,7 +256,7 @@ def wright_check(
     pts = grid.points()
     radicals, den, coords = _lattice(pts + step_list)
     step_coords = coords[len(pts) :]
-    vrad, t, value = f._on_lattice(radicals)
+    vrad, t, value = f._compiled(radicals)
     vden = t * den * den
     # A point with a coordinate on one of these radicals leaves f's span.
     outside = [i for i, m in enumerate(radicals) if m != 1 and m not in f.basis]
@@ -357,7 +357,8 @@ def lipschitz_bound(
         raise BracketViolationError(
             f"bracket ({a1}, {a2}, {b1}, {b2}) fails a' < a'' <= a < b <= b' < b''"
         )
-    for q in (a1, a2, b1, b2):
+    # The points ascend, so the interval holds all four once it holds a' and b''.
+    for q in (a1, b2):
         if not f.interval.contains(q):
             raise BracketViolationError(f"bracket point {q} outside {f.interval.literal()}")
     fa1, fa2, fb1, fb2 = (f.evaluate(ExactReal.from_rational(q)) for q in (a1, a2, b1, b2))

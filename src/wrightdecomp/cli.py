@@ -261,7 +261,10 @@ def _cmd_verify_certificate(args) -> int:
         sys.stderr.write("no instance available to re-check against\n")
         return 1
     inst = load_instance(_expect_type(instance_path, str, "instance path"))
-    cert = ViolationCertificate.from_jsonable(cert_doc)
+    try:
+        cert = ViolationCertificate.from_jsonable(cert_doc)
+    except KeyError as exc:
+        raise ParseError(f"report {args.report} certificate missing field {exc}") from exc
     if cert.verify(inst):
         sys.stdout.write("certificate verified: violation reproduces exactly\n")
         return 0

@@ -471,89 +471,77 @@ def _lattice_sign(radicals: tuple[int, ...], coords: Iterable[int], den: int) ->
 def _lattice_quadratic(
     quad: Fraction,
     pieces: tuple[tuple[ExactReal, ExactReal], ...],
-    images: tuple[tuple[int, ExactReal], ...],
-) -> Callable[[tuple[int, ...]], tuple[tuple[int, ...], int, Callable[..., tuple[int, ...]]]]:
+    images: Mapping[int, ExactReal],
+    radicals: tuple[int, ...],
+) -> tuple[tuple[int, ...], int, Callable[..., tuple[int, ...]]]:
     """Int form of v_p(x) = quad*x**2 + b_p*x + A(x) + c_p for each piece
-    (b_p, c_p), with A the Q-linear map taking sqrt(m) to its image for
-    each (m, image) in ``images``, whose m (1 and the basis) make the
-    lattice.  It is compiled once, den-free: over T, the lcm of every
-    denominator, quad*T, the numerators of each piece's rows
-    L_m = b_p*sqrt(m) + A(sqrt(m)) and those of its c_p, and the quad term
-    as (a, b, index, multiplier) for lattice positions a <= b.
+    (b_p, c_p), at points x = sum c_i*sqrt(radicals_i) / den, with A the
+    Q-linear map taking sqrt(m) to ``images[m]``, whose keys (1 and the
+    basis) make the lattice.  A coordinate on a radical off the lattice
+    must be 0.
 
-    Returns ``on(radicals)``, which selects from the compiled form, for
-    points x = sum c_i*sqrt(radicals_i) / den, the sorted value radicals
-    ``vrad`` (1 first) those points reach, T, and ``value(c, den, p)``:
-    v_p(x) as int coordinates on vrad over T*den**2, never reduced.  den
-    is applied at call time, to each row once and to the offset as den**2.
-    A coordinate on a radical off the lattice must be 0.  A product index
-    past MAX_RADICAL_INDEX raises OutOfSpanError only if it survives in a
-    value."""
-    dens = [v._den for piece in pieces for v in piece] + [a._den for _, a in images]
+    Returns the sorted value radicals ``vrad`` (1 first) those points
+    reach, T, the lcm of the denominators the form reads, and
+    ``value(c, den, p)``: v_p(x) as int coordinates on vrad over
+    T*den**2, never reduced.  Each
+    piece is compiled over T as the numerators of its c_p and of its rows
+    L_m = b_p*sqrt(m) + A(sqrt(m)); den is applied at call time, to each
+    row once and to c_p as den**2.  A product index past MAX_RADICAL_INDEX
+    raises OutOfSpanError only if it survives in a value."""
+    selected = [(i, m, images[m]) for i, m in enumerate(radicals) if m in images]
+    dens = [v._den for piece in pieces for v in piece] + [a._den for *_, a in selected]
     t = math.lcm(quad.denominator, *dens)
     qn = quad.numerator * (t // quad.denominator)
-    lattice = tuple(m for m, _ in images)
-    quad_terms = []
-    if qn:
-        for a, m in enumerate(lattice):
-            for b in range(a, len(lattice)):
-                product: dict[int, int] = {}
-                _add_products(product, ((m, 1),), ((lattice[b], 1),), qn)
-                ((key, mult),) = product.items()
-                quad_terms.append((a, b, key, mult if a == b else 2 * mult))
-    compiled_pieces = []
+    terms = []  # quad*x**2 as (i, j, index, multiplier) for positions i <= j
+    for a, (i, m, _) in enumerate(selected if qn else ()):
+        for j, k, _ in selected[a:]:
+            d = math.gcd(m, k)
+            terms.append((i, j, (m // d) * (k // d), qn * d * (1 if i == j else 2)))
+    forms = []
     for slope, offset in pieces:
         rows = []
-        for m, image in images:
+        for i, m, a in selected:
             acc: dict[int, int] = {}
             _add_products(acc, slope._nums, ((m, 1),), t // slope._den)
-            _add_products(acc, image._nums, ((1, 1),), t // image._den)
-            rows.append([(k, n) for k, n in acc.items() if n])
-        compiled_pieces.append(([(k, n * (t // offset._den)) for k, n in offset._nums], rows))
+            _add_products(acc, a._nums, ((1, 1),), t // a._den)
+            rows.append((i, [(k, n) for k, n in acc.items() if n]))
+        forms.append(([(k, n * (t // offset._den)) for k, n in offset._nums], rows))
+    keys = {1} | {key for *_, key, _ in terms}
+    for offset, rows in forms:
+        keys.update(k for k, _ in offset)
+        keys.update(k for _, row in rows for k, _ in row)
+    vrad = tuple(sorted(keys))
+    slot = {m: s for s, m in enumerate(vrad)}
+    terms = [(i, j, slot[key], mult) for i, j, key, mult in terms]
+    compiled = []
+    for offset, rows in forms:
+        start = [0] * len(vrad)
+        for k, n in offset:
+            start[slot[k]] = n
+        compiled.append((start, [(i, [(slot[k], n) for k, n in row]) for i, row in rows if row]))
+    big = [s for s in range(len(vrad) - 1, -1, -1) if vrad[s] > MAX_RADICAL_INDEX]
 
-    def on(radicals: tuple[int, ...]) -> tuple:
-        index = {lattice.index(m): i for i, m in enumerate(radicals) if m in lattice}
-        terms = [(index[a], index[b], key, mult) for a, b, key, mult in quad_terms
-                 if a in index and b in index]
-        keys = {1} | {key for *_, key, _ in terms}
-        for offset, rows in compiled_pieces:
-            keys.update(k for k, _ in offset)
-            keys.update(k for a in index for k, _ in rows[a])
-        vrad = tuple(sorted(keys))
-        slot = {m: s for s, m in enumerate(vrad)}
-        terms = [(i, j, slot[key], mult) for i, j, key, mult in terms]
-        compiled = []
-        for offset, rows in compiled_pieces:
-            start = [0] * len(vrad)
-            for k, n in offset:
-                start[slot[k]] = n
-            selected = [(index[a], [(slot[k], n) for k, n in rows[a]]) for a in sorted(index)]
-            compiled.append((start, [(i, row) for i, row in selected if row]))
-        big = [s for s in range(len(vrad) - 1, -1, -1) if vrad[s] > MAX_RADICAL_INDEX]
+    def value(c: tuple[int, ...], den: int, p: int) -> tuple[int, ...]:
+        start, rows = compiled[p]
+        d2 = den * den
+        acc = [n * d2 for n in start]
+        for i, j, s, mult in terms:
+            acc[s] += mult * c[i] * c[j]
+        for i, row in rows:
+            ci = c[i]
+            if ci:
+                ci *= den
+                for s, n in row:
+                    acc[s] += ci * n
+        for s in big:
+            if acc[s]:
+                raise OutOfSpanError(
+                    f"value at {_from_lattice(radicals, c, den)} has radical index "
+                    f"{vrad[s]} above {MAX_RADICAL_INDEX}"
+                )
+        return tuple(acc)
 
-        def value(c: tuple[int, ...], den: int, p: int) -> tuple[int, ...]:
-            start, rows = compiled[p]
-            d2 = den * den
-            acc = [n * d2 for n in start]
-            for i, j, s, mult in terms:
-                acc[s] += mult * c[i] * c[j]
-            for i, row in rows:
-                ci = c[i]
-                if ci:
-                    ci *= den
-                    for s, n in row:
-                        acc[s] += ci * n
-            for s in big:
-                if acc[s]:
-                    raise OutOfSpanError(
-                        f"value at {_from_lattice(radicals, c, den)} has radical index "
-                        f"{vrad[s]} above {MAX_RADICAL_INDEX}"
-                    )
-            return tuple(acc)
-
-        return vrad, t, value
-
-    return on
+    return vrad, t, value
 
 
 def _minus(

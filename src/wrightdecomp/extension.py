@@ -15,8 +15,8 @@ extension at an irrational x it
 3. probes f at rational midpoints x_r of shrinking enclosures of x and
    intersects the certified intervals [f(x_r) - L*d, f(x_r) + L*d],
    where d bounds |x - x_r|.  A round runs in ints: x_r is a numerator
-   over one denominator, f(x_r) comes from the source's compiled value
-   (``_on_lattice``) as an int tuple, and the slack, the running
+   over one denominator, f(x_r) comes from the source's compiled value at
+   rationals (``_compiled((1,))``) as an int tuple, and the slack, the running
    intersection and the width test are int tuples whose signs
    ``_lattice_sign`` decides.  An ``Enclosure`` is built only for a round
    that ``extend_eval`` hands out, once per round.
@@ -104,11 +104,6 @@ class ExtensionHandle:
     def f_rational(self, r: Fraction) -> ExactReal:
         return self.evaluate(ExactReal.from_rational(r))
 
-    @functools.cached_property
-    def _rationals(self) -> tuple:
-        """The source's compiled value at rationals: ``(vrad, t, value)``."""
-        return self.source._compiled((1,))
-
     # -- public API ----------------------------------------------------
 
     def extend_eval(self, x: ExactReal, eps: Fraction) -> Enclosure:
@@ -165,7 +160,7 @@ class ExtensionHandle:
     def _seed_round(self, chain: _Chain, lo: Fraction, hi: Fraction) -> None:
         """Append the round on x's rational enclosure [lo, hi]: f at its
         midpoint widened by L*half, intersected with the last round's."""
-        vrad, t, value = self._rationals
+        vrad, t, value = self.source._compiled((1,))
         ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
         den = 2 * ld * hd
         mid = ln * hd + hn * ld
@@ -203,13 +198,13 @@ class ExtensionHandle:
         width = _cross(r.hi, r.hi_den, r.lo, r.lo_den)
         width = [n * eps.denominator for n in width]
         width[0] -= eps.numerator * r.lo_den * r.hi_den
-        return _lattice_sign(self._rationals[0], width, 1) is not Ordering.GREATER
+        return _lattice_sign(self.source._compiled((1,))[0], width, 1) is not Ordering.GREATER
 
     def _enclosure(self, chain: _Chain, k: int) -> Enclosure:
         """Round k's running intersection, built once, when handed out."""
         enc = chain.handed_out.get(k)
         if enc is None:
-            r, vrad = chain.rounds[k], self._rationals[0]
+            r, vrad = chain.rounds[k], self.source._compiled((1,))[0]
             enc = chain.handed_out[k] = Enclosure(
                 _from_lattice(vrad, r.lo, r.lo_den), _from_lattice(vrad, r.hi, r.hi_den)
             )

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Mapping, Union
+from typing import Mapping, Union
 
 from .domain import Interval, rational_anchors
 from .errors import OutOfDomainError, OutOfSpanError, ParseError, _expect_type
@@ -34,10 +34,10 @@ _SQUAREFREE_POOL = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15)
 class ConvexSpec:
     """Convex catalog function a*x^2 + b*x + c0 + sum_i w_i * max(0, x - k_i).
 
-    ``value`` finds x's piece by bisecting the sorted knots (``_piece``)
-    and evaluates that piece's a*x^2 + b_i*x + c_i in Horner form with
-    ``ExactReal`` arithmetic; it is the reference that ``Decomposable``'s
-    integer pass is tested against.
+    ``value`` is this definition in ``ExactReal`` arithmetic, summing
+    w_i*(x - k_i) over the knots below x in any order.  It reads nothing of
+    ``_pieces``, the table that ``Decomposable``'s compiled form reads, so
+    it is an independent reference for that form.
     """
 
     quad: Fraction = Fraction(0)
@@ -58,23 +58,12 @@ class ConvexSpec:
             pieces.append((b, c))
         return tuple(k for k, _ in hinges), tuple(pieces)
 
-    def _piece(self, x: ExactReal) -> int:
-        """Index into ``_pieces`` of x's piece: the number of knots below x,
-        by bisection.  At a knot the two neighbouring pieces give the same
-        canonical value."""
-        knots = self._pieces[0]
-        lo, hi = 0, len(knots)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if compare(x, knots[mid]) is Ordering.GREATER:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
     def value(self, x: ExactReal) -> ExactReal:
-        b, c = self._pieces[1][self._piece(x)]
-        return (x * self.quad + b) * x + c
+        out = (x * self.quad + self.slope) * x + self.offset
+        for knot, weight in self.hinges:
+            if compare(x, knot) is Ordering.GREATER:
+                out = out + (x - knot) * weight
+        return out
 
     def validate(self) -> None:
         if self.quad < 0:
@@ -174,9 +163,9 @@ class _FunctionBase:
         ``vrad`` (1 first) over t*den**2, never reduced.  It checks neither
         domain nor span: each c must be a point that ``_check`` accepts,
         so a coordinate on a radical outside the basis is 0.  This is the
-        family's one definition of its value; it selects from a form
-        compiled once per instance, den-free, on the lattice of 1 and the
-        basis."""
+        family's one definition of its value, compiled for one set of
+        radicals, without a point's denominator; read it through
+        ``_compiled``."""
         raise NotImplementedError
 
     @functools.cached_property
@@ -184,8 +173,9 @@ class _FunctionBase:
         return {}
 
     def _compiled(self, radicals: tuple[int, ...]) -> tuple:
-        """``_on_lattice(radicals)``, kept per instance for ``evaluate``
-        and the extension chain."""
+        """``_on_lattice(radicals)``, compiled once per instance and set of
+        radicals: the one way ``evaluate``, ``wright_check``, the extension
+        chain and a spiked instance read f's value."""
         compiled = self._lattices.get(radicals)
         if compiled is None:
             compiled = self._lattices[radicals] = self._on_lattice(radicals)
@@ -212,13 +202,13 @@ class Decomposable(_FunctionBase):
     On hinge piece i, f(x) = a*x^2 + b_i*x + c_i + A(x), and b_i*x + A(x)
     is Q-linear in x's coordinates.  So each piece is an integer table of
     L_{i,m} = b_i*sqrt(m) + A(sqrt(m)) for m in 1 and the basis, and of
-    c_i, all over one denominator, compiled once per instance without a
-    point's denominator (``exactreal._lattice_quadratic``).  ``_on_lattice``
-    selects from it for a set of radicals: it finds a point's piece by
-    bisecting the knots, each compared in ints (``exactreal._above``), and
-    gives the value as a tuple of ints over one denominator.  ``evaluate``, the
-    extension chain and ``wright_check`` all read this one form, and it
-    equals ``convex.value(x) + additive.value(x)``.
+    c_i, all over one denominator (``exactreal._lattice_quadratic``).
+    ``_on_lattice`` compiles it for one set of radicals: it finds a point's
+    piece by bisecting the knots, each compared in ints
+    (``exactreal._above``), and gives the value as a tuple of ints over one
+    denominator.  ``evaluate``, the extension chain and ``wright_check``
+    all read this form through ``_compiled``, and it equals
+    ``convex.value(x) + additive.value(x)``.
     """
 
     interval: Interval
@@ -226,16 +216,13 @@ class Decomposable(_FunctionBase):
     convex: ConvexSpec
     additive: AdditiveMap = AdditiveMap()
 
-    @functools.cached_property
-    def _form(self) -> Callable:
-        images = tuple((m, self.additive.coefficient(m)) for m in (1, *self.basis))
-        return _lattice_quadratic(self.convex.quad, self.convex._pieces[1], images)
-
     def _on_lattice(self, radicals: tuple[int, ...]) -> tuple:
-        vrad, t, value = self._form(radicals)
-        if not self.convex.hinges:
+        convex = self.convex
+        images = {m: self.additive.coefficient(m) for m in (1, *self.basis)}
+        vrad, t, value = _lattice_quadratic(convex.quad, convex._pieces[1], images, radicals)
+        if not convex.hinges:
             return vrad, t, lambda c, den: value(c, den, 0)
-        knots = [_above(radicals, k) for k in self.convex._pieces[0]]
+        knots = [_above(radicals, k) for k in convex._pieces[0]]
 
         def piecewise(c: tuple[int, ...], den: int) -> tuple[int, ...]:
             # x's piece is the number of knots below x; at a knot both pieces agree.
@@ -262,13 +249,10 @@ class AbsAdditive(_FunctionBase):
     basis: tuple[int, ...]
     additive: AdditiveMap
 
-    @functools.cached_property
-    def _form(self) -> Callable:
-        images = tuple((m, self.additive.coefficient(m)) for m in (1, *self.basis))
-        return _lattice_quadratic(Fraction(0), ((ExactReal(), ExactReal()),), images)
-
     def _on_lattice(self, radicals: tuple[int, ...]) -> tuple:
-        vrad, t, value = self._form(radicals)
+        images = {m: self.additive.coefficient(m) for m in (1, *self.basis)}
+        zero = ((ExactReal(), ExactReal()),)
+        vrad, t, value = _lattice_quadratic(Fraction(0), zero, images, radicals)
 
         def absolute(c: tuple[int, ...], den: int) -> tuple[int, ...]:
             v = value(c, den, 0)

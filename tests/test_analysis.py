@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -231,7 +232,7 @@ def _matches_reference(g, grid, steps, cap):
     reference sweep's and that it evaluated g once per distinct point, at
     the points the reference evaluated.  The reference evaluates through
     ``evaluate``; ``wright_check`` through the value function of
-    ``_on_lattice``, plus ``_check`` at a point it refuses, and never
+    ``_compiled``, plus ``_check`` at a point it refuses, and never
     through ``evaluate``."""
     seen = {wright_sweep_reference: [], wright_check: []}
     points = seen[wright_check]
@@ -240,8 +241,8 @@ def _matches_reference(g, grid, steps, cap):
         seen[wright_sweep_reference].append(x)
         return type(g).evaluate(g, x)
 
-    def on_lattice(radicals):
-        vrad, t, value = type(g)._on_lattice(g, radicals)
+    def compiled(radicals):
+        vrad, t, value = type(g)._compiled(g, radicals)
 
         def recorded(c, den):
             points.append(_from_lattice(radicals, c, den))
@@ -261,7 +262,7 @@ def _matches_reference(g, grid, steps, cap):
 
     patches = {
         wright_sweep_reference: {"evaluate": evaluate},
-        wright_check: {"evaluate": no_evaluate, "_on_lattice": on_lattice, "_check": check},
+        wright_check: {"evaluate": no_evaluate, "_compiled": compiled, "_check": check},
     }
     for sweep, attrs in patches.items():
         for name, patch in attrs.items():
@@ -345,6 +346,30 @@ def test_wright_check_checks_each_grid_point():
             for cap in (None, 3):
                 error, message = _matches_reference(g, grid, (), cap)
                 assert error is OutOfDomainError, message
+
+
+@pytest.mark.parametrize(
+    "lo, hi, counts",
+    [
+        (None, None, [1568, 288, 18491, 396]),
+        (None, 5, [396, 195, 5751, 372]),
+        (-5, None, [1568, 288, 18491, 396]),
+    ],
+    ids=["both", "no-lo", "no-hi"],
+)
+def test_wright_check_on_intervals_open_at_an_end(lo, hi, counts):
+    # Without hi no row has an end to bisect: every step stays inside.
+    # Without lo or hi the grid sits in rational_anchors' fixed window.
+    f = replace(generate(3, nonzero_rational_part=True), interval=Interval.open(lo, hi))
+    steps = (SQRT(f.basis[0]),)
+    checked = []
+    for irrational_n in (0, 3):
+        grid = make_grid(f.interval, 8, irrational_n, f.basis, seed=3)
+        for cap in (None, 5):
+            outcome = _matches_reference(f, grid, steps, cap)
+            assert outcome["passed"], outcome
+            checked.append(outcome["checked"])
+    assert checked == counts
 
 
 def test_certificate_json_round_trip_and_self_verify():
@@ -492,11 +517,13 @@ def test_lipschitz_guarantee_on_rational_pairs():
 
 def test_lipschitz_bracket_validation():
     f = square(interval=Interval.open(-2, 2))
-    for bracket in (
-        (Fraction(0), Fraction(0), Fraction(1), Fraction(2)),
-        (Fraction(-3), Fraction(-5, 2), Fraction(3, 2), Fraction(7, 4)),
+    for bracket, message in (
+        ((Fraction(0), Fraction(0), Fraction(1), Fraction(2)), "fails a'"),
+        ((Fraction(-3), Fraction(-5, 2), Fraction(3, 2), Fraction(7, 4)), "point -3 outside"),
+        # only b'' lies outside: the inner points need no test of their own
+        ((Fraction(-1), Fraction(-1, 2), Fraction(3, 2), Fraction(2)), "point 2 outside"),
     ):
-        with pytest.raises(BracketViolationError):
+        with pytest.raises(BracketViolationError, match=message):
             lipschitz_bound(f, Fraction(0), Fraction(1), bracket, SLOPE_EPS)
 
 

@@ -438,6 +438,10 @@ def test_usage_error_exits_1():
     assert assert_exit_1.returncode == 1
 
 
+# A Wright certificate of x**2 at (0, 1, 1), whose fields the cases below drop one at a time.
+_CERT = {"kind": "wright", "witness": ["0", "1", "1"], "lhs": "4", "rhs": "2"}
+
+
 @pytest.mark.parametrize(
     "command, doc, names",
     [
@@ -455,10 +459,16 @@ def test_usage_error_exits_1():
          "missing field 'hi'"),
         ("verify", {"eps": "1/100", "seed": 0, "config": {"grid_n": 8}, "additive": {}},
          "missing field 'irrational_n'"),
+        *(
+            ("verify-certificate", {"certificate": {k: v for k, v in _CERT.items() if k != field}},
+             f"certificate missing field '{field}'")
+            for field in _CERT
+        ),
     ],
     ids=["convex-list", "top-level-list", "basis-int", "basis-entry-bool", "interval-int",
          "quad-int", "certificate-str", "verify-config-list", "verify-missing-eps",
-         "verify-missing-hi", "verify-missing-irrational-n"],
+         "verify-missing-hi", "verify-missing-irrational-n",
+         *(f"certificate-missing-{field}" for field in _CERT)],
 )
 def test_malformed_document_exits_1(tmp_path, capsys, command, doc, names):
     inst = tmp_path / "inst.json"
@@ -475,7 +485,8 @@ def test_malformed_document_exits_1(tmp_path, capsys, command, doc, names):
     assert err.startswith("error:")
     if names:
         # the message names the document and its missing field
-        assert f"decomposition result {bad} {names}" in err
+        document = "report" if command == "verify-certificate" else "decomposition result"
+        assert f"{document} {bad} {names}" in err
 
 
 def test_write_error_names_the_target(tmp_path, capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -243,6 +244,20 @@ def test_uniqueness_check_builds_each_chain_once(monkeypatch):
     report = uniqueness_check(generate(0, nonzero_rational_part=True), EPS8, (0, 7))
     assert report.passed
     assert len(starts) == len(set(starts)) == 30
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(None, None), (None, R(5)), (R(-5), None), (-SQRT(2), None)],
+    ids=["both", "no-lo", "no-hi", "irrational-lo"],
+)
+def test_round_trip_on_intervals_open_at_an_end(lo, hi):
+    # rational_anchors' fixed windows place the grids, the recovery points
+    # and the extension's brackets.
+    f = replace(generate(3, nonzero_rational_part=True), interval=Interval(lo, hi))
+    result = decompose(f, EPS8, make_grid(f.interval, 8, 4, f.basis, 3))
+    assert result.prediction.consistent
+    assert verify_against_truth(result, f).passed
+    assert uniqueness_check(f, EPS8, (3, 4)).passed
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -141,7 +141,7 @@ def test_extend_fits_bracket_on_narrow_sliver():
 
 def _round_probes(handle, x):
     """Each round's rational midpoint and f there, read from the int rounds."""
-    vrad, t, _ = handle._rationals
+    vrad, t, _ = handle.source._compiled((1,))
     return [
         (Fraction(r.mid, r.den), _from_lattice(vrad, r.fmid, t * r.den * r.den))
         for r in handle._chains[x].rounds

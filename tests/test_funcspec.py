@@ -22,7 +22,6 @@ from wrightdecomp import (
     loads_instance,
     make_grid,
 )
-from wrightdecomp import funcspec
 from wrightdecomp.errors import OutOfDomainError, OutOfSpanError, ParseError
 from wrightdecomp.exactreal import MAX_RADICAL_INDEX, _coordinates, _from_lattice, _lattice
 
@@ -218,24 +217,32 @@ def test_catalog_values_match_hinge_sum():
             assert g.value(x) == _hinge_sum_value(g, x)
 
 
-def test_convexspec_value_bisects_knots(monkeypatch):
-    knots = [R(-3), SQRT(2) - R(3), R(-1), R(0), SQRT(2), R(2), R(3) - SQRT(2) / 4, R(3)]
-    g = ConvexSpec(quad=Fraction(1), hinges=tuple((k, Fraction(1)) for k in knots))
-    g.validate()
-    calls = 0
-    original = funcspec.compare
-
-    def counted(a, b):
-        nonlocal calls
-        calls += 1
-        return original(a, b)
-
-    g.value(R(0))
-    monkeypatch.setattr(funcspec, "compare", counted)
-    for x in [R(-4), *knots, SQRT(3), R(1) + SQRT(2), R(4)]:
-        calls = 0
-        g.value(x)
-        assert calls <= 4, f"{calls} compares at {x}"
+def test_convexspec_value_reads_no_compiled_table():
+    # convex.value is the catalog definition and never reads _pieces, the
+    # table the compiled form reads, so a wrong table cannot pass as right.
+    spec = ConvexSpec(
+        quad=Fraction(1), slope=SQRT(2), hinges=((R(-1), Fraction(2)), (SQRT(2), Fraction(3)))
+    )
+    additive = AdditiveMap.from_mapping({2: 1})
+    knots, pieces = spec._pieces
+    wrong = replace(spec)
+    slope, offset = pieces[2]
+    object.__setattr__(wrong, "_pieces", (knots, (*pieces[:2], (slope, offset + 1))))
+    points = [R(-2), R(0), SQRT(2) - 1, R(3), SQRT(2) + 1]
+    for x in points:
+        assert wrong.value(x) == spec.value(x) == _hinge_sum_value(spec, x)
+        right = Decomposable(I_10, (2,), spec, additive).evaluate(x)
+        assert right == spec.value(x) + additive.value(x)
+        # past both knots the wrong last piece shows; below them it agrees
+        off = Decomposable(I_10, (2,), wrong, additive).evaluate(x)
+        assert (off == right + 1) if x > SQRT(2) else (off == right)
+    # Hinges out of order, never validated: value still sums them, and the
+    # compiled form, which sorts its knots, agrees.
+    assert compare(_UNSORTED.hinges[0][0], _UNSORTED.hinges[1][0]) is Ordering.GREATER
+    for x in [R(-4), R(-3), R(0), SQRT(2), R(2), R(1) - SQRT(3)]:
+        assert _UNSORTED.value(x) == _hinge_sum_value(_UNSORTED, x)
+        f = Decomposable(I_10, (2, 3), _UNSORTED)
+        assert f.evaluate(x) == _UNSORTED.value(x)
 
 
 def test_decomposable_evaluation_decomposes():
