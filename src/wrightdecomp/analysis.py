@@ -8,20 +8,24 @@ never a proof.
 
 Certificate convention: the checked inequality is written ``lhs >= rhs``;
 a violation means ``lhs < rhs`` exactly.  ``_SIDES`` writes both sides of
-each kind once, and every sweep and re-check reads it.  Only ``wright_check``
-decides the Wright kind its own way.  It holds points as int coordinates
-on one lattice and values as int tuples on one value lattice (the
-function's ``_compiled``, the form the instance compiles once for the
-sweep's radicals), so it compares f(x+u+v) - f(x+v) with
-f(x+u) - f(x), formed once per row, as a tuple difference.  It checks
-the domain once per grid row and builds the Wright sides, as
-``ExactReal`` values, only for a certificate.
+each kind once, in ``ExactReal`` arithmetic through ``evaluate``; a
+certificate's re-check, ``double_delta`` and the chord-slope sweep read
+it.  The sweeps over a run's grid and brackets read f's compiled form
+instead (``_compiled``, the form the instance compiles once per set of
+radicals): ``wright_check``, ``jensen_check``, ``lipschitz_bound`` and the
+transfer check's monotone scan hold points as int coordinates on one
+lattice and values as int tuples on one value lattice
+(``_lattice_values``), decide each inequality as the sign of a tuple
+difference, test each point's domain at most once, and build the two
+sides, as ``ExactReal`` values, only for a certificate.  ``wright_check``
+compares f(x+u+v) - f(x+v) with f(x+u) - f(x), formed once per row.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +46,8 @@ _HALF = Fraction(1, 2)
 _JENSEN_CONTEXT = (("t", ExactReal.from_rational(_HALF)),)
 
 # kind -> (ev, *witness) -> (lhs, rhs): the checked inequality is lhs >= rhs.
+# ``recompute_sides``, ``double_delta`` and ``_sweep`` (for the chord-slope
+# check) read it; the lattice sweeps decide the same inequalities on ints.
 _SIDES: dict[str, Callable[..., tuple[ExactReal, ExactReal]]] = {
     "wright": lambda ev, x, u, v: (ev(x + u + v) + ev(x), ev(x + u) + ev(x + v)),
     "jensen": lambda ev, x, y: (ev(x) * _HALF + ev(y) * _HALF, ev(x * _HALF + y * _HALF)),
@@ -196,6 +202,27 @@ def build_steps(
     return tuple(steps)
 
 
+def _lattice_values(f: FunctionDef, radicals: tuple[int, ...], den: int) -> tuple:
+    """``(vrad, vden, ev)`` for points c/den on ``radicals``: ``ev(c)`` is
+    f(c/den) as int coordinates on the value radicals ``vrad`` over
+    ``vden``, read from ``f._compiled`` and memoised by c.  It checks no
+    domain.  A point with a coordinate on a radical outside ``f.basis``
+    raises the out-of-span error ``evaluate`` would (``f._check``)."""
+    vrad, t, value = f._compiled(radicals)
+    outside = [i for i, m in enumerate(radicals) if m != 1 and m not in f.basis]
+    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def ev(c: tuple[int, ...]) -> tuple[int, ...]:
+        fc = memo.get(c)
+        if fc is None:
+            if outside and any(c[i] for i in outside):
+                f._check(_from_lattice(radicals, c, den))  # raises OutOfSpanError
+            fc = memo[c] = value(c, den)
+        return fc
+
+    return vrad, t * den * den, ev
+
+
 def _sweep(kind: str, ev: Callable, witnesses: Iterable[tuple], context=()) -> CheckReport:
     """Walk the witnesses in order, counting each; the first whose sides
     from ``_SIDES[kind]`` have ``lhs < rhs`` becomes the certificate."""
@@ -236,10 +263,10 @@ def wright_check(
     tuple of int coordinates and a top x+u+v is a tuple sum.  Values live
     on the value lattice of ``f._compiled``, the form f compiles once for
     the sweep's radicals, with the sweep's denominator applied per value:
-    the memo maps a point's coordinates to f's value as an int tuple over
-    one denominator, the inequality is the sign of a tuple difference
-    (``_lattice_sign``), and a certificate's sides are built from the
-    tuples.  Domain and span are checked once per grid row, at x
+    the memo (``_lattice_values``) maps a point's coordinates to f's value
+    as an int tuple over one denominator, the inequality is the sign of a
+    tuple difference (``_lattice_sign``), and a certificate's sides are
+    built from the tuples.  Domain and span are checked once per grid row, at x
     (``f._check``, with ``evaluate``'s errors).  x+u, x+v and x+u+v lie
     above x, and the row's end keeps them below hi, so they stay in the
     interval.  They are checked again only when they have a coordinate on
@@ -256,20 +283,7 @@ def wright_check(
     pts = grid.points()
     radicals, den, coords = _lattice(pts + step_list)
     step_coords = coords[len(pts) :]
-    vrad, t, value = f._compiled(radicals)
-    vden = t * den * den
-    # A point with a coordinate on one of these radicals leaves f's span.
-    outside = [i for i, m in enumerate(radicals) if m != 1 and m not in f.basis]
-    memo: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def ev(c: tuple[int, ...]) -> tuple[int, ...]:
-        fc = memo.get(c)
-        if fc is None:
-            if outside and any(c[i] for i in outside):
-                f._check(_from_lattice(radicals, c, den))  # raises OutOfSpanError
-            fc = memo[c] = value(c, den)
-        return fc
-
+    vrad, vden, ev = _lattice_values(f, radicals, den)
     checked = 0
     for x, xc in zip(pts, coords):
         f._check(x)  # the row's one domain check
@@ -316,10 +330,44 @@ def wright_check(
 
 def jensen_check(f: FunctionDef, grid: SampleGrid) -> CheckReport:
     """Exact midpoint-convexity sweep over all grid pairs x < y:
-    f(x)/2 + f(y)/2 >= f(x/2 + y/2)."""
+    f(x)/2 + f(y)/2 >= f(x/2 + y/2).
+
+    The points share one lattice at twice their common denominator, where
+    a grid point with coordinates c sits at 2c and the midpoint of x and y
+    at c_x + c_y.  The inequality is the sign of f(x) + f(y) - 2f(m) as a
+    difference of value tuples (``_lattice_values``), and the two sides
+    are built only for a certificate.  Each grid point's domain and span
+    are checked once, at its first use (``f._check``, with ``evaluate``'s
+    errors); the midpoint of two checked points needs no check.
+    """
     pts = grid.points()
-    pairs = ((x, y) for i, x in enumerate(pts) for y in pts[i + 1 :])
-    return _sweep("jensen", functools.cache(f.evaluate), pairs, _JENSEN_CONTEXT)
+    radicals, den, coords = _lattice(pts)
+    vrad, vden, ev = _lattice_values(f, radicals, 2 * den)
+    values: list[tuple[int, ...]] = []
+
+    def at(i: int) -> tuple[int, ...]:
+        # Pairs (0, 1), (0, 2), ... come first, so grid points are first
+        # used in index order.
+        if i == len(values):
+            f._check(pts[i])
+            values.append(ev(tuple([2 * n for n in coords[i]])))
+        return values[i]
+
+    checked = 0
+    for i in range(len(pts) - 1):
+        fx = at(i)
+        for j in range(i + 1, len(pts)):
+            checked += 1
+            fy = at(j)
+            fm = ev(tuple(map(operator.add, coords[i], coords[j])))
+            diff = [p + q - 2 * r for p, q, r in zip(fx, fy, fm)]
+            if _lattice_sign(vrad, diff, vden) is Ordering.LESS:
+                lhs = _from_lattice(vrad, tuple(map(operator.add, fx, fy)), 2 * vden)
+                cert = ViolationCertificate(
+                    "jensen", (pts[i], pts[j]), lhs, _from_lattice(vrad, fm, vden), _JENSEN_CONTEXT
+                )
+                return CheckReport(False, cert, checked)
+    return CheckReport(True, None, checked)
 
 
 def chord_slope_monotone_check(f: FunctionDef, grid: SampleGrid) -> CheckReport:
@@ -348,11 +396,13 @@ def lipschitz_bound(
     interval, the modulus is max(|alpha|, |beta|) where alpha is the
     divided difference over (a', a'') and beta over (b', b'').  For a
     midpoint-convex restriction this bounds |f(x) - f(y)| / |x - y| over
-    all rationals x, y in [a, b].  The two slopes are compared exactly;
-    the larger one's |numerator| is bounded above to within eps and then
-    divided by its width.
+    all rationals x, y in [a, b].  f at the four points comes from
+    ``f._compiled`` over one common denominator, and the test of a' and b''
+    is the domain check.  The two slopes are compared exactly, by
+    cross-multiplying value tuples; the larger one's |numerator| is
+    bounded above to within eps and then divided by its width.
     """
-    a1, a2, b1, b2 = (Fraction(q) for q in bracket)
+    a1, a2, b1, b2 = bracket = tuple(Fraction(q) for q in bracket)
     if not (a1 < a2 <= a < b <= b1 < b2):
         raise BracketViolationError(
             f"bracket ({a1}, {a2}, {b1}, {b2}) fails a' < a'' <= a < b <= b' < b''"
@@ -361,8 +411,19 @@ def lipschitz_bound(
     for q in (a1, b2):
         if not f.interval.contains(q):
             raise BracketViolationError(f"bracket point {q} outside {f.interval.literal()}")
-    fa1, fa2, fb1, fb2 = (f.evaluate(ExactReal.from_rational(q)) for q in (a1, a2, b1, b2))
-    alpha = (abs(fa2 - fa1), a2 - a1)
-    beta = (abs(fb2 - fb1), b2 - b1)
-    rise, run = beta if alpha[0] / alpha[1] < beta[0] / beta[1] else alpha
-    return rise.bounds(eps)[1] / run
+    # The four points over one denominator, f at them as value tuples.
+    vrad, t, value = f._compiled((1,))
+    den = math.lcm(*[q.denominator for q in bracket])
+    n = [q.numerator * (den // q.denominator) for q in bracket]
+    fa1, fa2, fb1, fb2 = (value((k,), den) for k in n)
+
+    def rise(p: tuple[int, ...], q: tuple[int, ...]) -> list[int]:
+        d = [y - x for x, y in zip(p, q)]
+        return [-k for k in d] if _lattice_sign(vrad, d, 1) is Ordering.LESS else d
+
+    # Slopes alpha = rise_a/run_a and beta = rise_b/run_b, runs positive.
+    rise_a, run_a, rise_b, run_b = rise(fa1, fa2), n[1] - n[0], rise(fb1, fb2), n[3] - n[2]
+    cross = [p * run_b - q * run_a for p, q in zip(rise_a, rise_b)]
+    if _lattice_sign(vrad, cross, 1) is Ordering.LESS:
+        rise_a, run_a = rise_b, run_b
+    return _from_lattice(vrad, rise_a, t * den * den).bounds(eps)[1] * den / run_a

@@ -11,7 +11,9 @@ extension at an irrational x it
 2. bounds the Lipschitz modulus L on the rationals of [a, b] by the
    divided differences over (a - w, a) and (b, b + w), widened to a
    rational; slopes of a convex function are monotone, so any outer
-   points would do, and w only sets how tight L is;
+   points would do, and w only sets how tight L is.  ``lipschitz_bound``
+   reads f at the four points from the compiled value at rationals and
+   compares the two slopes on int tuples;
 3. probes f at rational midpoints x_r of shrinking enclosures of x and
    intersects the certified intervals [f(x_r) - L*d, f(x_r) + L*d],
    where d bounds |x - x_r|.  A round runs in ints: x_r is a numerator
@@ -33,15 +35,16 @@ are nested.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .analysis import ViolationCertificate, _sweep, lipschitz_bound
+from .analysis import CheckReport, ViolationCertificate, _lattice_values, lipschitz_bound
 from .domain import SampleGrid, shifted_intersection
 from .errors import BracketUnavailableError, NonPositiveStepError, OutOfDomainError
 from .exactreal import Enclosure, ExactReal, Ordering, compare
-from .exactreal import _from_lattice, _lattice_sign, _narrower_bounds
+from .exactreal import _from_lattice, _lattice, _lattice_sign, _narrower_bounds
 from .funcspec import FunctionDef
 
 _MAX_SHRINK = 500  # halvings tried before no window and bracket fit
@@ -85,16 +88,21 @@ class ExtensionHandle:
 
     The extension only ever reads the source at rational points; its
     chains read the source's compiled value directly.  The handle is a
-    run's evaluation context: ``evaluate`` memoises
-    ``source.evaluate``, so the handle stands in for the source in any
-    checker that reads only ``evaluate`` and ``interval``.  The memo and
-    the refinement chains are performance artifacts, so results are
-    identical with or without them.
+    run's evaluation context: ``evaluate`` memoises ``source.evaluate``,
+    and ``interval``, ``basis``, ``_compiled`` and ``_check`` are the
+    source's, so the handle stands in for the source in any checker.
+    The Jensen gate, the chains' brackets and the transfer check's
+    monotone scan read the compiled form, each with its own memo, not
+    ``evaluate``.  The memos and the refinement chains are performance
+    artifacts, so results are identical with or without them.
     """
 
     def __init__(self, source: FunctionDef, policy: BracketPolicy | None = None):
         self.source = source
         self.interval = source.interval
+        self.basis = source.basis
+        self._compiled = source._compiled
+        self._check = source._check
         self.policy = policy or BracketPolicy()
         self.evaluate = functools.cache(source.evaluate)
         self._chains: dict[ExactReal, _Chain] = {}
@@ -264,6 +272,30 @@ def _worst_magnitude(encs: Iterable[Enclosure], eps: Fraction) -> tuple[ExactRea
     return worst_exact, worst_ub
 
 
+def _monotone_scan(f: FunctionDef, v: ExactReal, pts: tuple[ExactReal, ...]) -> CheckReport:
+    """Whether x -> f(x+v) - f(x) is nondecreasing over the ascending
+    ``pts``, each of which lies in the interval with its p + v.
+
+    For adjacent x1 < x2 this is Wright's inequality at (x1, x2 - x1, v),
+    decided as the sign of a difference of value tuples
+    (``_lattice_values``); f at each p and p + v is taken once, and the
+    Wright sides are built only for a certificate."""
+    radicals, den, coords = _lattice((v, *pts))
+    vc, *coords = coords
+    vrad, vden, ev = _lattice_values(f, radicals, den)
+    shifted = [tuple(map(operator.add, c, vc)) for c in coords]
+    for k in range(1, len(pts)):
+        # Both sides in the order ``_SIDES`` reads them, which fixes the
+        # point an out-of-span error names: f(x2+v), f(x1), f(x2), f(x1+v).
+        lhs = tuple(map(operator.add, ev(shifted[k]), ev(coords[k - 1])))
+        rhs = tuple(map(operator.add, ev(coords[k]), ev(shifted[k - 1])))
+        if _lattice_sign(vrad, map(operator.sub, lhs, rhs), vden) is Ordering.LESS:
+            x1, x2 = pts[k - 1], pts[k]
+            sides = (_from_lattice(vrad, lhs, vden), _from_lattice(vrad, rhs, vden))
+            return CheckReport(False, ViolationCertificate("wright", (x1, x2 - x1, v), *sides), k)
+    return CheckReport(True, None, len(pts[1:]))
+
+
 def difference_transfer_check(
     handle: ExtensionHandle,
     v: Fraction,
@@ -290,14 +322,8 @@ def difference_transfer_check(
         if not sub.contains(p):
             raise OutOfDomainError(f"grid point {p} outside {sub.literal()}")
 
-    # Every p and p + v lies in the interval (checked above), so the
-    # step-v difference needs no further domain check.
     v_exact = ExactReal.from_rational(v)
-    # Delta_v f(x2) >= Delta_v f(x1) for adjacent x1 < x2 is Wright's
-    # inequality at (x1, x2 - x1, v).
-    monotone = _sweep(
-        "wright", handle.evaluate, ((x1, x2 - x1, v_exact) for x1, x2 in zip(pts, pts[1:]))
-    )
+    monotone = _monotone_scan(handle, v_exact, pts)
 
     # The difference of the two residual enclosures holds the step-v
     # difference of f minus that of the extension, so its farther endpoint

@@ -6,9 +6,10 @@ library's Heron bracket chains, so containment checks are genuinely
 two-route.  The reference Wright sweep visits every ordered triple and
 tests both interval bounds, where the library skips mirrored triples
 and stops rows early.  Pell convergents give near-ties whose sign is
-known from p^2 - m*q^2 = 1 alone.  The reference extension chain keeps
-its rounds as ``Enclosure``s of ``ExactReal`` values read through
-``evaluate``, where the library keeps them as ints.
+known from p^2 - m*q^2 = 1 alone.  The reference Jensen sweep, step-v
+monotone scan, Lipschitz modulus and extension chain read f through
+``evaluate`` and decide in ``ExactReal`` arithmetic, where the library
+reads f's compiled form and decides on int tuples.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from wrightdecomp import (
     ViolationCertificate,
     build_steps,
     compare,
-    lipschitz_bound,
 )
+from wrightdecomp.errors import BracketViolationError
+
+_HALF = Fraction(1, 2)
 
 
 def radical_bounds(x: ExactReal, digits: int = 200) -> tuple[Fraction, Fraction]:
@@ -98,6 +101,56 @@ def wright_sweep_reference(f, grid, steps=(), *, max_grid_steps=None) -> CheckRe
     return CheckReport(True, None, checked)
 
 
+def jensen_sweep_reference(f, grid) -> CheckReport:
+    """Every grid pair x < y in order, f(x)/2 + f(y)/2 >= f(x/2 + y/2) in
+    ``ExactReal`` arithmetic; the first violation certifies."""
+    ev = functools.cache(f.evaluate)
+    pts = grid.points()
+    checked = 0
+    for i, x in enumerate(pts):
+        for y in pts[i + 1 :]:
+            checked += 1
+            lhs, rhs = ev(x) * _HALF + ev(y) * _HALF, ev(x * _HALF + y * _HALF)
+            if compare(lhs, rhs) is Ordering.LESS:
+                context = (("t", ExactReal.from_rational(_HALF)),)
+                cert = ViolationCertificate("jensen", (x, y), lhs, rhs, context)
+                return CheckReport(False, cert, checked)
+    return CheckReport(True, None, checked)
+
+
+def monotone_scan_reference(f, v, pts) -> CheckReport:
+    """x -> f(x+v) - f(x) nondecreasing over adjacent points x1 < x2, as
+    Wright's inequality at (x1, x2 - x1, v) in ``ExactReal`` arithmetic."""
+    ev = functools.cache(f.evaluate)
+    checked = 0
+    for x1, x2 in zip(pts, pts[1:]):
+        checked += 1
+        u = x2 - x1
+        lhs, rhs = ev(x1 + u + v) + ev(x1), ev(x1 + u) + ev(x1 + v)
+        if compare(lhs, rhs) is Ordering.LESS:
+            return CheckReport(False, ViolationCertificate("wright", (x1, u, v), lhs, rhs), checked)
+    return CheckReport(True, None, checked)
+
+
+def lipschitz_bound_reference(f, a, b, bracket, eps) -> Fraction:
+    """max(|alpha|, |beta|) over the bracket's two divided differences,
+    with f read through ``evaluate`` and the slopes compared as
+    ``ExactReal`` quotients."""
+    a1, a2, b1, b2 = (Fraction(q) for q in bracket)
+    if not (a1 < a2 <= a < b <= b1 < b2):
+        raise BracketViolationError(
+            f"bracket ({a1}, {a2}, {b1}, {b2}) fails a' < a'' <= a < b <= b' < b''"
+        )
+    for q in (a1, b2):
+        if not f.interval.contains(q):
+            raise BracketViolationError(f"bracket point {q} outside {f.interval.literal()}")
+    fa1, fa2, fb1, fb2 = (f.evaluate(ExactReal.from_rational(q)) for q in (a1, a2, b1, b2))
+    alpha = (abs(fa2 - fa1), a2 - a1)
+    beta = (abs(fb2 - fb1), b2 - b1)
+    rise, run = beta if alpha[0] / alpha[1] < beta[0] / beta[1] else alpha
+    return rise.bounds(eps)[1] / run
+
+
 def reference_chain(f, policy, x, rounds):
     """The first ``rounds`` running enclosures of the extension chain of f
     at the irrational x under ``policy``, in ``Enclosure`` arithmetic.
@@ -114,7 +167,7 @@ def reference_chain(f, policy, x, rounds):
         if f.interval.contains(a - w) and f.interval.contains(b + w):
             break
         d /= 2
-    lbar = lipschitz_bound(f, a, b, (a - w, a, b, b + w), policy.slope_eps)
+    lbar = lipschitz_bound_reference(f, a, b, (a - w, a, b, b + w), policy.slope_eps)
     encs = []
     lo, hi = a, b
     while len(encs) < rounds:

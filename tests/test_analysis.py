@@ -3,7 +3,13 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from oracles import numeric_sign, pell_sqrt11_convergent, wright_sweep_reference
+from oracles import (
+    jensen_sweep_reference,
+    lipschitz_bound_reference,
+    numeric_sign,
+    pell_sqrt11_convergent,
+    wright_sweep_reference,
+)
 
 from wrightdecomp import (
     AbsAdditive,
@@ -456,6 +462,95 @@ def test_jensen_affine_exact_equality():
     for x, y in ((R(-2), R(5)), (R(0), SQRT(2))):
         lhs = (f.evaluate(x) + f.evaluate(y)) * Fraction(1, 2)
         assert lhs == f.evaluate((x + y) * Fraction(1, 2))
+
+
+def _outcome(run, *args):
+    """What ``run(*args)`` returns, or the type and message it raises."""
+    try:
+        return run(*args)
+    except WrightDecompError as exc:
+        return type(exc), str(exc)
+
+
+def _lattice_gate_cases():
+    """(f, grid) pairs for the Jensen sweep and the Lipschitz brackets:
+    quadratic parts 0 and nonzero with knots at pair midpoints, irrational
+    interval ends, intervals open at one end, spikes at a grid point and
+    at a pair's midpoint, generated instances on grids over one to three
+    radicals, and grids with a point outside the interval or the basis."""
+    s2, s3 = SQRT(2), SQRT(3)
+    ints = tuple(Fraction(k) for k in range(-3, 4))
+    probes = (s2, s2 * Fraction(-1, 2) + Fraction(1, 3), s3 - 1)
+    # 0, 1/2 and (1 + sqrt2)/2 are the midpoints of (-1, 1), (0, 1) and (1, sqrt2).
+    hinges = ((R(0), Fraction(2)), (R(Fraction(1, 2)), Fraction(1)), ((s2 + 1) / 2, Fraction(3)))
+    additive = AdditiveMap.from_mapping({1: Fraction(1, 3), 2: R(1) + s3, 3: -2})
+    for quad in (Fraction(0), Fraction(3, 4)):
+        convex = ConvexSpec(quad, s2 - Fraction(1, 3), R(1) - s3 / 2, hinges)
+        for interval in (
+            I_10,
+            Interval.open(s2 * -3, s3 + 3),
+            Interval.open(None, 5),
+            Interval.open(s2 - 5, None),
+        ):
+            f = Decomposable(interval, (2, 3), convex, additive)
+            yield f, SampleGrid(interval, ints, probes, seed=0)
+            yield f, SampleGrid(interval, ints, (), seed=0)
+            # -3 is a grid point and bracket point but no pair's midpoint.
+            for at in (R(-3), R(1), R(Fraction(1, 2)), s2, (s2 + 1) / 2):
+                for lift in (Fraction(1, 8), Fraction(5)):
+                    yield Spiked(interval, (2, 3), f, at, lift), SampleGrid(
+                        interval, ints, probes, seed=0
+                    )
+    yield abs_fixture(), make_grid(I_10, 6, 6, (2,), seed=2)
+    for seed in range(12):
+        kind = ("decomposable", "abs_additive", "spiked")[seed % 3]
+        f = generate(seed, kind=kind, basis_size=seed % 3 + 1, nonzero_rational_part=seed % 2 == 1)
+        yield f, make_grid(f.interval, 4 + seed % 3, seed % 4, f.basis, seed)
+    f = square()  # basis (2,)
+    for extra in (s3 + 5, s3 - 5, R(12), R(-12)):
+        for g in (f, Spiked(I_10, (2,), f, R(Fraction(1, 2)), Fraction(5))):
+            yield g, SampleGrid(I_10, (Fraction(0), Fraction(1)), (extra,), seed=0)
+
+
+def test_jensen_check_matches_reference_sweep():
+    tally = {"passed": 0, "violation": 0, "error": 0}
+    for f, grid in _lattice_gate_cases():
+        expected = _outcome(jensen_sweep_reference, f, grid)
+        assert _outcome(jensen_check, f, grid) == expected, (f, grid)
+        if isinstance(expected, tuple):
+            tally["error"] += 1
+        else:
+            tally["passed" if expected.passed else "violation"] += 1
+    assert min(tally.values()) >= 4, tally
+
+
+def test_lipschitz_bound_matches_reference():
+    # Brackets on the grids' rationals, over one denominator or several;
+    # affine and abs instances tie the two slopes, and a spike may sit on
+    # a bracket point.
+    cases = 0
+    for f, grid in _lattice_gate_cases():
+        qs = grid.rationals
+        if len(qs) < 4:
+            continue
+        for a1, a2, b1, b2 in ((qs[0], qs[1], qs[-2], qs[-1]), (qs[0], qs[1], qs[2], qs[-1])):
+            for eps in (SLOPE_EPS, Fraction(1, 10**9)):
+                args = (f, a2, b1, (a1, a2, b1, b2), eps)
+                expected = _outcome(lipschitz_bound_reference, *args)
+                assert _outcome(lipschitz_bound, *args) == expected, (f, args)
+                cases += 1
+    # An irrational slope ties with rises whose upper bounds differ.
+    irrational = Decomposable(I_10, (2,), ConvexSpec(slope=SQRT(2) - Fraction(1, 3)))
+    ties = (affine(), affine(Fraction(-7, 3)), abs_fixture(), irrational)
+    for f in (*ties, square(interval=Interval.open(-2, 2))):
+        for bracket in (
+            (Fraction(-3), Fraction(-5, 3), Fraction(7, 5), Fraction(9, 4)),
+            (Fraction(-1), Fraction(-1), Fraction(7, 5), Fraction(9, 4)),
+            (Fraction(-9), Fraction(-1), Fraction(1), Fraction(1001, 1000)),
+        ):
+            args = (f, Fraction(-1), Fraction(1), bracket, SLOPE_EPS)
+            assert _outcome(lipschitz_bound, *args) == _outcome(lipschitz_bound_reference, *args)
+    assert cases > 100
 
 
 # -- chord slopes --------------------------------------------------------------------

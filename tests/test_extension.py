@@ -26,10 +26,12 @@ from wrightdecomp.errors import (
     InconsistentEnclosureError,
     NonPositiveStepError,
     OutOfDomainError,
+    WrightDecompError,
 )
 from wrightdecomp.exactreal import _from_lattice
+from wrightdecomp.extension import _monotone_scan
 
-from oracles import reference_chain
+from oracles import monotone_scan_reference, reference_chain
 
 R = ExactReal.from_rational
 SQRT = ExactReal.sqrt
@@ -195,18 +197,59 @@ def test_uniqueness_policies_place_distinct_brackets(monkeypatch):
 
 
 def test_handle_evaluates_each_point_once(monkeypatch):
+    # A chain reads f from the compiled form, at its bracket and at its
+    # rounds' midpoints, never through evaluate, and values no point twice.
     f = generate(33, kind="decomposable", nonzero_rational_part=True)
     x = make_grid(f.interval, 0, 2, f.basis, seed=33).irrationals[0]
-    points = []
-    evaluate = type(f).evaluate
+    valued = []
+    compiled = type(f)._compiled
+
+    def counted(self, radicals):
+        vrad, t, value = compiled(self, radicals)
+
+        def recorded(c, den):
+            valued.append(_from_lattice(radicals, c, den))
+            return value(c, den)
+
+        return vrad, t, recorded
+
+    def no_evaluate(self, p):
+        raise AssertionError(f"the chain evaluated {p} through evaluate")
+
+    monkeypatch.setattr(type(f), "_compiled", counted)
+    monkeypatch.setattr(type(f), "evaluate", no_evaluate)
+    handle = ExtensionHandle(f)
+    handle.extend_eval(x, Fraction(1, 10**8))
+    assert len(valued) == len(set(valued)) == 4 + len(handle._chains[x].rounds)
+
+
+def test_chain_tests_its_bracket_for_the_domain_once(monkeypatch):
+    # _start_chain tests a - w and b + w, lipschitz_bound tests them again
+    # as a' and b'', and nothing tests the bracket's inner points or the
+    # rounds' midpoints: four interval tests per chain, plus extend_eval's
+    # one of x per call.
+    calls = []
+    contains = Interval.contains
 
     def counting(self, p):
-        points.append(p)
-        return evaluate(self, p)
+        calls.append(p)
+        return contains(self, p)
 
-    monkeypatch.setattr(type(f), "evaluate", counting)
-    ExtensionHandle(f).extend_eval(x, Fraction(1, 10**8))
-    assert points and len(points) == len(set(points))
+    monkeypatch.setattr(Interval, "contains", counting)
+    for seed in range(4):
+        f = generate(seed, kind=("decomposable", "spiked")[seed % 2], nonzero_rational_part=True)
+        handle = ExtensionHandle(f)
+        for x in make_grid(f.interval, 0, 3, f.basis, seed=seed).irrationals:
+            calls.clear()
+            handle.extend_eval(x, EPS12)
+            chain = handle._chains[x]
+            assert chain.delta < handle.policy.initial_eps  # it refined
+            assert len(calls) == 5, (seed, x)
+            a, b = x.bounds(handle.policy.initial_eps)  # the window fitted at once
+            assert calls == [x, 2 * a - b, 2 * b - a, 2 * a - b, 2 * b - a]
+            calls.clear()
+            handle.extend_eval(x, EPS12 / 10**6)
+            assert calls == [x]
 
 
 def test_refinement_rounds_are_distinct():
@@ -372,6 +415,67 @@ def test_transfer_monotone_fails_for_abs_additive():
     assert cert.context == ()
     assert cert.verify(f)
     assert ViolationCertificate.from_jsonable(cert.to_jsonable()).verify(f)
+
+
+def _scan_cases():
+    """(f, v, grid) for the transfer's monotone scan: the steps decompose
+    takes on generated instances over one to three radicals, spikes at a
+    grid point and at a point p + v, |A| with A nonzero on Q, a concave
+    f, and grid points outside the basis: first, second, both, or last
+    (where a violation comes first)."""
+    from wrightdecomp import shifted_intersection
+
+    for seed in range(9):
+        kind = ("decomposable", "abs_additive", "spiked")[seed % 3]
+        f = generate(seed, kind=kind, basis_size=seed % 3 + 1, nonzero_rational_part=seed % 2 == 0)
+        grid = make_grid(f.interval, 5, 3, f.basis, seed)
+        qs = grid.rationals
+        for v in sorted({q - p for i, p in enumerate(qs) for q in qs[i + 1 :]})[:2]:
+            yield f, v, grid.restricted_to(shifted_intersection(f.interval, v))
+    sub = shifted_intersection(I_10, 1)
+    ints = tuple(Fraction(k) for k in range(-3, 4))
+    probes = (SQRT(2), SQRT(2) * Fraction(-1, 2) + Fraction(1, 3))
+    base = square(AdditiveMap.from_mapping({1: Fraction(1, 3), 2: 3}))
+    for at in (R(1), R(Fraction(1, 2)), SQRT(2) + Fraction(1, 2), R(-3)):
+        for lift in (Fraction(1, 4), Fraction(5)):
+            yield Spiked(I_10, (2,), base, at, lift), Fraction(1, 2), SampleGrid(
+                sub, ints, probes, seed=0
+            )
+    yield AbsAdditive(I_10, (2,), AdditiveMap.from_mapping({1: 1, 2: -1})), Fraction(1), (
+        SampleGrid(sub, ints, probes, seed=0)
+    )
+    yield Decomposable(I_10, (2,), ConvexSpec(quad=Fraction(-1))), Fraction(1), SampleGrid(
+        sub, ints, probes, seed=0
+    )
+    s3 = SQRT(3)
+    for outside in ((s3 - 5,), (s3 - 3,), (s3 + 1,), (s3 - 5, s3 - Fraction(49, 10))):
+        for f in (base, Spiked(I_10, (2,), base, R(-2), Fraction(50))):
+            yield f, Fraction(1), SampleGrid(sub, (Fraction(-3), Fraction(0)), outside, seed=0)
+
+
+def test_monotone_scan_matches_reference_scan():
+    tally = {"passed": 0, "violation": 0, "error": 0}
+    for f, v, grid in _scan_cases():
+        pts, v_exact = grid.points(), R(v)
+        try:
+            expected = monotone_scan_reference(f, v_exact, pts)
+        except WrightDecompError as exc:
+            expected = type(exc), str(exc)
+        handle = ExtensionHandle(f)
+        try:
+            outcome = _monotone_scan(handle, v_exact, pts)
+        except WrightDecompError as exc:
+            outcome = type(exc), str(exc)
+        assert outcome == expected, (f, v, grid)
+        if isinstance(expected, tuple):
+            tally["error"] += 1
+            continue
+        tally["passed" if expected.passed else "violation"] += 1
+        if all(set(p.radicals()) <= set(f.basis) for p in grid.irrationals):
+            report = difference_transfer_check(handle, v, grid, Fraction(1, 100))
+            assert report.monotone_passed == expected.passed
+            assert report.monotone_certificate == expected.certificate
+    assert min(tally.values()) >= 4, tally
 
 
 def test_legacy_two_point_monotone_certificate_is_rejected():
