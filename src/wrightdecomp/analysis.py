@@ -411,6 +411,12 @@ def lipschitz_bound(
     for q in (a1, b2):
         if not f.interval.contains(q):
             raise BracketViolationError(f"bracket point {q} outside {f.interval.literal()}")
+    return _lipschitz_bar(f, bracket, eps)
+
+
+def _lipschitz_bar(f: FunctionDef, bracket: tuple[Fraction, ...], eps: Fraction) -> Fraction:
+    """``lipschitz_bound``'s modulus, for a bracket of four ascending
+    Fractions that the caller has already placed inside f's interval."""
     # The four points over one denominator, f at them as value tuples.
     vrad, t, value = f._compiled((1,))
     den = math.lcm(*[q.denominator for q in bracket])

@@ -42,6 +42,13 @@ from .extension import (
 from .funcspec import Decomposable, FunctionDef
 
 _MAX_HALVINGS = 200  # halvings of q tried before the probe is given up
+# uniqueness_check's second bracket policy.  Its margin of two window
+# widths gives every chain a bracket other than the default policy's,
+# whatever the windows.  Its first enclosure asked at 2**-64 is usually a
+# later Heron element than 2**-30 gives, so the windows differ too; one
+# element can meet both requests where a radical's Heron widths shrink
+# fast enough.
+_SECOND_POLICY = BracketPolicy(Fraction(1, 2**64), margin_widths=2, slope_eps=Fraction(1, 128))
 
 
 @dataclass(frozen=True)
@@ -325,9 +332,7 @@ def uniqueness_check(
     # Each chain is a pure function of (policy, x), so the probes below
     # reuse the chains the two decompositions built.
     handle_a = ExtensionHandle(f, BracketPolicy())
-    handle_b = ExtensionHandle(
-        f, BracketPolicy(initial_eps=Fraction(1, 8), margin_widths=2, slope_eps=Fraction(1, 128))
-    )
+    handle_b = ExtensionHandle(f, _SECOND_POLICY)
     grid_a = make_grid(f.interval, 8, 4, f.basis, s1)
     grid_b = make_grid(f.interval, 10, 4, f.basis, s2)
     first = _decompose(handle_a, eps, grid_a)

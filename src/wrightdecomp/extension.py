@@ -7,19 +7,24 @@ extension at an irrational x it
 
 1. takes as window [a, b] the first rational enclosure of x whose
    bracket (a - w, a, b, b + w), w a fixed multiple of b - a, fits inside
-   the interval;
+   the interval.  The first enclosure asked for is already at the working
+   precision (2**-30 by default), so for the eps callers ask (1e-8 on the
+   CLI) the chain's first round is usually the one handed out;
 2. bounds the Lipschitz modulus L on the rationals of [a, b] by the
    divided differences over (a - w, a) and (b, b + w), widened to a
-   rational; slopes of a convex function are monotone, so any outer
-   points would do, and w only sets how tight L is.  ``lipschitz_bound``
-   reads f at the four points from the compiled value at rationals and
-   compares the two slopes on int tuples;
-3. probes f at rational midpoints x_r of shrinking enclosures of x and
-   intersects the certified intervals [f(x_r) - L*d, f(x_r) + L*d],
-   where d bounds |x - x_r|.  A round runs in ints: x_r is a numerator
-   over one denominator, f(x_r) comes from the source's compiled value at
-   rationals (``_compiled((1,))``) as an int tuple, and the slack, the running
-   intersection and the width test are int tuples whose signs
+   rational at most ``slope_eps`` above the steeper one (its rise is
+   bounded to within slope_eps * w); slopes of a convex function are
+   monotone, so any outer points would do, and w only sets how tight L
+   is.  The modulus is ``lipschitz_bound``'s, read without its checks,
+   which step 1 has made: f at the four points comes from the compiled
+   value at rationals and the two slopes are compared on int tuples;
+3. probes f at the rational midpoint x_r of the window, and of each
+   narrower enclosure of x that a finer eps asks for, and intersects the
+   certified intervals [f(x_r) - L*d, f(x_r) + L*d], where d bounds
+   |x - x_r|.  A round runs in ints: x_r is a numerator over one
+   denominator, f(x_r) comes from the source's compiled value at
+   rationals (``_compiled((1,))``) as an int tuple, and the slack, the
+   running intersection and the width test are int tuples whose signs
    ``_lattice_sign`` decides.  An ``Enclosure`` is built only for a round
    that ``extend_eval`` hands out, once per round.
 
@@ -40,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .analysis import CheckReport, ViolationCertificate, _lattice_values, lipschitz_bound
+from .analysis import CheckReport, ViolationCertificate, _lattice_values, _lipschitz_bar
 from .domain import SampleGrid, shifted_intersection
 from .errors import BracketUnavailableError, NonPositiveStepError, OutOfDomainError
 from .exactreal import Enclosure, ExactReal, Ordering, compare
@@ -54,11 +59,17 @@ _MAX_SHRINK = 500  # halvings tried before no window and bracket fit
 class BracketPolicy:
     """Deterministic knobs for window and bracket placement: the window is
     the first enclosure of x, asked at ``initial_eps`` and halved until a
-    margin of ``margin_widths`` window widths fits on each side."""
+    margin of ``margin_widths`` window widths fits on each side.
 
-    initial_eps: Fraction = Fraction(1, 4)  # first enclosure width requested for x
+    The default ``initial_eps`` is the working precision: a window of width
+    at most 2**-30 gives a first round of width at most L*2**-30, which
+    meets eps = 1e-8 for any modulus L up to 10, so a chain asked for 1e-8
+    usually runs one round.  A coarser start adds rounds that such a
+    caller never gets."""
+
+    initial_eps: Fraction = Fraction(1, 2**30)  # first enclosure width requested for x
     margin_widths: int = 1  # bracket margin, in window widths
-    slope_eps: Fraction = Fraction(1, 64)  # enclosure width when bounding the modulus
+    slope_eps: Fraction = Fraction(1, 64)  # how far the modulus may exceed the steeper slope
 
 
 class _Round(NamedTuple):
@@ -160,8 +171,10 @@ class ExtensionHandle:
             raise BracketUnavailableError(
                 f"could not fit a rational window around {x} inside {self.interval.literal()}"
             )
-        bracket = (a - w, a, b, b + w)
-        chain = _Chain(lipschitz_bound(self, a, b, bracket, self.policy.slope_eps), d)
+        # Both runs of the bracket are w, so a rise bounded to within
+        # slope_eps * w gives the modulus to within slope_eps.
+        lbar = _lipschitz_bar(self, (a - w, a, b, b + w), self.policy.slope_eps * w)
+        chain = _Chain(lbar, d)
         self._seed_round(chain, a, b)
         return chain
 

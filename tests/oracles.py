@@ -167,7 +167,7 @@ def reference_chain(f, policy, x, rounds):
         if f.interval.contains(a - w) and f.interval.contains(b + w):
             break
         d /= 2
-    lbar = lipschitz_bound_reference(f, a, b, (a - w, a, b, b + w), policy.slope_eps)
+    lbar = lipschitz_bound_reference(f, a, b, (a - w, a, b, b + w), policy.slope_eps * w)
     encs = []
     lo, hi = a, b
     while len(encs) < rounds:

@@ -273,14 +273,14 @@ def test_decompose_evaluates_each_point_once(tmp_path, monkeypatch):
     assert run_cli("decompose", str(inst), "--out", str(tmp_path / "result.json")) == 0
     assert len(points) == len(set(points)) == 14
     assert set(points) < set(valued)
-    assert (len(valued), len(set(valued))) == (206, 170)
+    assert (len(valued), len(set(valued))) == (156, 120)
     # verify's recovery and its truth check share one handle too
     points.clear()
     valued.clear()
     assert run_cli("verify", str(tmp_path / "result.json"), "--truth", str(inst)) == 0
     assert len(points) == len(set(points)) == 5
     assert set(points) < set(valued)
-    assert (len(valued), len(set(valued))) == (82, 79)
+    assert (len(valued), len(set(valued))) == (61, 58)
 
 
 def test_check_jensen(abs_instance, tmp_path):

@@ -28,6 +28,7 @@ from wrightdecomp.errors import (
     OutOfDomainError,
     WrightDecompError,
 )
+from wrightdecomp.decomposition import _SECOND_POLICY
 from wrightdecomp.exactreal import _from_lattice
 from wrightdecomp.extension import _monotone_scan
 
@@ -40,6 +41,12 @@ I_10 = Interval.open(-10, 10)
 EPS6 = Fraction(1, 10**6)
 EPS_SET = (Fraction(1, 100), Fraction(1, 10**4), Fraction(1, 10**8))
 EPS12 = Fraction(1, 10**12)
+# Down to 1e-8 a default chain fits at its first round; these finer eps
+# make it refine, so nesting covers the rounds after the first.
+NESTING_EPS = (*EPS_SET, Fraction(1, 10**20), Fraction(1, 10**40))
+# A window asked at 1/4: its chains run several rounds down to 1e-8 and
+# 1e-12, which the tests of the multi-round path need.
+COARSE = BracketPolicy(initial_eps=Fraction(1, 4))
 
 
 def square(additive=None, interval=I_10, basis=(2,)):
@@ -99,9 +106,10 @@ def test_extend_nesting_across_eps():
     h = ExtensionHandle(f)
     grid = make_grid(f.interval, 0, 3, f.basis, seed=31)
     for x in grid.irrationals:
-        encs = [h.extend_eval(x, eps) for eps in EPS_SET]
+        encs = [h.extend_eval(x, eps) for eps in NESTING_EPS]
         for outer, inner in zip(encs, encs[1:]):
             assert outer.contains_enclosure(inner)
+        assert len(h._chains[x].rounds) > 1
 
 
 def test_extend_cache_matches_fresh_run():
@@ -152,7 +160,7 @@ def _round_probes(handle, x):
 
 def test_intermediate_probes_respect_modulus():
     f = generate(33, kind="decomposable", nonzero_rational_part=True)
-    h = ExtensionHandle(f)
+    h = ExtensionHandle(f, COARSE)
     x = make_grid(f.interval, 0, 2, f.basis, seed=33).irrationals[0]
     h.extend_eval(x, Fraction(1, 10**8))
     probes = _round_probes(h, x)
@@ -165,12 +173,33 @@ def test_intermediate_probes_respect_modulus():
             assert compare(gap, R(lbar * abs(r1 - r2))) is not Ordering.GREATER
 
 
+def test_chain_modulus_is_within_slope_eps_of_the_steeper_margin_slope():
+    # The chain bounds the larger rise to within slope_eps times the run,
+    # so L-bar exceeds the steeper margin slope by at most slope_eps
+    # however narrow the window is.  On generate(5) a rise bounded to
+    # within slope_eps alone takes 107/64 where the slope is about 0.908.
+    f = generate(5)
+    grid = make_grid(f.interval, 0, 4, f.basis, seed=5)
+    for policy in (BracketPolicy(), _SECOND_POLICY):
+        handle = ExtensionHandle(f, policy)
+        for x in grid.irrationals:
+            handle.extend_eval(x, Fraction(1, 10**8))
+            chain = handle._chains[x]
+            assert len(chain.rounds) == 1  # so chain.delta gave the window
+            a, b = x.bounds(chain.delta)
+            w = policy.margin_widths * (b - a)
+            ev = lambda q: f.evaluate(R(q))
+            slopes = [abs((ev(q + w) - ev(q)) * R(1 / w)) for q in (a - w, b)]
+            steeper = max(slopes)
+            lbar = R(chain.lipschitz_bar)
+            assert compare(steeper, lbar) is not Ordering.GREATER, x
+            assert compare(lbar - R(policy.slope_eps), steeper) is not Ordering.GREATER, x
+
+
 def test_uniqueness_surrogate_policies_overlap():
     f = generate(34, kind="decomposable", nonzero_rational_part=True)
     h1 = ExtensionHandle(f, BracketPolicy())
-    h2 = ExtensionHandle(
-        f, BracketPolicy(initial_eps=Fraction(1, 8), margin_widths=2, slope_eps=Fraction(1, 128))
-    )
+    h2 = ExtensionHandle(f, _SECOND_POLICY)
     grid = make_grid(f.interval, 2, 4, f.basis, seed=34)
     for x in grid.points():
         for eps in EPS_SET:
@@ -179,21 +208,42 @@ def test_uniqueness_surrogate_policies_overlap():
 
 def test_uniqueness_policies_place_distinct_brackets(monkeypatch):
     # The two runs are independent evidence only when no chain of one
-    # reuses a bracket, and with it a modulus, of the other.
+    # reuses a bracket, and with it a modulus, of the other; nor its
+    # window (a, b), and with it the first round's midpoint.  On the
+    # uniqueness set (generate(s), s = 0-5) every chain at 1e-8 also fits
+    # at its first round, so no _refine round runs.
     from wrightdecomp import extension
 
     placed = {}
-    lipschitz_bound = extension.lipschitz_bound
+    lipschitz_bar = extension._lipschitz_bar
 
-    def spy(handle, a, b, bracket, eps):
+    def spy(handle, bracket, eps):
         placed.setdefault(handle.policy, set()).add(bracket)
-        return lipschitz_bound(handle, a, b, bracket, eps)
+        return lipschitz_bar(handle, bracket, eps)
 
-    monkeypatch.setattr(extension, "lipschitz_bound", spy)
-    f = generate(34, nonzero_rational_part=True)
-    assert uniqueness_check(f, Fraction(1, 10**8), (34, 34 + 7919)).passed
-    first, second = placed.values()
-    assert first and second and not first & second
+    monkeypatch.setattr(extension, "_lipschitz_bar", spy)
+    calls = {"_start_chain": 0, "extend_eval": 0, "_refine": 0}
+    for name in calls:
+        method = getattr(ExtensionHandle, name)
+
+        def counting(*args, name=name, method=method):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(ExtensionHandle, name, counting)
+
+    def check(f, seeds):
+        placed.clear()
+        assert uniqueness_check(f, Fraction(1, 10**8), seeds).passed
+        first, second = placed.values()
+        assert first and second and not first & second, seeds
+        assert not {b[1:3] for b in first} & {b[1:3] for b in second}, seeds
+
+    for s in range(6):
+        check(generate(s), (s, s + 7))
+    assert calls == {"_start_chain": 200, "extend_eval": 334, "_refine": 0}
+    # an instance whose additive part is nonzero on Q
+    check(generate(34, nonzero_rational_part=True), (34, 34 + 7919))
 
 
 def test_handle_evaluates_each_point_once(monkeypatch):
@@ -224,10 +274,10 @@ def test_handle_evaluates_each_point_once(monkeypatch):
 
 
 def test_chain_tests_its_bracket_for_the_domain_once(monkeypatch):
-    # _start_chain tests a - w and b + w, lipschitz_bound tests them again
-    # as a' and b'', and nothing tests the bracket's inner points or the
-    # rounds' midpoints: four interval tests per chain, plus extend_eval's
-    # one of x per call.
+    # _start_chain tests a - w and b + w, the modulus reads the bracket
+    # without testing it again, and nothing tests the bracket's inner
+    # points or the rounds' midpoints: two interval tests per chain, plus
+    # extend_eval's one of x per call.
     calls = []
     contains = Interval.contains
 
@@ -238,15 +288,15 @@ def test_chain_tests_its_bracket_for_the_domain_once(monkeypatch):
     monkeypatch.setattr(Interval, "contains", counting)
     for seed in range(4):
         f = generate(seed, kind=("decomposable", "spiked")[seed % 2], nonzero_rational_part=True)
-        handle = ExtensionHandle(f)
+        handle = ExtensionHandle(f, COARSE)
         for x in make_grid(f.interval, 0, 3, f.basis, seed=seed).irrationals:
             calls.clear()
             handle.extend_eval(x, EPS12)
             chain = handle._chains[x]
             assert chain.delta < handle.policy.initial_eps  # it refined
-            assert len(calls) == 5, (seed, x)
+            assert len(calls) == 3, (seed, x)
             a, b = x.bounds(handle.policy.initial_eps)  # the window fitted at once
-            assert calls == [x, 2 * a - b, 2 * b - a, 2 * a - b, 2 * b - a]
+            assert calls == [x, 2 * a - b, 2 * b - a]
             calls.clear()
             handle.extend_eval(x, EPS12 / 10**6)
             assert calls == [x]
@@ -257,7 +307,7 @@ def test_refinement_rounds_are_distinct():
     # repeat the last running intersection too, so it is skipped
     for seed in range(3):
         f = generate(seed, kind="decomposable", nonzero_rational_part=True)
-        handle = ExtensionHandle(f)
+        handle = ExtensionHandle(f, COARSE)
         for x in make_grid(f.interval, 0, 2, f.basis, seed=seed).irrationals:
             handle.extend_eval(x, EPS12)
             chain = handle._chains[x]
@@ -266,7 +316,7 @@ def test_refinement_rounds_are_distinct():
             assert len({(e.lo, e.hi) for e in encs}) == len(encs), (seed, x)
 
 
-def _matches_reference_chain(f, x, eps, policy=BracketPolicy()):
+def _matches_reference_chain(f, x, eps, policy=COARSE):
     """The int chain's rounds at x, down to width eps, against the
     ``Enclosure``-based reference chain round by round; a disjoint round
     must raise in both, with one message.  Returns the rounds run, and
@@ -316,6 +366,8 @@ def test_int_chain_matches_reference_chain():
         assert len(rounds) > 3 and not raised
     policy = BracketPolicy(Fraction(1, 8), 2, Fraction(1, 128))
     assert not _matches_reference_chain(f, probes[0], Fraction(1, 10**10), policy)[1]
+    rounds, raised = _matches_reference_chain(f, probes[2], Fraction(1, 10**40), BracketPolicy())
+    assert len(rounds) > 1 and not raised
 
     # |A| where A on Q is r*A(1): rounds whose windows hold 0 take f at
     # midpoints of both signs, on one, two and three radicals.
@@ -338,7 +390,7 @@ def test_int_chain_matches_reference_chain():
     # bottom, and a large lift makes a round disjoint.
     base = square(additive=AdditiveMap.from_mapping({2: 3}))
     x = R(Fraction(1, 2)) + SQRT(2) / 3
-    handle = ExtensionHandle(base)
+    handle = ExtensionHandle(base, COARSE)
     handle.extend_eval(x, EPS12)
     chain = handle._chains[x]
     j = next(
