@@ -27,7 +27,7 @@ import bisect
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -56,8 +56,35 @@ _SIDES: dict[str, Callable[..., tuple[ExactReal, ExactReal]]] = {
 }
 
 
+def _jsonable(value):
+    """A report field as JSON: a number as its exact literal, a certificate
+    or report through its ``to_jsonable``, a tuple as a list, and a dict
+    with its keys as strings, in key order."""
+    if isinstance(value, (Fraction, ExactReal)):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in sorted(value.items())}
+    return value.to_jsonable() if hasattr(value, "to_jsonable") else value
+
+
+class _Report:
+    """A dataclass report whose document is its fields, as ``_jsonable``
+    writes them, except those named in ``_unreported``."""
+
+    _unreported: tuple[str, ...] = ()
+
+    def to_jsonable(self) -> dict:
+        return {
+            f.name: _jsonable(getattr(self, f.name))
+            for f in fields(self)
+            if f.name not in self._unreported
+        }
+
+
 @dataclass(frozen=True)
-class ViolationCertificate:
+class ViolationCertificate(_Report):
     """Exact witness of a violated inequality; re-checkable in isolation."""
 
     kind: str  # 'wright' | 'jensen' | 'monotone'
@@ -100,14 +127,9 @@ class ViolationCertificate:
         return lhs == self.lhs and rhs == self.rhs and compare(lhs, rhs) is Ordering.LESS
 
     def to_jsonable(self) -> dict:
-        return {
-            "kind": self.kind,
-            "witness": [w.literal() for w in self.witness],
-            "lhs": self.lhs.literal(),
-            "rhs": self.rhs.literal(),
-            "violation": self.violation_amount().literal(),
-            "context": {k: v.literal() for k, v in self.context},
-        }
+        doc = super().to_jsonable()
+        doc.update(violation=str(self.violation_amount()), context=_jsonable(dict(self.context)))
+        return doc
 
     @classmethod
     def from_jsonable(cls, d: dict) -> "ViolationCertificate":
@@ -123,7 +145,7 @@ class ViolationCertificate:
 
 
 @dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Report):
     """Outcome of a grid sweep: pass over the sample, or first violation."""
 
     passed: bool
@@ -135,12 +157,7 @@ class CheckReport:
         return "no violation found on grid" if self.passed else "violation found on grid"
 
     def to_jsonable(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checked": self.checked,
-            "description": self.description,
-            "certificate": None if self.certificate is None else self.certificate.to_jsonable(),
-        }
+        return {**super().to_jsonable(), "description": self.description}
 
 
 def double_delta(

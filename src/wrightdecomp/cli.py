@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 = checked and clean (or command succeeded); 2 = a violation
-was found (certificate written); 1 = usage or domain errors.  Reports are
-JSON, plot data CSV; all numeric output uses exact literals, and a run
-with an identical configuration produces byte-identical files.
+Exit codes, one per outcome: 0 = pass (evidence over the grid, or the
+command succeeded); 2 = refuted (a certificate that verifies is written,
+or the document that verify or verify-certificate checks does not
+reproduce); 3 = inconclusive (the evidence failed without a certificate,
+or nothing was checked); 1 = usage or domain errors.  Reports are JSON,
+plot data CSV; all numeric output uses exact literals, and a run with an
+identical configuration produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from pathlib import Path
 from .analysis import ViolationCertificate, jensen_check, wright_check
 from .decomposition import _check_eps_floor, _recover, _verify, decompose
 from .domain import make_grid
-from .errors import NotJensenConvexError, ParseError, WrightDecompError, _expect_type
+from .errors import NotWrightConvexError, ParseError, WrightDecompError, _expect_type
 from .exactreal import ExactReal, parse_rational
 from .extension import ExtensionHandle
 from .funcspec import dumps_instance, generate, load_instance
@@ -29,7 +32,7 @@ from .funcspec import dumps_instance, generate, load_instance
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the convention here
-    # reserves 2 for found violations.
+    # reserves 2 for refutations.
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -62,13 +65,12 @@ def _emit(config: dict, payload: dict) -> None:
     _write(config["out"], text)
 
 
-def _emit_not_midpoint_convex(config: dict, certificate: ViolationCertificate | None) -> int:
-    payload = {
-        "error": "not midpoint convex on sampled rationals",
-        "certificate": certificate.to_jsonable() if certificate else None,
-    }
-    _emit(config, payload)
-    return 2
+def _outcome(*, refuted: bool = False, evidence: bool = True) -> int:
+    """Every command's exit code, from one rule: 2 (refuted) for an exact
+    disproof in hand, else 0 (pass) on evidence, else 3 (inconclusive: a
+    check failed without a certificate, or nothing was checked).  An
+    error exits 1, in ``main``."""
+    return 2 if refuted else 0 if evidence else 3
 
 
 @functools.cache
@@ -94,29 +96,23 @@ def _build_parser() -> _Parser:
     p.add_argument("instance")
     p.add_argument("--at", required=True, help="ExactReal literal")
 
-    p = sub.add_parser("check-wright", help="exact double-difference sweep")
-    p.add_argument("instance")
-    p.add_argument("--grid-n", type=int, default=12)
-    p.add_argument("--irrational-n", type=int, default=0)
+    def sweep(name: str, about: str, grid_n: int, irrational_n: int, eps: str | None = None):
+        """A command that reads an instance on a grid (``_load_grid``)."""
+        p = sub.add_parser(name, help=about)
+        p.add_argument("instance")
+        if eps is not None:
+            p.add_argument("--eps", default=eps)
+        p.add_argument("--grid-n", type=int, default=grid_n)
+        p.add_argument("--irrational-n", type=int, default=irrational_n)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=None)
+        return p
+
+    p = sweep("check-wright", "exact double-difference sweep", 12, 0)
     p.add_argument("--steps", default=None, help="comma-separated ExactReal step literals")
     p.add_argument("--max-grid-steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("check-jensen", help="exact midpoint-convexity sweep")
-    p.add_argument("instance")
-    p.add_argument("--grid-n", type=int, default=12)
-    p.add_argument("--irrational-n", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("decompose", help="recover the additive part vanishing on Q")
-    p.add_argument("instance")
-    p.add_argument("--eps", default="1/100000000")
-    p.add_argument("--grid-n", type=int, default=8)
-    p.add_argument("--irrational-n", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
+    sweep("check-jensen", "exact midpoint-convexity sweep", 12, 4)
+    sweep("decompose", "recover the additive part vanishing on Q", 8, 4, eps="1/100000000")
 
     p = sub.add_parser("verify", help="check a decomposition against ground truth")
     p.add_argument("result", help="decomposition result JSON")
@@ -127,14 +123,8 @@ def _build_parser() -> _Parser:
     p.add_argument("report", help="report JSON containing a certificate")
     p.add_argument("--instance", default=None, help="instance file (defaults to the report's)")
 
-    p = sub.add_parser("report", help="emit extension enclosures as CSV plot data")
-    p.add_argument("instance")
-    p.add_argument("--grid-n", type=int, default=12)
-    p.add_argument("--irrational-n", type=int, default=6)
-    p.add_argument("--eps", default="1/10000")
-    p.add_argument("--seed", type=int, default=0)
+    p = sweep("report", "emit extension enclosures as CSV plot data", 12, 6, eps="1/10000")
     p.add_argument("--csv", required=True)
-    p.add_argument("--out", default=None)
     return parser
 
 
@@ -149,7 +139,7 @@ def _cmd_gen(args) -> int:
         nonzero_rational_part=args.nonzero_c1,
     )
     _write(args.out, dumps_instance(inst))
-    return 0
+    return _outcome()
 
 
 def _cmd_eval(args) -> int:
@@ -157,7 +147,7 @@ def _cmd_eval(args) -> int:
     x = ExactReal.parse(args.at)
     value = inst.evaluate(x)
     sys.stdout.write(value.literal() + "\n")
-    return 0
+    return _outcome()
 
 
 def _config(args, instance, eps, seed, grid_n, irrational_n, **extra) -> dict:
@@ -185,6 +175,7 @@ def _load_grid(args, **extra):
         _check_eps_floor(eps)
     grid = make_grid(inst.interval, args.grid_n, args.irrational_n, inst.basis, args.seed)
     config = _config(args, args.instance, eps, args.seed, args.grid_n, args.irrational_n, **extra)
+    args.config = config  # what ``main`` embeds in a refusal
     return inst, eps, grid, config
 
 
@@ -194,24 +185,21 @@ def _cmd_check_wright(args) -> int:
     report = wright_check(inst, grid, steps, max_grid_steps=args.max_grid_steps)
     config["steps"] = [s.literal() for s in steps]
     _emit(config, {"check": "wright", "report": report.to_jsonable()})
-    return 0 if report.passed else 2
+    return _outcome(refuted=not report.passed, evidence=report.checked > 0)
 
 
 def _cmd_check_jensen(args) -> int:
     inst, _, grid, config = _load_grid(args)
     report = jensen_check(inst, grid)
     _emit(config, {"check": "jensen", "report": report.to_jsonable()})
-    return 0 if report.passed else 2
+    return _outcome(refuted=not report.passed, evidence=report.checked > 0)
 
 
 def _cmd_decompose(args) -> int:
     inst, eps, grid, config = _load_grid(args)
-    try:
-        result = decompose(inst, eps, grid)
-    except NotJensenConvexError as exc:
-        return _emit_not_midpoint_convex(config, exc.certificate)
+    result = decompose(inst, eps, grid)
     _emit(config, result.to_jsonable())
-    return 0
+    return _outcome(evidence=result.passed)
 
 
 def _cmd_verify(args) -> int:
@@ -233,7 +221,11 @@ def _cmd_verify(args) -> int:
     grid = make_grid(truth.interval, grid_n, irrational_n, truth.basis, seed)
     # Only the recovery phase: the stored coefficients are all this compares.
     handle = ExtensionHandle(truth)
-    additive_hat, _ = _recover(handle, eps, grid)
+    try:
+        additive_hat, _ = _recover(handle, eps, grid)
+    except NotWrightConvexError as exc:
+        # A refusal of the truth is bad input, not a finding on the result.
+        raise WrightDecompError(str(exc)) from exc
     recomputed = {m: (enc.lo.literal(), enc.hi.literal()) for m, enc in additive_hat.items()}
     payload = _verify(additive_hat, eps, seed, truth, handle).to_jsonable()
     if stored != recomputed:
@@ -241,7 +233,7 @@ def _cmd_verify(args) -> int:
         payload["failures"].append("stored additive enclosures do not match a reproduced run")
     config = _config(args, args.truth, eps, seed, grid_n, irrational_n, result=args.result)
     _emit(config, payload)
-    return 0 if payload["passed"] else 2
+    return _outcome(refuted=not payload["passed"])
 
 
 def _cmd_verify_certificate(args) -> int:
@@ -253,13 +245,11 @@ def _cmd_verify_certificate(args) -> int:
     if cert_doc is None:
         cert_doc = doc.get("certificate")
     if cert_doc is None:
-        sys.stderr.write("report carries no certificate\n")
-        return 1
+        raise ParseError(f"report {args.report} carries no certificate")
     config = doc.get("config") or {}
     instance_path = args.instance or _expect_type(config, dict, "config").get("instance")
     if not instance_path:
-        sys.stderr.write("no instance available to re-check against\n")
-        return 1
+        raise ParseError(f"report {args.report} names no instance to re-check against")
     inst = load_instance(_expect_type(instance_path, str, "instance path"))
     try:
         cert = ViolationCertificate.from_jsonable(cert_doc)
@@ -267,9 +257,9 @@ def _cmd_verify_certificate(args) -> int:
         raise ParseError(f"report {args.report} certificate missing field {exc}") from exc
     if cert.verify(inst):
         sys.stdout.write("certificate verified: violation reproduces exactly\n")
-        return 0
+        return _outcome()
     sys.stdout.write("certificate REJECTED: violation does not reproduce\n")
-    return 2
+    return _outcome(refuted=True)
 
 
 def _cmd_report(args) -> int:
@@ -277,7 +267,7 @@ def _cmd_report(args) -> int:
     handle = ExtensionHandle(inst)
     gate = jensen_check(handle, grid.rational_only())
     if not gate.passed:
-        return _emit_not_midpoint_convex(config, gate.certificate)
+        raise NotWrightConvexError(gate.certificate)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["x_literal", "lo", "hi", "width"])
@@ -286,7 +276,7 @@ def _cmd_report(args) -> int:
         writer.writerow([x.literal(), enc.lo.literal(), enc.hi.literal(), enc.width.literal()])
     _write(args.csv, buf.getvalue())
     _emit(config, {"rows": len(grid.points()), "csv": args.csv})
-    return 0
+    return _outcome(evidence=gate.checked > 0)
 
 
 _COMMANDS = {
@@ -305,7 +295,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.subcommand](args)
+        try:
+            return _COMMANDS[args.subcommand](args)
+        except NotWrightConvexError as exc:
+            _emit(args.config, {"error": exc.refusal, "certificate": exc.certificate.to_jsonable()})
+            return _outcome(refuted=True)
     except (WrightDecompError, OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

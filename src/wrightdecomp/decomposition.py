@@ -28,9 +28,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import jensen_check
+from .analysis import _Report, jensen_check
 from .domain import Interval, SampleGrid, make_grid, rational_anchors, shifted_intersection
-from .errors import BracketUnavailableError, EmptyDomainError, NotJensenConvexError
+from .errors import BracketUnavailableError, EmptyDomainError, NotWrightConvexError
 from .exactreal import Enclosure, ExactReal, Ordering, compare
 from .extension import (
     BracketPolicy,
@@ -52,7 +52,7 @@ _SECOND_POLICY = BracketPolicy(Fraction(1, 2**64), margin_widths=2, slope_eps=Fr
 
 
 @dataclass(frozen=True)
-class PredictionReport:
+class PredictionReport(_Report):
     """The recovered additive map against the residual f - g at the grid's
     irrational points x = r + sum q_m*sqrt(m), where it predicts
     sum q_m * a_m.  A probe is flagged only when the residual and the
@@ -63,13 +63,6 @@ class PredictionReport:
     worst_gap: Fraction  # rational upper bound of |residual - prediction|
     consistent: bool  # some probe checked and none flagged
 
-    def to_jsonable(self) -> dict:
-        return {
-            "probes_checked": self.probes_checked,
-            "worst_gap": str(self.worst_gap),
-            "consistent": self.consistent,
-        }
-
 
 @dataclass(frozen=True)
 class DecompositionResult:
@@ -79,6 +72,12 @@ class DecompositionResult:
     recovery_points: dict[int, tuple[Fraction, Fraction]]  # m -> (r, q)
     prediction: PredictionReport
     transfer_reports: tuple[TransferReport, ...]
+
+    @property
+    def passed(self) -> bool:
+        """Evidence over the grid: a consistent prediction, and every
+        transfer bound within twice eps.  Neither failure certifies."""
+        return self.prediction.consistent and all(t.within_twice_eps for t in self.transfer_reports)
 
     def to_jsonable(self) -> dict:
         return {
@@ -149,17 +148,18 @@ def _check_eps_floor(eps: Fraction) -> None:
 def decompose(f: FunctionDef, eps: Fraction, grid: SampleGrid) -> DecompositionResult:
     """Recover the additive part of f vanishing on Q, with certified error.
 
-    Precondition: f is midpoint convex on the grid's rational points
-    (checked first; failure aborts, since such an f cannot be a sum of a
-    convex and an additive function).  Each basis radical coefficient is
-    recovered as (f(r + q*sqrt(m)) - g-enclosure) / q with enclosure
-    width eps * q, so every reported coefficient enclosure has width at
-    most eps.  The result's ``prediction`` reports whether the recovered
-    map predicts the residual at the grid's irrational points; a flagged
-    probe (disjoint enclosures) shows that f - g is not additive there,
-    so f is not Wright convex (given the extension's grid-evidenced
-    Lipschitz bound).  It is ``consistent`` only when at least one probe
-    was checked and none was flagged.
+    Precondition: f is Wright convex.  Any certificate the run holds
+    against f raises ``NotWrightConvexError``: the Jensen gate's at the
+    grid's rationals, or a transfer check's.  Each basis radical
+    coefficient is recovered as (f(r + q*sqrt(m)) - g-enclosure) / q with
+    enclosure width eps * q, so every reported coefficient enclosure has
+    width at most eps.  The result's ``prediction`` reports whether the
+    recovered map predicts the residual at the grid's irrational points; a
+    flagged probe (disjoint enclosures) shows that f - g is not additive
+    there, so f is not Wright convex (given the extension's grid-evidenced
+    Lipschitz bound), but certifies nothing, so ``passed`` reads it.  It
+    is ``consistent`` only when at least one probe was checked and none
+    was flagged.
     """
     return _decompose(ExtensionHandle(f), eps, grid)
 
@@ -180,7 +180,7 @@ def _recover(
 
     gate = jensen_check(handle, grid.rational_only())
     if not gate.passed:
-        raise NotJensenConvexError(gate.certificate)
+        raise NotWrightConvexError(gate.certificate)
 
     additive_hat: dict[int, Enclosure] = {}
     recovery_points: dict[int, tuple[Fraction, Fraction]] = {}
@@ -211,7 +211,10 @@ def _decompose(handle: ExtensionHandle, eps: Fraction, grid: SampleGrid) -> Deco
         sub = grid.restricted_to(sub_interval)
         if len(sub.points()) < 2:
             continue
-        transfer_reports.append(difference_transfer_check(handle, v, sub, eps))
+        transfer = difference_transfer_check(handle, v, sub, eps)
+        if not transfer.monotone_passed:
+            raise NotWrightConvexError(transfer.monotone_certificate)
+        transfer_reports.append(transfer)
 
     # The transfer check has built the chains of most of these points.
     gaps = [handle.residual(x, eps) - _additive_at(additive_hat, x) for x in grid.irrationals]
@@ -232,19 +235,11 @@ def _decompose(handle: ExtensionHandle, eps: Fraction, grid: SampleGrid) -> Deco
 
 
 @dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Report):
     passed: bool
     failures: tuple[str, ...]
     radicals_checked: int
     probes_checked: int
-
-    def to_jsonable(self) -> dict:
-        return {
-            "passed": self.passed,
-            "failures": list(self.failures),
-            "radicals_checked": self.radicals_checked,
-            "probes_checked": self.probes_checked,
-        }
 
 
 def verify_against_truth(result: DecompositionResult, instance: FunctionDef) -> VerificationReport:
@@ -301,8 +296,11 @@ def _verify(
 
 
 @dataclass(frozen=True)
-class UniquenessReport:
-    """Agreement of two independent decomposition runs."""
+class UniquenessReport(_Report):
+    """Agreement of two independent decomposition runs; the document
+    leaves out the two runs themselves."""
+
+    _unreported = ("first", "second")
 
     passed: bool
     radical_overlaps: dict[int, bool]
@@ -310,14 +308,6 @@ class UniquenessReport:
     probe_failures: tuple[str, ...]
     first: DecompositionResult
     second: DecompositionResult
-
-    def to_jsonable(self) -> dict:
-        return {
-            "passed": self.passed,
-            "radical_overlaps": {str(m): ok for m, ok in sorted(self.radical_overlaps.items())},
-            "probes_checked": self.probes_checked,
-            "probe_failures": list(self.probe_failures),
-        }
 
 
 def uniqueness_check(
@@ -327,7 +317,8 @@ def uniqueness_check(
 ) -> UniquenessReport:
     """Run the recovery twice with different grids and bracket policies;
     agreement means every pair of coefficient enclosures intersects and
-    the two extension enclosures overlap at every probe point."""
+    the two extension enclosures overlap at every probe point.  It passes
+    only when the two runs also pass on their own evidence."""
     s1, s2 = seeds
     # Each chain is a pure function of (policy, x), so the probes below
     # reuse the chains the two decompositions built.
@@ -352,7 +343,8 @@ def uniqueness_check(
         if not ea.overlaps(eb):
             probe_failures.append(f"extension enclosures at {x} are disjoint")
 
-    passed = all(radical_overlaps.values()) and not probe_failures
+    agree = all(radical_overlaps.values()) and not probe_failures
+    passed = agree and first.passed and second.passed
     return UniquenessReport(
         passed=passed,
         radical_overlaps=radical_overlaps,

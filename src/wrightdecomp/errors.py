@@ -51,12 +51,21 @@ class BracketUnavailableError(WrightDecompError):
     """No admissible rational bracket could be placed inside the interval."""
 
 
-class NotJensenConvexError(WrightDecompError):
-    """Decomposition precondition failed; carries the violation certificate."""
+class NotWrightConvexError(WrightDecompError):
+    """The source fails an inequality that every Wright convex function
+    satisfies.  Carries the violation certificate, whose ``kind`` names
+    the inequality: ``jensen`` from the midpoint gate, ``wright`` from a
+    transfer scan.  ``refusal`` is the ``error`` of a CLI refusal."""
 
     def __init__(self, certificate):
         self.certificate = certificate
-        super().__init__("source is not Jensen convex on the sampled rationals")
+        if certificate.kind == "jensen":
+            message = "source is not Jensen convex on the sampled rationals"
+            self.refusal = "not midpoint convex on sampled rationals"
+        else:
+            message = "source is not Wright convex on the sampled points"
+            self.refusal = "not Wright convex on sampled points"
+        super().__init__(message)
 
 
 class InconsistentEnclosureError(WrightDecompError):

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .analysis import CheckReport, ViolationCertificate, _lattice_values, _lipschitz_bar
+from .analysis import CheckReport, ViolationCertificate, _lattice_values, _lipschitz_bar, _Report
 from .domain import SampleGrid, shifted_intersection
 from .errors import BracketUnavailableError, NonPositiveStepError, OutOfDomainError
 from .exactreal import Enclosure, ExactReal, Ordering, compare
@@ -238,7 +238,7 @@ def _cross(a: tuple[int, ...], a_den: int, b: tuple[int, ...], b_den: int) -> li
 
 
 @dataclass(frozen=True)
-class TransferReport:
+class TransferReport(_Report):
     """Evidence that the step-v difference of f transfers to the extension.
 
     Monotonicity is exact.  At rational points the extension is f itself,
@@ -254,21 +254,6 @@ class TransferReport:
     probes_checked: int
     worst_certified_bound: Fraction
     within_twice_eps: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "v": str(self.v),
-            "eps": str(self.eps),
-            "monotone_passed": self.monotone_passed,
-            "monotone_certificate": (
-                None
-                if self.monotone_certificate is None
-                else self.monotone_certificate.to_jsonable()
-            ),
-            "probes_checked": self.probes_checked,
-            "worst_certified_bound": str(self.worst_certified_bound),
-            "within_twice_eps": self.within_twice_eps,
-        }
 
 
 def _worst_magnitude(encs: Iterable[Enclosure], eps: Fraction) -> tuple[ExactReal, Fraction]:

@@ -3,7 +3,8 @@
 The radical bounds here use integer square roots at a fixed decimal
 scale (math.isqrt on m * 10**(2*digits)), a different algorithm from the
 library's Heron bracket chains, so containment checks are genuinely
-two-route.  The reference Wright sweep visits every ordered triple and
+two-route.  ``wright_convex`` labels an instance from its fields alone,
+without any checker.  The reference Wright sweep visits every ordered triple and
 tests both interval bounds, where the library skips mirrored triples
 and stops rows early.  Pell convergents give near-ties whose sign is
 known from p^2 - m*q^2 = 1 alone.  The reference Jensen sweep, step-v
@@ -19,10 +20,13 @@ import math
 from fractions import Fraction
 
 from wrightdecomp import (
+    AbsAdditive,
     CheckReport,
+    Decomposable,
     Enclosure,
     ExactReal,
     Ordering,
+    Spiked,
     ViolationCertificate,
     build_steps,
     compare,
@@ -78,6 +82,30 @@ def is_squarefree(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def wright_convex(inst) -> bool:
+    """Whether a catalog instance is Wright convex, read from its fields.
+
+    - A ``Decomposable`` is a convex part plus an additive one
+      (``ConvexSpec.validate`` requires quad >= 0 and positive hinge
+      weights), so it always is.
+    - An ``AbsAdditive`` |A| is only when A is linear, A(x) = A(1)*x, so
+      that |A| is |A(1)|*|x|; A = 0 is one such map.  For any other A,
+      conjugate steps u = r + s*sqrt(m) and v = r - s*sqrt(m) refute it.
+      The catalog draws A zero on Q and nonzero on a basis radical, so a
+      generated |A| never is.
+    - A ``Spiked`` instance never is: ``validate`` requires lift > 0, and
+      a triple through the spike point refutes it once the steps are small.
+    """
+    if isinstance(inst, Decomposable):
+        return True
+    if isinstance(inst, AbsAdditive):
+        a1 = inst.additive.coefficient(1)
+        return all(inst.additive.coefficient(m) == a1 * ExactReal.sqrt(m) for m in inst.basis)
+    if isinstance(inst, Spiked):
+        return False
+    raise TypeError(f"no label for {type(inst).__name__}")
 
 
 def wright_sweep_reference(f, grid, steps=(), *, max_grid_steps=None) -> CheckReport:

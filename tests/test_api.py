@@ -85,7 +85,7 @@ def test_error_hierarchy_is_pinned():
         "NonPositiveStepError": base,
         "BracketViolationError": base,
         "BracketUnavailableError": base,
-        "NotJensenConvexError": base,
+        "NotWrightConvexError": base,
         "InconsistentEnclosureError": base,
     }
 

@@ -5,10 +5,10 @@ import time
 
 import pytest
 
-from wrightdecomp import RESOLUTION_LIMIT
+from wrightdecomp import RESOLUTION_LIMIT, load_instance
 from wrightdecomp.cli import main
 
-from oracles import pell_sqrt11_convergent
+from oracles import pell_sqrt11_convergent, wright_convex
 
 SQUARE = {
     "variant": "decomposable",
@@ -333,6 +333,87 @@ def test_decompose_rejects_non_midpoint_convex(tmp_path, command):
     assert run_cli("verify-certificate", str(report)) == 0
 
 
+def test_decompose_refuses_a_transfer_certificate(tmp_path):
+    # spiked seed 0 passes the Jensen gate; a transfer check's monotone
+    # scan holds a Wright certificate, so the run is refused, not reported
+    inst, out = tmp_path / "spiked.json", tmp_path / "refusal.json"
+    assert run_cli("gen", "--seed", "0", "--variant", "spiked", "--out", str(inst)) == 0
+    assert run_cli("decompose", str(inst), "--out", str(out)) == 2
+    doc = json.loads(out.read_text())
+    assert doc["error"] == "not Wright convex on sampled points"
+    assert doc["certificate"]["kind"] == "wright"
+    assert "residuals" not in doc
+
+
+# Outcomes (refuted, inconclusive, pass) of each command at CLI defaults on
+# ``gen`` seeds 0-19.  decompose refutes a spiked seed by its Jensen gate
+# (5 seeds) or by a transfer check's Wright certificate (7).  A flagged
+# prediction holds no certificate, so it leaves 18 abs-additive seeds
+# inconclusive.  check-wright's default steps are grid differences, with
+# no conjugate pair, so every |A| passes it.
+OUTCOMES = {
+    "spiked": {"decompose": (12, 0, 8), "check-wright": (20, 0, 0), "check-jensen": (3, 0, 17)},
+    "abs-additive": {
+        "decompose": (0, 18, 2), "check-wright": (0, 0, 20), "check-jensen": (0, 0, 20),
+    },
+    "decomposable": {
+        "decompose": (0, 0, 20), "check-wright": (0, 0, 20), "check-jensen": (0, 0, 20),
+    },
+}
+
+
+@pytest.mark.parametrize("variant", list(OUTCOMES))
+def test_outcome_table(tmp_path, variant):
+    # every refutation re-verifies, and none falls on an instance that the
+    # oracle labels Wright convex
+    counts = {command: [0, 0, 0] for command in OUTCOMES[variant]}
+    for seed in range(20):
+        inst = tmp_path / f"{seed}.json"
+        assert run_cli("gen", "--seed", str(seed), "--variant", variant, "--out", str(inst)) == 0
+        convex = wright_convex(load_instance(str(inst)))
+        for command, tally in counts.items():
+            out = tmp_path / f"{seed}-{command}.json"
+            code = run_cli(command, str(inst), "--out", str(out))
+            tally[(2, 3, 0).index(code)] += 1
+            if code == 2:
+                assert not convex, (seed, command)
+                assert run_cli("verify-certificate", str(out)) == 0, (seed, command)
+    assert {command: tuple(tally) for command, tally in counts.items()} == OUTCOMES[variant]
+
+
+@pytest.mark.parametrize(
+    "argv, checked",
+    [
+        (["check-wright", "--grid-n", "1"], ("report", "checked")),
+        (["check-jensen", "--grid-n", "0", "--irrational-n", "0"], ("report", "checked")),
+        (
+            ["decompose", "--irrational-n", "0"],
+            ("residuals", "additive_prediction", "probes_checked"),
+        ),
+    ],
+    ids=["check-wright", "check-jensen", "decompose"],
+)
+def test_vacuous_evidence_is_inconclusive(tmp_path, argv, checked):
+    # a pass is evidence over the grid, so a run that checks nothing is not one
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    assert run_cli("gen", "--seed", "0", "--out", str(inst)) == 0
+    command, *flags = argv
+    assert run_cli(command, str(inst), *flags, "--out", str(out)) == 3
+    doc = json.loads(out.read_text())
+    for key in checked:
+        doc = doc[key]
+    assert doc == 0
+
+
+def test_report_with_an_empty_gate_is_inconclusive(tmp_path):
+    # one rational grid point leaves the Jensen gate no pair to check
+    inst = tmp_path / "inst.json"
+    assert run_cli("gen", "--seed", "0", "--out", str(inst)) == 0
+    csv_path = tmp_path / "r.csv"
+    assert run_cli("report", str(inst), "--grid-n", "1", "--csv", str(csv_path)) == 3
+    assert csv_path.exists()
+
+
 def test_decompose_verify_round_trip(tmp_path):
     inst = tmp_path / "inst.json"
     result = tmp_path / "result.json"
@@ -430,16 +511,39 @@ def test_report_determinism_byte_identical(tmp_path):
     assert ja == jb
 
 
-def test_usage_error_exits_1():
+def test_usage_error_exits_1(tmp_path):
     assert_exit_1 = subprocess.run(
         [sys.executable, "-m", "wrightdecomp.cli", "no-such-command"],
         capture_output=True,
     )
     assert assert_exit_1.returncode == 1
+    # an inconclusive outcome reaches the shell through console_main too
+    inst = tmp_path / "inst.json"
+    assert run_cli("gen", "--seed", "0", "--out", str(inst)) == 0
+    inconclusive = subprocess.run(
+        [sys.executable, "-m", "wrightdecomp.cli", "check-wright", str(inst), "--grid-n", "1"],
+        capture_output=True,
+    )
+    assert inconclusive.returncode == 3
 
 
 # A Wright certificate of x**2 at (0, 1, 1), whose fields the cases below drop one at a time.
 _CERT = {"kind": "wright", "witness": ["0", "1", "1"], "lhs": "4", "rhs": "2"}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"config": {"instance": "inst.json"}, "report": {}}, "carries no certificate"),
+        ({"config": {}, "certificate": _CERT}, "names no instance"),
+    ],
+)
+def test_verify_certificate_input_errors_exit_1(tmp_path, capsys, doc, message):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(doc))
+    assert run_cli("verify-certificate", str(report)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: report {report} ") and message in err
 
 
 @pytest.mark.parametrize(

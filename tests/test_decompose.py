@@ -24,7 +24,7 @@ from wrightdecomp import (
     verify_against_truth,
 )
 from wrightdecomp.decomposition import _additive_at, _recover
-from wrightdecomp.errors import NotJensenConvexError
+from wrightdecomp.errors import NotWrightConvexError
 
 R = ExactReal.from_rational
 SQRT = ExactReal.sqrt
@@ -53,6 +53,7 @@ def test_decompose_recovers_sqrt2_coefficient():
     enc = result.additive_hat[2]
     assert compare(enc.width, EPS8) is not Ordering.GREATER
     assert enc.contains(R(3))
+    assert result.passed
 
 
 def test_decompose_rejects_eps_outside_the_resolvable_range():
@@ -187,9 +188,39 @@ def test_decompose_gate_rejects_spiked():
     grid = SampleGrid(
         Interval.open(-10, 10), (Fraction(-1), Fraction(0), Fraction(1)), (), seed=0
     )
-    with pytest.raises(NotJensenConvexError) as info:
+    with pytest.raises(NotWrightConvexError) as info:
         decompose(spiked, EPS8, grid)
     assert info.value.certificate.verify(spiked)
+    assert str(info.value) == "source is not Jensen convex on the sampled rationals"
+
+
+@pytest.mark.parametrize("seed", [0, 6, 8, 9])
+def test_decompose_refuses_spiked_by_a_transfer_certificate(seed):
+    # The Jensen gate passes these at the CLI's default grid; a transfer
+    # check's monotone scan finds a Wright certificate, and the run raises
+    # it rather than returning a result that holds it.
+    f = generate(seed, kind="spiked")
+    with pytest.raises(NotWrightConvexError) as info:
+        decompose(f, EPS8, make_grid(f.interval, 8, 4, f.basis, 0))
+    assert info.value.certificate.kind == "wright"
+    assert info.value.certificate.verify(f)
+    assert str(info.value) == "source is not Wright convex on the sampled points"
+
+
+def test_uniqueness_check_refuses_spiked():
+    f = generate(0, kind="spiked")
+    with pytest.raises(NotWrightConvexError) as info:
+        uniqueness_check(f, EPS8, (1, 2))
+    assert info.value.certificate.verify(f)
+
+
+def test_uniqueness_check_does_not_pass_on_inconclusive_runs():
+    # two runs of |A| agree with each other, but neither passes on its own
+    # evidence (a flagged prediction), so their agreement is no evidence
+    report = uniqueness_check(generate(0, kind="abs_additive"), EPS8, (0, 7919))
+    assert all(report.radical_overlaps.values()) and not report.probe_failures
+    assert not (report.first.passed or report.second.passed)
+    assert not report.passed
 
 
 def test_decompose_abs_additive_flagged_by_prediction():
@@ -206,6 +237,7 @@ def test_decompose_abs_additive_flagged_by_prediction():
     result = decompose(f, Fraction(1, 10**4), grid)
     assert not result.prediction.consistent
     assert result.prediction.worst_gap >= Fraction(1, 2)
+    assert not result.passed  # a flagged probe holds no certificate: no raise
 
 
 def test_decompose_abs_additive_flagged_on_default_grids():
