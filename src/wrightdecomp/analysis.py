@@ -18,7 +18,8 @@ lattice and values as int tuples on one value lattice
 (``_lattice_values``), decide each inequality as the sign of a tuple
 difference, test each point's domain at most once, and build the two
 sides, as ``ExactReal`` values, only for a certificate.  ``wright_check``
-compares f(x+u+v) - f(x+v) with f(x+u) - f(x), formed once per row.
+compares f(x+u+v) - f(x+v) with f(x+u) - f(x), formed once per row, and
+decides its row ends and its step profile on the same coordinates.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from .errors import (
     WrightDecompError,
     _expect_type,
 )
-from .exactreal import ExactReal, Ordering, _from_lattice, _lattice, _lattice_sign, compare
+from .exactreal import ExactReal, Ordering, _coordinates, _from_lattice, _lattice, _lattice_sign
+from .exactreal import _side, compare
 from .funcspec import FunctionDef
 
 _HALF = Fraction(1, 2)
@@ -193,10 +195,18 @@ def build_steps(
 
     Counterexample hunting usually needs explicit steps aligned with the
     kernel structure of the suspected additive part; random grid
-    differences almost never hit them.
+    differences almost never hit them.  The differences are deduplicated
+    and sorted as int coordinate tuples on the grid's lattice, and only
+    the steps kept are built as ``ExactReal`` values.
     """
-    if max_grid_steps is not None and max_grid_steps < 0:
-        raise ValueError(f"max_grid_steps must be >= 0, got {max_grid_steps}")
+    explicit_steps, grid_steps = _step_profile(grid, explicit, max_grid_steps)
+    return (*explicit_steps, *grid_steps)
+
+
+def _step_profile(grid: SampleGrid, explicit: Sequence, cap: int | None) -> tuple[list, list]:
+    """``build_steps``'s profile as its explicit steps and its grid steps."""
+    if cap is not None and cap < 0:
+        raise ValueError(f"max_grid_steps must be >= 0, got {cap}")
     steps: list[ExactReal] = []
     seen: set[ExactReal] = set()
     for s in explicit:
@@ -204,19 +214,17 @@ def build_steps(
         if compare(sv, 0) is Ordering.GREATER and sv not in seen:
             steps.append(sv)
             seen.add(sv)
-    if max_grid_steps != 0:
-        pts = grid.points()
-        diffs: set[ExactReal] = set()
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                d = pts[j] - pts[i]
-                if not d.is_zero:
-                    diffs.add(d)
-        ordered = sorted(diffs - seen, key=functools.cmp_to_key(compare))
-        if max_grid_steps is not None:
-            ordered = ordered[:max_grid_steps]
-        steps.extend(ordered)
-    return tuple(steps)
+    if cap == 0:
+        return steps, []
+    radicals, den, coords = _lattice(grid.points())
+    # The points ascend, so every difference of a later point is positive or 0.
+    diffs = {tuple(map(operator.sub, q, p)) for i, p in enumerate(coords) for q in coords[i + 1 :]}
+    diffs.discard((0,) * len(radicals))
+    diffs.difference_update(_coordinates(s, radicals, den) for s in seen)
+    # On one radical c*sqrt(m)/den ascends with c.
+    by_sign = functools.cmp_to_key(lambda a, b: _lattice_sign(radicals, map(operator.sub, a, b), 1))
+    ordered = sorted(diffs, key=None if len(radicals) == 1 else by_sign)
+    return steps, [_from_lattice(radicals, c, den) for c in ordered[:cap]]
 
 
 def _lattice_values(f: FunctionDef, radicals: tuple[int, ...], den: int) -> tuple:
@@ -282,30 +290,37 @@ def wright_check(
     the sweep's radicals, with the sweep's denominator applied per value:
     the memo (``_lattice_values``) maps a point's coordinates to f's value
     as an int tuple over one denominator, the inequality is the sign of a
-    tuple difference (``_lattice_sign``), and a certificate's sides are
+    tuple difference (one int's when only the rational coordinate is
+    nonzero, else ``_lattice_sign``'s), and a certificate's sides are
     built from the tuples.  Domain and span are checked once per grid row, at x
     (``f._check``, with ``evaluate``'s errors).  x+u, x+v and x+u+v lie
     above x, and the row's end keeps them below hi, so they stay in the
     interval.  They are checked again only when they have a coordinate on
     a radical outside ``f.basis``, which raises the out-of-span error
-    ``evaluate`` would.
+    ``evaluate`` would.  Row ends are found on the same coordinates
+    (``exactreal._side``), by bisecting the grid steps' ints on one radical.
     """
-    step_list = build_steps(grid, steps, max_grid_steps=max_grid_steps)
-    # The grid differences follow the explicit steps in ascending order, so
-    # past the explicit steps a bisection finds where a row leaves the
+    explicit, grid_steps = _step_profile(grid, steps, max_grid_steps)
+    step_list = explicit + grid_steps
+    # The grid steps follow the explicit steps in ascending order, so past
+    # the explicit steps a bisection finds where a row leaves the
     # interval; an explicit step is tested on its own.
-    n_explicit = len(build_steps(grid, steps, max_grid_steps=0))
-    n = len(step_list)
-    hi = f.interval.hi
+    n_explicit, n = len(explicit), len(step_list)
     pts = grid.points()
-    radicals, den, coords = _lattice(pts + step_list)
+    radicals, den, coords = _lattice(pts + tuple(step_list))
     step_coords = coords[len(pts) :]
     vrad, vden, ev = _lattice_values(f, radicals, den)
+    # A top with coordinates c lies at or above hi when past(c, den) >= 0;
+    # on one radical that hi shares, when c[0] >= cut.
+    hi, cut = f.interval.hi, None
+    past = None if hi is None else _side(radicals, hi)
+    if past is not None and len(radicals) == 1 and set(hi.coefficients) <= set(radicals):
+        q = hi.coefficients.get(radicals[0], 0)
+        cut, step_ints = -(-q.numerator * den // q.denominator), [c[0] for c in step_coords]
     checked = 0
     for x, xc in zip(pts, coords):
         f._check(x)  # the row's one domain check
         fx = ev(xc)
-        room = None if hi is None else hi - x
         shifted = [tuple(map(operator.add, xc, sc)) for sc in step_coords]
         # mirrored[j] counts the admissible (x, u_i, u_j) with i < j: row j
         # opens with their mirrors (x, u_j, u_i).  What the diagonal adds is
@@ -315,17 +330,19 @@ def wright_check(
             checked += mirrored[i]
             xu = shifted[i]
             # x lies in the interval and the steps are positive, so x+u+v
-            # leaves it only at hi, exactly when v >= rest = hi - x - u;
-            # grid steps from ``end`` on do.  x+u and x+v lie below x+u+v.
-            if room is None:
-                end, rest = n, None
+            # leaves it only at hi; grid steps from ``end`` on take it
+            # there.  x+u and x+v lie below x+u+v.
+            if past is None:
+                end = n
+            elif cut is not None:
+                end = bisect.bisect_left(step_ints, cut - xu[0], max(i, n_explicit))
             else:
-                rest = room - u
-                end = bisect.bisect_left(step_list, rest, max(i, n_explicit))
+                top_past = lambda j: past(tuple(map(operator.add, xu, step_coords[j])), den)
+                end = bisect.bisect_left(range(n), 0, max(i, n_explicit), key=top_past)
             fxu = None
             for j in range(i, end):
-                v = step_list[j]
-                if j < n_explicit and rest is not None and v >= rest:
+                top = tuple(map(operator.add, xu, step_coords[j]))
+                if j < n_explicit and past is not None and past(top, den) >= 0:
                     continue
                 if fxu is None:
                     # f(x+u) before f(x+u+v) before f(x+v): the order fixes
@@ -334,13 +351,14 @@ def wright_check(
                     row = tuple(map(operator.sub, fxu, fx))
                 mirrored[j] += 1
                 checked += 1
-                ftop = ev(tuple(map(operator.add, xu, step_coords[j])))
+                ftop = ev(top)
                 fxv = ev(shifted[j])
-                diff = map(operator.sub, map(operator.sub, ftop, fxv), row)
-                if _lattice_sign(vrad, diff, vden) is Ordering.LESS:
+                diff = [p - q - r for p, q, r in zip(ftop, fxv, row)]
+                # Mostly the additive part cancels, leaving the rational coordinate.
+                if _lattice_sign(vrad, diff, vden) < 0 if any(diff[1:]) else diff[0] < 0:
                     lhs = _from_lattice(vrad, tuple(map(operator.add, ftop, fx)), vden)
                     rhs = _from_lattice(vrad, tuple(map(operator.add, fxu, fxv)), vden)
-                    cert = ViolationCertificate("wright", (x, u, v), lhs, rhs)
+                    cert = ViolationCertificate("wright", (x, u, step_list[j]), lhs, rhs)
                     return CheckReport(False, cert, checked)
     return CheckReport(True, None, checked)
 

@@ -24,7 +24,8 @@ from pathlib import Path
 from .analysis import ViolationCertificate, jensen_check, wright_check
 from .decomposition import _check_eps_floor, _recover, _verify, decompose
 from .domain import make_grid
-from .errors import NotWrightConvexError, ParseError, WrightDecompError, _expect_type
+from .errors import NotWrightConvexError, ParseError, TooFewPointsError, WrightDecompError
+from .errors import _expect_type
 from .exactreal import ExactReal, parse_rational
 from .extension import ExtensionHandle
 from .funcspec import dumps_instance, generate, load_instance
@@ -223,8 +224,8 @@ def _cmd_verify(args) -> int:
     handle = ExtensionHandle(truth)
     try:
         additive_hat, _ = _recover(handle, eps, grid)
-    except NotWrightConvexError as exc:
-        # A refusal of the truth is bad input, not a finding on the result.
+    except (NotWrightConvexError, TooFewPointsError) as exc:
+        # A refusal of the truth, or too small a grid, is bad input.
         raise WrightDecompError(str(exc)) from exc
     recomputed = {m: (enc.lo.literal(), enc.hi.literal()) for m, enc in additive_hat.items()}
     payload = _verify(additive_hat, eps, seed, truth, handle).to_jsonable()
@@ -300,6 +301,9 @@ def main(argv=None) -> int:
         except NotWrightConvexError as exc:
             _emit(args.config, {"error": exc.refusal, "certificate": exc.certificate.to_jsonable()})
             return _outcome(refuted=True)
+        except TooFewPointsError as exc:
+            _emit(args.config, {"inconclusive": str(exc)})
+            return _outcome(evidence=False)
     except (WrightDecompError, OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -31,6 +31,7 @@ from fractions import Fraction
 from .analysis import _Report, jensen_check
 from .domain import Interval, SampleGrid, make_grid, rational_anchors, shifted_intersection
 from .errors import BracketUnavailableError, EmptyDomainError, NotWrightConvexError
+from .errors import TooFewPointsError
 from .exactreal import Enclosure, ExactReal, Ordering, compare
 from .extension import (
     BracketPolicy,
@@ -159,7 +160,8 @@ def decompose(f: FunctionDef, eps: Fraction, grid: SampleGrid) -> DecompositionR
     there, so f is not Wright convex (given the extension's grid-evidenced
     Lipschitz bound), but certifies nothing, so ``passed`` reads it.  It
     is ``consistent`` only when at least one probe was checked and none
-    was flagged.
+    was flagged.  Fewer than two rational grid points leave the gate
+    nothing to check: ``TooFewPointsError``.
     """
     return _decompose(ExtensionHandle(f), eps, grid)
 
@@ -176,7 +178,7 @@ def _recover(
         raise ValueError(f"eps must be positive, got {eps}")
     _check_eps_floor(eps)
     if len(grid.rationals) < 2:
-        raise ValueError("decomposition needs at least two rational grid points")
+        raise TooFewPointsError("decomposition needs at least two rational grid points")
 
     gate = jensen_check(handle, grid.rational_only())
     if not gate.passed:

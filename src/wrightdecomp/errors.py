@@ -68,6 +68,11 @@ class NotWrightConvexError(WrightDecompError):
         super().__init__(message)
 
 
+class TooFewPointsError(WrightDecompError, ValueError):
+    """The grid has too few points for a check to test anything: no
+    evidence either way, so the CLI reports it as inconclusive."""
+
+
 class InconsistentEnclosureError(WrightDecompError):
     """Certified enclosures became contradictory (source breaks the
     convexity assumptions the enclosure construction relies on)."""

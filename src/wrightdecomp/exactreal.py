@@ -562,15 +562,15 @@ def _minus(
     return union, diff
 
 
-def _above(radicals: tuple[int, ...], y: ExactReal) -> Callable[[tuple[int, ...], int], bool]:
-    """``above(c, den)``: whether x > y, for x = sum c_i*sqrt(radicals_i) / den,
-    the sign of ``_minus``'s difference; when x and y share their one
-    radical, the sign of one int."""
+def _side(radicals: tuple[int, ...], y: ExactReal) -> Callable[[tuple[int, ...], int], int]:
+    """``side(c, den)``: the sign, -1, 0 or 1, of x - y for
+    x = sum c_i*sqrt(radicals_i) / den, the sign of ``_minus``'s
+    difference; when x and y share their one radical, the sign of one int."""
     union, diff = _minus(radicals, y)
     if len(union) == 1 and union[0] in radicals:
         i, n, yden = radicals.index(union[0]), y._nums[0][1] if y._nums else 0, y._den
-        return lambda c, den: c[i] * yden > n * den
-    return lambda c, den: _lattice_sign(union, diff(c, den), 1) is Ordering.GREATER
+        return lambda c, den: (c[i] * yden > n * den) - (c[i] * yden < n * den)
+    return lambda c, den: _lattice_sign(union, diff(c, den), 1)
 
 
 def _int_bounds(nums: _Nums, en: int, ed: int) -> tuple[int, int, int, int]:

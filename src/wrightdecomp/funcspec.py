@@ -24,8 +24,8 @@ from typing import Mapping, Union
 from .domain import Interval, rational_anchors
 from .errors import OutOfDomainError, OutOfSpanError, ParseError, _expect_type
 from .exactreal import ExactReal, Ordering, check_radical_index, compare, parse_rational
-from .exactreal import _above, _coordinates, _from_lattice, _lattice_quadratic, _lattice_sign
-from .exactreal import _minus
+from .exactreal import _coordinates, _from_lattice, _lattice_quadratic, _lattice_sign
+from .exactreal import _minus, _side
 
 _SQUAREFREE_POOL = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15)
 
@@ -205,7 +205,7 @@ class Decomposable(_FunctionBase):
     c_i, all over one denominator (``exactreal._lattice_quadratic``).
     ``_on_lattice`` compiles it for one set of radicals: it finds a point's
     piece by bisecting the knots, each compared in ints
-    (``exactreal._above``), and gives the value as a tuple of ints over one
+    (``exactreal._side``), and gives the value as a tuple of ints over one
     denominator.  ``evaluate``, the extension chain and ``wright_check``
     all read this form through ``_compiled``, and it equals
     ``convex.value(x) + additive.value(x)``.
@@ -222,14 +222,14 @@ class Decomposable(_FunctionBase):
         vrad, t, value = _lattice_quadratic(convex.quad, convex._pieces[1], images, radicals)
         if not convex.hinges:
             return vrad, t, lambda c, den: value(c, den, 0)
-        knots = [_above(radicals, k) for k in convex._pieces[0]]
+        knots = [_side(radicals, k) for k in convex._pieces[0]]
 
         def piecewise(c: tuple[int, ...], den: int) -> tuple[int, ...]:
             # x's piece is the number of knots below x; at a knot both pieces agree.
             lo, hi = 0, len(knots)
             while lo < hi:
                 mid = (lo + hi) // 2
-                if knots[mid](c, den):
+                if knots[mid](c, den) > 0:
                     lo = mid + 1
                 else:
                     hi = mid

@@ -10,7 +10,9 @@ and stops rows early.  Pell convergents give near-ties whose sign is
 known from p^2 - m*q^2 = 1 alone.  The reference Jensen sweep, step-v
 monotone scan, Lipschitz modulus and extension chain read f through
 ``evaluate`` and decide in ``ExactReal`` arithmetic, where the library
-reads f's compiled form and decides on int tuples.
+reads f's compiled form and decides on int tuples.  The reference step
+profile subtracts, deduplicates and sorts the grid differences as
+``ExactReal`` values, where the library does so on lattice coordinates.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from wrightdecomp import (
     Ordering,
     Spiked,
     ViolationCertificate,
-    build_steps,
     compare,
 )
 from wrightdecomp.errors import BracketViolationError
@@ -108,10 +109,28 @@ def wright_convex(inst) -> bool:
     raise TypeError(f"no label for {type(inst).__name__}")
 
 
+def build_steps_reference(grid, explicit=(), *, max_grid_steps=None) -> tuple[ExactReal, ...]:
+    """The explicit steps that are positive, first and in order without
+    repeats; then every positive difference of two grid points that is
+    not an explicit step, ascending by ``compare`` without repeats, the
+    first ``max_grid_steps`` of them."""
+    steps: list[ExactReal] = []
+    for s in explicit:
+        s = s if isinstance(s, ExactReal) else ExactReal.from_rational(s)
+        if compare(s, 0) is Ordering.GREATER and s not in steps:
+            steps.append(s)
+    if max_grid_steps == 0:
+        return tuple(steps)
+    pts = grid.points()
+    diffs = {q - p for p in pts for q in pts if compare(q, p) is Ordering.GREATER}
+    ordered = sorted(diffs - set(steps), key=functools.cmp_to_key(compare))
+    return (*steps, *ordered[:max_grid_steps])
+
+
 def wright_sweep_reference(f, grid, steps=(), *, max_grid_steps=None) -> CheckReport:
     """The plain ordered sweep: every (x, u, v) with x+u+v in the interval,
     x ascending and u, v in profile order; the first violation certifies."""
-    step_list = build_steps(grid, steps, max_grid_steps=max_grid_steps)
+    step_list = build_steps_reference(grid, steps, max_grid_steps=max_grid_steps)
     ev = functools.cache(f.evaluate)
     checked = 0
     for x in grid.points():

@@ -3,7 +3,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from oracles import (
+    build_steps_reference,
     jensen_sweep_reference,
     lipschitz_bound_reference,
     numeric_sign,
@@ -215,6 +217,66 @@ def test_wright_check_matches_ordered_reference_sweep():
         else:
             tally["passed" if expected["passed"] else "violation"] += 1
     assert min(tally.values()) >= 5, tally
+
+
+def _with_interval(f, interval):
+    """f on another interval; a spiked instance's base moves with it."""
+    if isinstance(f, Spiked):
+        return replace(f, interval=interval, base=replace(f.base, interval=interval))
+    return replace(f, interval=interval)
+
+
+@st.composite
+def _wright_cases(draw):
+    """An instance of each family on a rational, irrational or infinite hi,
+    a rational or mixed grid, and explicit steps among which some put a
+    top x+u+v exactly on hi and some equal a grid difference."""
+    seed = draw(st.integers(0, 10_000))
+    kind = draw(st.sampled_from(["decomposable", "abs_additive", "spiked"]))
+    f = generate(seed, kind=kind, basis_size=draw(st.integers(1, 2)))
+    lo, hi = f.interval.lo, f.interval.hi
+    m = draw(st.sampled_from(f.basis))
+    hi = draw(st.sampled_from([hi, hi - 1 + SQRT(m) / 4, None]))
+    f = _with_interval(f, Interval.open(lo, hi))
+    grid = make_grid(f.interval, draw(st.integers(1, 5)), draw(st.integers(0, 2)), f.basis, seed)
+    pts = grid.points()
+    fractions = st.fractions(min_value=-2, max_value=3, max_denominator=4)
+    # Rational steps keep a rational grid on one radical, where row ends
+    # are decided by int comparison.
+    steps = [
+        R(draw(fractions)) + SQRT(m) * draw(st.one_of(st.just(0), fractions))
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    grid_differences = []
+    for _ in range(2 if len(pts) > 1 else 0):
+        pair = st.lists(st.integers(0, len(pts) - 1), min_size=2, max_size=2, unique=True)
+        i, j = sorted(draw(pair))
+        grid_differences.append(pts[j] - pts[i])
+    steps += grid_differences[:1]
+    if hi is not None:
+        # x + s + (hi - x - s) = hi, for an explicit s or a grid step s
+        for s in steps[:1] + grid_differences[1:]:
+            steps.append(hi - draw(st.sampled_from(pts)) - s)
+    steps = draw(st.permutations(steps))
+    return f, grid, steps, draw(st.sampled_from([None, 0, 3]))
+
+
+_HALF_HI = Interval.open(0, Fraction(7, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_wright_cases())
+# hi = 7/2 lies off the integer grid's lattice: its tops 3 stay inside.
+@example((square(interval=_HALF_HI), SampleGrid(_HALF_HI, (1, 2, 3), (), 0), [], None))
+def test_wright_check_matches_reference_on_row_ends_and_signs(case):
+    # Row ends are decided on lattice ints against hi, and a triple's sign
+    # from one int when only the rational coordinate of the difference is
+    # nonzero; the reference sweep tests every top against the interval
+    # and compares the two sides as ExactReal values.
+    f, grid, steps, cap = case
+    assert _sweep_outcome(wright_check, f, grid, steps, cap) == _sweep_outcome(
+        wright_sweep_reference, f, grid, steps, cap
+    )
 
 
 @pytest.mark.parametrize(
@@ -668,6 +730,38 @@ def test_build_steps_explicit_first_then_sorted_differences():
     assert steps[2:] == (R(1), R(2), R(3))
     capped = build_steps(grid, (), max_grid_steps=2)
     assert capped == (R(1), R(2))
+
+
+def test_build_steps_matches_exact_real_reference():
+    # The profile is built on lattice coordinates; the reference subtracts,
+    # deduplicates and sorts ExactReal values.  Explicit steps include grid
+    # differences, so the cap is applied after they are taken out.
+    grids = [
+        make_grid(I_10, n, k, basis, seed)
+        for seed, (n, k, basis) in enumerate(
+            [(6, 0, (2,)), (5, 3, (2,)), (4, 4, (2, 3)), (3, 5, (2, 3, 5)), (6, 2, (3, 7))]
+        )
+    ]
+    grids += [make_grid(I_10, 2, 6, (2, 3), seed) for seed in range(5, 10)]
+    grids.append(
+        SampleGrid(I_10, (Fraction(1, 3), 2), (SQRT(2), SQRT(3) - 1, SQRT(2) + SQRT(3)), 0)
+    )
+    grids.append(SampleGrid(I_10, (), (SQRT(2), SQRT(2) * 2, SQRT(2) * Fraction(7, 2)), 0))
+    grids.append(SampleGrid(I_10, (1, 1, 2), (), 0))  # a repeated point differs by 0
+    grids.append(SampleGrid(I_10, (), (SQRT(2), SQRT(3), SQRT(2) + SQRT(3), SQRT(3) * 2), 0))
+    radicals = [{m for p in grid.points() for m in p.radicals()} for grid in grids]
+    assert [len(r) for r in radicals] == [0, 1, 2, 3, 2] + [2] * 5 + [2, 1, 0, 2]
+    sizes = []
+    for grid in grids:
+        pts = grid.points()
+        diffs = [pts[j] - pts[i] for i in range(len(pts)) for j in range(i + 1, len(pts))]
+        middle = diffs[len(diffs) // 2]
+        for explicit in ((), (diffs[0], SQRT(5), diffs[-1], R(-1), diffs[0]), (middle,)):
+            for cap in (None, 0, 1, 3, len(diffs)):
+                steps = build_steps(grid, explicit, max_grid_steps=cap)
+                assert steps == build_steps_reference(grid, explicit, max_grid_steps=cap)
+                sizes.append(len(steps))
+    assert (min(sizes), max(sizes)) == (0, 29)
 
 
 def test_negative_step_cap_raises():

@@ -86,6 +86,7 @@ def test_error_hierarchy_is_pinned():
         "BracketViolationError": base,
         "BracketUnavailableError": base,
         "NotWrightConvexError": base,
+        "TooFewPointsError": (errors.WrightDecompError, ValueError),
         "InconsistentEnclosureError": base,
     }
 

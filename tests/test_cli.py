@@ -283,6 +283,45 @@ def test_decompose_evaluates_each_point_once(tmp_path, monkeypatch):
     assert (len(valued), len(set(valued))) == (61, 58)
 
 
+def test_wright_sweep_decides_on_lattice_ints(monkeypatch):
+    # wright_check takes its step profile, row ends and triple signs on
+    # lattice ints: a first sweep compares ExactReal values only to sort the
+    # grid's points (15) and to compile f (3, with its 12 arithmetic
+    # calls), both cached, and to check each row's x against the two ends
+    # of the interval; a second sweep makes those 32 domain checks alone
+    import wrightdecomp
+    from wrightdecomp import ExactReal, exactreal, generate, make_grid, wright_check
+
+    f = generate(0)
+    grid = make_grid(f.interval, 16, 0, f.basis, 0)
+    calls = {"compare": 0, "arith": 0}
+    compare = exactreal.compare
+
+    def counting(a, b):
+        calls["compare"] += 1
+        return compare(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wrightdecomp") and getattr(module, "compare", None) is compare:
+            monkeypatch.setattr(module, "compare", counting)
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
+                 "__truediv__"):
+        def arith(*args, _op=getattr(ExactReal, name)):
+            calls["arith"] += 1
+            return _op(*args)
+
+        monkeypatch.setattr(ExactReal, name, arith)
+    assert wrightdecomp.analysis.compare is counting
+    counts = []
+    for _ in range(2):
+        report = wright_check(f, grid, max_grid_steps=20)
+        assert (report.passed, report.checked) == (True, 5092)
+        counts.append(dict(calls))
+        calls.update(compare=0, arith=0)
+    assert len(grid.points()) == 16
+    assert counts == [{"compare": 50, "arith": 12}, {"compare": 2 * 16, "arith": 0}]
+
+
 def test_check_jensen(abs_instance, tmp_path):
     assert run_cli("check-jensen", abs_instance, "--grid-n", "5", "--irrational-n", "3") == 0
 
@@ -412,6 +451,23 @@ def test_report_with_an_empty_gate_is_inconclusive(tmp_path):
     csv_path = tmp_path / "r.csv"
     assert run_cli("report", str(inst), "--grid-n", "1", "--csv", str(csv_path)) == 3
     assert csv_path.exists()
+
+
+@pytest.mark.parametrize("grid_n", [0, 1])
+def test_decompose_on_too_few_rationals_is_inconclusive(tmp_path, grid_n):
+    # the Jensen gate needs a pair of rational grid points; without one the
+    # run checks nothing, so it is inconclusive and its document says why
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    assert run_cli("gen", "--seed", "0", "--out", str(inst)) == 0
+    assert run_cli("decompose", str(inst), "--grid-n", str(grid_n), "--out", str(out)) == 3
+    doc = json.loads(out.read_text())
+    assert doc["inconclusive"] == "decomposition needs at least two rational grid points"
+    assert doc["config"]["grid_n"] == grid_n
+    # a stored result on such a grid cannot be reproduced: bad input
+    result = tmp_path / "result.json"
+    config = {"grid_n": grid_n, "irrational_n": 4}
+    result.write_text(json.dumps({"eps": "1/100", "seed": 0, "config": config, "additive": {}}))
+    assert run_cli("verify", str(result), "--truth", str(inst)) == 1
 
 
 def test_decompose_verify_round_trip(tmp_path):
