@@ -22,13 +22,13 @@ import tempfile
 from pathlib import Path
 
 from .analysis import ViolationCertificate, jensen_check, wright_check
-from .decomposition import _check_eps_floor, _recover, _verify, decompose
+from .decomposition import _TOO_FEW_RATIONALS, _check_eps, _recover, _verify, decompose
 from .domain import make_grid
 from .errors import NotWrightConvexError, ParseError, TooFewPointsError, WrightDecompError
 from .errors import _expect_type
 from .exactreal import ExactReal, parse_rational
 from .extension import ExtensionHandle
-from .funcspec import dumps_instance, generate, load_instance
+from .funcspec import Decomposable, dumps_instance, generate, load_instance
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,7 +173,7 @@ def _load_grid(args, **extra):
     inst = load_instance(args.instance)
     eps = parse_rational(args.eps) if hasattr(args, "eps") else None
     if eps is not None:
-        _check_eps_floor(eps)
+        _check_eps(eps)
     grid = make_grid(inst.interval, args.grid_n, args.irrational_n, inst.basis, args.seed)
     config = _config(args, args.instance, eps, args.seed, args.grid_n, args.irrational_n, **extra)
     args.config = config  # what ``main`` embeds in a refusal
@@ -205,6 +205,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_verify(args) -> int:
     truth = load_instance(args.truth)
+    if not isinstance(truth, Decomposable):
+        raise ValueError("ground-truth verification needs a Decomposable instance")
     with open(args.result, "r", encoding="utf-8") as fh:
         doc = _expect_type(json.load(fh), dict, "decomposition result")
     try:
@@ -219,16 +221,13 @@ def _cmd_verify(args) -> int:
         }
     except KeyError as exc:
         raise ParseError(f"decomposition result {args.result} missing field {exc}") from exc
-    grid = make_grid(truth.interval, grid_n, irrational_n, truth.basis, seed)
-    # Only the recovery phase: the stored coefficients are all this compares.
+    _check_eps(eps)
+    # Only the recovery phase, which reads no grid: the stored coefficients
+    # are all this compares, and a Decomposable truth passes any gate.
     handle = ExtensionHandle(truth)
-    try:
-        additive_hat, _ = _recover(handle, eps, grid)
-    except (NotWrightConvexError, TooFewPointsError) as exc:
-        # A refusal of the truth, or too small a grid, is bad input.
-        raise WrightDecompError(str(exc)) from exc
+    additive_hat, _ = _recover(handle, eps)
     recomputed = {m: (enc.lo.literal(), enc.hi.literal()) for m, enc in additive_hat.items()}
-    payload = _verify(additive_hat, eps, seed, truth, handle).to_jsonable()
+    payload = _verify(additive_hat, eps, seed, handle).to_jsonable()
     if stored != recomputed:
         payload["passed"] = False
         payload["failures"].append("stored additive enclosures do not match a reproduced run")
@@ -266,7 +265,7 @@ def _cmd_verify_certificate(args) -> int:
 def _cmd_report(args) -> int:
     inst, eps, grid, config = _load_grid(args, csv=args.csv)
     handle = ExtensionHandle(inst)
-    gate = jensen_check(handle, grid.rational_only())
+    gate = jensen_check(inst, grid.rational_only())
     if not gate.passed:
         raise NotWrightConvexError(gate.certificate)
     buf = io.StringIO()
@@ -276,7 +275,10 @@ def _cmd_report(args) -> int:
         enc = handle.extend_eval(x, eps)
         writer.writerow([x.literal(), enc.lo.literal(), enc.hi.literal(), enc.width.literal()])
     _write(args.csv, buf.getvalue())
-    _emit(config, {"rows": len(grid.points()), "csv": args.csv})
+    payload = {"rows": len(grid.points()), "csv": args.csv}
+    if not gate.checked:
+        payload["inconclusive"] = _TOO_FEW_RATIONALS
+    _emit(config, payload)
     return _outcome(evidence=gate.checked > 0)
 
 

@@ -1,21 +1,21 @@
 """Recovery of the additive part and verification of the decomposition.
 
-A run has two phases.  The recovery phase (``_recover``) takes a
-midpoint-convex instance f on an open interval, builds the certified
-extension g of f restricted to the rationals, probes the residual f - g,
-and recovers the additive coefficient on each basis radical from a
-single span point r + q*sqrt(m).  The recovered additive part vanishes
-on Q by construction: g returns f itself at every rational, so the
-residual there is exactly zero and nothing about it is computed or
-reported.
+A run has two phases.  The recovery phase (``_recover``) builds the
+certified extension g of f restricted to the rationals and recovers the
+additive coefficient on each basis radical at one span point
+r + q*sqrt(m), as the residual f - g there over q.  It reads f, eps and
+the bracket policy, and no grid: in Ng's theorem the additive part is
+f - g pointwise.  It vanishes on Q by construction: g returns f itself
+at every rational, so nothing about the residual there is computed.
 
-The evidence phase checks what the recovery assumes.  For a Wright
-convex f the residual is additive (Ng's theorem), so the recovered
-coefficients predict it at every span point: at x = r + sum q_m*sqrt(m)
-it is sum q_m * a_m.  The run checks that prediction at the grid's
-irrational points, and that the step-v differences of f transfer to the
-extension.  Checking a stored recovery against ground truth needs only
-the first phase.
+The evidence phase checks on a grid what the recovery assumes; its
+Jensen gate, at the grid's rationals, runs before the recovery.  For a
+Wright convex f the residual is additive (Ng's theorem), so the
+recovered coefficients predict it at every span point: at
+x = r + sum q_m*sqrt(m) it is sum q_m * a_m.  The run checks that
+prediction at the grid's irrational points, and that the step-v
+differences of f transfer to the extension.  Checking a stored recovery
+against ground truth needs only the first phase, so no grid.
 
 The residual is never materialized as a function; its additive part is
 in general everywhere-discontinuous, so pointwise enclosures are the
@@ -30,8 +30,7 @@ from fractions import Fraction
 
 from .analysis import _Report, jensen_check
 from .domain import Interval, SampleGrid, make_grid, rational_anchors, shifted_intersection
-from .errors import BracketUnavailableError, EmptyDomainError, NotWrightConvexError
-from .errors import TooFewPointsError
+from .errors import BracketUnavailableError, NotWrightConvexError, TooFewPointsError
 from .exactreal import Enclosure, ExactReal, Ordering, compare
 from .extension import (
     BracketPolicy,
@@ -136,10 +135,14 @@ def _additive_at(additive_hat: dict[int, Enclosure], x: ExactReal) -> Enclosure:
 RESOLUTION_LIMIT = Fraction(1, 10**200)
 
 
-def _check_eps_floor(eps: Fraction) -> None:
-    """Reject a positive eps below RESOLUTION_LIMIT; a nonpositive eps is
-    left to the caller's own check."""
-    if 0 < eps < RESOLUTION_LIMIT:
+_TOO_FEW_RATIONALS = "decomposition needs at least two rational grid points"
+
+
+def _check_eps(eps: Fraction) -> None:
+    """Reject a nonpositive eps, and a positive eps below RESOLUTION_LIMIT."""
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if eps < RESOLUTION_LIMIT:
         raise ValueError(
             f"eps is below the resolution limit {RESOLUTION_LIMIT}, "
             "the smallest eps accepted"
@@ -167,23 +170,13 @@ def decompose(f: FunctionDef, eps: Fraction, grid: SampleGrid) -> DecompositionR
 
 
 def _recover(
-    handle: ExtensionHandle, eps: Fraction, grid: SampleGrid
+    handle: ExtensionHandle, eps: Fraction
 ) -> tuple[dict[int, Enclosure], dict[int, tuple[Fraction, Fraction]]]:
-    """The recovery phase of ``decompose``: the eps and grid checks, the
-    Jensen gate, and each radical's coefficient enclosure with its
-    recovery point (r, q).  Everything ``additive_hat`` depends on is
-    here, so a run that compares only the coefficients stops after it."""
+    """The recovery phase of ``decompose``: each radical's coefficient
+    enclosure, of width at most eps, with its recovery point (r, q).  It
+    reads f, eps and the handle's bracket policy, and no grid, so a run
+    that compares only the coefficients needs nothing else."""
     f = handle.source
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    _check_eps_floor(eps)
-    if len(grid.rationals) < 2:
-        raise TooFewPointsError("decomposition needs at least two rational grid points")
-
-    gate = jensen_check(handle, grid.rational_only())
-    if not gate.passed:
-        raise NotWrightConvexError(gate.certificate)
-
     additive_hat: dict[int, Enclosure] = {}
     recovery_points: dict[int, tuple[Fraction, Fraction]] = {}
     for m in f.basis:
@@ -196,21 +189,26 @@ def _recover(
 
 def _decompose(handle: ExtensionHandle, eps: Fraction, grid: SampleGrid) -> DecompositionResult:
     """``decompose`` with every evaluation of the run through ``handle``:
-    the recovery phase, then the evidence phase (transfer checks and the
+    the eps and grid checks, the Jensen gate at the grid's rationals, the
+    recovery phase, then the evidence phase (transfer checks and the
     prediction at the grid's irrational points)."""
     eps = Fraction(eps)
-    additive_hat, recovery_points = _recover(handle, eps, grid)
+    _check_eps(eps)
+    if len(grid.rationals) < 2:
+        raise TooFewPointsError(_TOO_FEW_RATIONALS)
+    gate = jensen_check(handle.source, grid.rational_only())
+    if not gate.passed:
+        raise NotWrightConvexError(gate.certificate)
+    additive_hat, recovery_points = _recover(handle, eps)
 
     transfer_reports: list[TransferReport] = []
     steps = sorted(
         {q2 - q1 for i, q1 in enumerate(grid.rationals) for q2 in grid.rationals[i + 1 :]}
     )
     for v in steps[:2]:
-        try:
-            sub_interval = shifted_intersection(handle.interval, v)
-        except EmptyDomainError:
-            continue
-        sub = grid.restricted_to(sub_interval)
+        # The gate has checked every grid rational into the interval I,
+        # so for v = q2 - q1 the point q1 lies in I ∩ (I - v).
+        sub = grid.restricted_to(shifted_intersection(handle.interval, v))
         if len(sub.points()) < 2:
             continue
         transfer = difference_transfer_check(handle, v, sub, eps)
@@ -252,22 +250,18 @@ def verify_against_truth(result: DecompositionResult, instance: FunctionDef) -> 
     the convex part, so the expected coefficient on sqrt(m) is
     c_m - c1 * sqrt(m) and the expected extension is g_true(x) + c1 * x.
     """
-    return _verify(
-        result.additive_hat, result.eps, result.grid_seed, instance, ExtensionHandle(instance)
-    )
+    if not isinstance(instance, Decomposable):
+        raise ValueError("ground-truth verification needs a Decomposable instance")
+    return _verify(result.additive_hat, result.eps, result.grid_seed, ExtensionHandle(instance))
 
 
 def _verify(
-    additive_hat: dict[int, Enclosure],
-    eps: Fraction,
-    seed: int,
-    instance: FunctionDef,
-    handle: ExtensionHandle,
+    additive_hat: dict[int, Enclosure], eps: Fraction, seed: int, handle: ExtensionHandle
 ) -> VerificationReport:
-    """``verify_against_truth`` of the coefficients recovered at ``eps`` on
-    the grid of ``seed``, probing the extension through ``handle``."""
-    if not isinstance(instance, Decomposable):
-        raise ValueError("ground-truth verification needs a Decomposable instance")
+    """``verify_against_truth`` of the coefficients recovered at ``eps``,
+    probing the extension through ``handle`` on the grid of ``seed``; the
+    caller has checked that ``handle.source`` is a ``Decomposable``."""
+    instance = handle.source
     failures: list[str] = []
     c1 = instance.additive.rational_slope
 

@@ -143,12 +143,17 @@ def _rational_points(a: Fraction, b: Fraction, n: int) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Deterministic finite stand-in for a dense subset of the interval."""
+    """Deterministic finite stand-in for a dense subset of the interval.
+    A repeated point is dropped, the first of each kept."""
 
     interval: Interval
     rationals: tuple[Fraction, ...]
     irrationals: tuple[ExactReal, ...]
     seed: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "rationals", tuple(dict.fromkeys(self.rationals)))
+        object.__setattr__(self, "irrationals", tuple(dict.fromkeys(self.irrationals)))
 
     @functools.cached_property
     def _sorted_points(self) -> tuple[ExactReal, ...]:

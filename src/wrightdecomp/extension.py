@@ -97,23 +97,20 @@ class _Chain:
 class ExtensionHandle:
     """On-demand certified enclosures of the extension of ``source``\\|Q.
 
-    The extension only ever reads the source at rational points; its
-    chains read the source's compiled value directly.  The handle is a
-    run's evaluation context: ``evaluate`` memoises ``source.evaluate``,
-    and ``interval``, ``basis``, ``_compiled`` and ``_check`` are the
-    source's, so the handle stands in for the source in any checker.
-    The Jensen gate, the chains' brackets and the transfer check's
-    monotone scan read the compiled form, each with its own memo, not
-    ``evaluate``.  The memos and the refinement chains are performance
-    artifacts, so results are identical with or without them.
+    The extension only ever reads the source at rational points.  The
+    handle is a run's evaluation context: ``evaluate`` memoises
+    ``source.evaluate``, the refinement chains are kept per point, and
+    ``interval`` is the domain they are checked against.  It does not
+    stand in for the source: the Jensen gate, the chains' brackets and the
+    transfer check's monotone scan take ``source`` itself and read its
+    compiled form, each with its own memo, not ``evaluate``.  The memos
+    and the chains are performance artifacts, so results are identical
+    with or without them.
     """
 
     def __init__(self, source: FunctionDef, policy: BracketPolicy | None = None):
         self.source = source
         self.interval = source.interval
-        self.basis = source.basis
-        self._compiled = source._compiled
-        self._check = source._check
         self.policy = policy or BracketPolicy()
         self.evaluate = functools.cache(source.evaluate)
         self._chains: dict[ExactReal, _Chain] = {}
@@ -173,7 +170,7 @@ class ExtensionHandle:
             )
         # Both runs of the bracket are w, so a rise bounded to within
         # slope_eps * w gives the modulus to within slope_eps.
-        lbar = _lipschitz_bar(self, (a - w, a, b, b + w), self.policy.slope_eps * w)
+        lbar = _lipschitz_bar(self.source, (a - w, a, b, b + w), self.policy.slope_eps * w)
         chain = _Chain(lbar, d)
         self._seed_round(chain, a, b)
         return chain
@@ -321,7 +318,7 @@ def difference_transfer_check(
             raise OutOfDomainError(f"grid point {p} outside {sub.literal()}")
 
     v_exact = ExactReal.from_rational(v)
-    monotone = _monotone_scan(handle, v_exact, pts)
+    monotone = _monotone_scan(handle.source, v_exact, pts)
 
     # The difference of the two residual enclosures holds the step-v
     # difference of f minus that of the extension, so its farther endpoint

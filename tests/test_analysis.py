@@ -779,3 +779,21 @@ def test_build_steps_filters_nonpositive():
     grid = SampleGrid(I_10, (Fraction(0),), (), seed=0)
     steps = build_steps(grid, (R(-1), ExactReal(), R(2)), max_grid_steps=0)
     assert steps == (R(2),)
+
+
+def test_wright_check_sweeps_a_repeated_point_once():
+    # the grid keeps the first of each repeated point, so no row is swept twice
+    f = generate(0)
+    grid = SampleGrid(f.interval, (1, 1, 2), (), 0)
+    assert grid.rationals == (1, 2)
+    assert wright_check(f, grid).checked == wright_check(f, grid.rational_only()).checked == 2
+
+
+def test_jensen_check_pairs_a_repeated_point_once():
+    # no point is paired with itself, rational or irrational
+    f = generate(0)
+    x = make_grid(f.interval, 0, 1, f.basis, 0).irrationals[0]
+    assert jensen_check(f, SampleGrid(f.interval, (1, 1, 2), (), 0)).checked == 1
+    grid = SampleGrid(f.interval, (1, 2), (x, x), 0)
+    assert grid.irrationals == (x,)
+    assert jensen_check(f, grid).checked == 3

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import wrightdecomp
 from wrightdecomp import RESOLUTION_LIMIT, load_instance
 from wrightdecomp.cli import main
 
@@ -167,6 +170,18 @@ def test_eps_below_resolution_limit_exits_1_quickly(tmp_path, capsys, command):
     assert run_cli(command, str(inst), "--eps", "1e-200", *extra) == 0
 
 
+@pytest.mark.parametrize("command", ["decompose", "report"])
+def test_nonpositive_eps_exits_1_before_the_gate(tmp_path, capsys, command):
+    # the Jensen gate refuses this spiked instance, but eps is checked first
+    inst = tmp_path / "spiked.json"
+    assert run_cli("gen", "--seed", "2", "--variant", "spiked", "--out", str(inst)) == 0
+    extra = ["--csv", str(tmp_path / "r.csv")] if command == "report" else []
+    assert run_cli(command, str(inst), *extra) == 2
+    capsys.readouterr()
+    assert run_cli(command, str(inst), "--eps", "0", *extra) == 1
+    assert capsys.readouterr().err == "error: eps must be positive, got 0\n"
+
+
 def test_check_wright_finds_abs_violation(abs_instance, tmp_path):
     report = tmp_path / "cert.json"
     code = run_cli(
@@ -274,13 +289,14 @@ def test_decompose_evaluates_each_point_once(tmp_path, monkeypatch):
     assert len(points) == len(set(points)) == 14
     assert set(points) < set(valued)
     assert (len(valued), len(set(valued))) == (156, 120)
-    # verify's recovery and its truth check share one handle too
+    # verify's recovery and its truth check share one handle too, and it
+    # runs no Jensen gate, so no point is valued twice
     points.clear()
     valued.clear()
     assert run_cli("verify", str(tmp_path / "result.json"), "--truth", str(inst)) == 0
     assert len(points) == len(set(points)) == 5
     assert set(points) < set(valued)
-    assert (len(valued), len(set(valued))) == (61, 58)
+    assert (len(valued), len(set(valued))) == (35, 35)
 
 
 def test_wright_sweep_decides_on_lattice_ints(monkeypatch):
@@ -449,8 +465,13 @@ def test_report_with_an_empty_gate_is_inconclusive(tmp_path):
     inst = tmp_path / "inst.json"
     assert run_cli("gen", "--seed", "0", "--out", str(inst)) == 0
     csv_path = tmp_path / "r.csv"
-    assert run_cli("report", str(inst), "--grid-n", "1", "--csv", str(csv_path)) == 3
+    out = tmp_path / "r.json"
+    code = run_cli("report", str(inst), "--grid-n", "1", "--csv", str(csv_path), "--out", str(out))
+    assert code == 3
     assert csv_path.exists()
+    doc = json.loads(out.read_text())
+    assert doc["inconclusive"] == "decomposition needs at least two rational grid points"
+    assert doc["rows"] == 7  # one rational and six irrational points
 
 
 @pytest.mark.parametrize("grid_n", [0, 1])
@@ -463,11 +484,12 @@ def test_decompose_on_too_few_rationals_is_inconclusive(tmp_path, grid_n):
     doc = json.loads(out.read_text())
     assert doc["inconclusive"] == "decomposition needs at least two rational grid points"
     assert doc["config"]["grid_n"] == grid_n
-    # a stored result on such a grid cannot be reproduced: bad input
+    # the recovery reads no grid, so verify reproduces a stored result on
+    # such a grid; this one, with no coefficients, does not match
     result = tmp_path / "result.json"
     config = {"grid_n": grid_n, "irrational_n": 4}
     result.write_text(json.dumps({"eps": "1/100", "seed": 0, "config": config, "additive": {}}))
-    assert run_cli("verify", str(result), "--truth", str(inst)) == 1
+    assert run_cli("verify", str(result), "--truth", str(inst)) == 2
 
 
 def test_decompose_verify_round_trip(tmp_path):
@@ -492,7 +514,8 @@ def test_decompose_verify_round_trip(tmp_path):
 
 def test_verify_runs_only_the_recovery_phase(tmp_path, monkeypatch):
     # verify compares the stored coefficients, so it never needs the
-    # transfer checks or the prediction that decompose reports
+    # Jensen gate, the transfer checks or the prediction that decompose
+    # reports
     from wrightdecomp import decomposition
 
     inst = tmp_path / "inst.json"
@@ -503,6 +526,7 @@ def test_verify_runs_only_the_recovery_phase(tmp_path, monkeypatch):
     def evidence_phase(*args, **kwargs):
         raise AssertionError("verify ran the evidence phase")
 
+    monkeypatch.setattr(decomposition, "jensen_check", evidence_phase)
     monkeypatch.setattr(decomposition, "difference_transfer_check", evidence_phase)
     monkeypatch.setattr(decomposition, "_additive_at", evidence_phase)
     assert run_cli("verify", str(result), "--truth", str(inst)) == 0
@@ -512,11 +536,11 @@ def test_verify_runs_only_the_recovery_phase(tmp_path, monkeypatch):
     "variant, message",
     [
         ("abs-additive", "ground-truth verification needs a Decomposable instance"),
-        ("spiked", "source is not Jensen convex on the sampled rationals"),
+        ("spiked", "ground-truth verification needs a Decomposable instance"),
     ],
 )
 def test_verify_error_order(tmp_path, capsys, variant, message):
-    # the Jensen gate runs before the truth check
+    # a truth that is not a Decomposable is refused before any work
     inst, truth, result = tmp_path / "inst.json", tmp_path / "truth.json", tmp_path / "r.json"
     assert run_cli("gen", "--seed", "2", "--out", str(inst)) == 0
     assert run_cli("gen", "--seed", "2", "--variant", variant, "--out", str(truth)) == 0
@@ -567,20 +591,32 @@ def test_report_determinism_byte_identical(tmp_path):
     assert ja == jb
 
 
+def run_cli_process(*argv):
+    # the child imports the package these tests import, installed or not
+    path = [str(Path(wrightdecomp.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    command = [sys.executable, "-m", "wrightdecomp.cli", *argv]
+    return subprocess.run(command, capture_output=True, text=True, env=env)
+
+
 def test_usage_error_exits_1(tmp_path):
-    assert_exit_1 = subprocess.run(
-        [sys.executable, "-m", "wrightdecomp.cli", "no-such-command"],
-        capture_output=True,
-    )
+    assert_exit_1 = run_cli_process("no-such-command")
     assert assert_exit_1.returncode == 1
+    assert assert_exit_1.stderr.startswith("usage: wrightdecomp")
     # an inconclusive outcome reaches the shell through console_main too
     inst = tmp_path / "inst.json"
     assert run_cli("gen", "--seed", "0", "--out", str(inst)) == 0
-    inconclusive = subprocess.run(
-        [sys.executable, "-m", "wrightdecomp.cli", "check-wright", str(inst), "--grid-n", "1"],
-        capture_output=True,
-    )
-    assert inconclusive.returncode == 3
+    assert run_cli_process("check-wright", str(inst), "--grid-n", "1").returncode == 3
+
+
+def test_usage_error_prints_usage_and_exits_1(capsys):
+    # argparse would exit 2, which the outcome rule keeps for refutations
+    with pytest.raises(SystemExit) as exc:
+        run_cli("decompose")
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: wrightdecomp decompose")
+    assert "error: the following arguments are required: instance" in err
 
 
 # A Wright certificate of x**2 at (0, 1, 1), whose fields the cases below drop one at a time.

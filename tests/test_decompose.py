@@ -65,6 +65,28 @@ def test_decompose_rejects_eps_outside_the_resolvable_range():
         decompose(f, RESOLUTION_LIMIT / 10, grid)
 
 
+def test_decompose_checks_eps_before_the_grid_and_the_gate():
+    f = fixture_square_additive()
+    spiked = generate(1, kind="spiked")  # its Jensen gate refuses it on grid_for
+    with pytest.raises(NotWrightConvexError, match="not Jensen convex"):
+        decompose(spiked, EPS8, grid_for(spiked))
+    one_rational = SampleGrid(f.interval, (Fraction(1),), (), 0)
+    for g, grid in ((f, one_rational), (spiked, grid_for(spiked))):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            decompose(g, 0, grid)
+        with pytest.raises(ValueError, match="below the resolution limit"):
+            decompose(g, RESOLUTION_LIMIT / 10, grid)
+
+
+def test_decompose_skips_a_step_that_leaves_one_point():
+    # on (0, 10) the one step v = 5 of the rationals 4 and 9 leaves only 4
+    # in I ∩ (I - v) = (0, 5), so there is no transfer entry
+    f = fixture_square_additive()
+    result = decompose(f, EPS8, SampleGrid(f.interval, (Fraction(4), Fraction(9)), (), 0))
+    assert result.transfer_reports == ()
+    assert result.additive_hat[2].contains(R(3))
+
+
 @pytest.mark.parametrize("seed", [0, 5])
 def test_decompose_at_eps_1e_90(seed):
     # Separating the enclosures of this run needs widths near 1e-307, past
@@ -294,13 +316,13 @@ def test_round_trip_on_intervals_open_at_an_end(lo, hi):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_recovery_phase_equals_decompose(seed):
+    # the recovery reads no grid: decompose on two grids that differ in
+    # seed and size reports the coefficients it gives
     f = generate(seed)
-    grid = grid_for(f, seed=seed, n_r=8)
-    result = decompose(f, EPS8, grid)
-    assert _recover(ExtensionHandle(f), EPS8, grid) == (
-        result.additive_hat,
-        result.recovery_points,
-    )
+    recovered = _recover(ExtensionHandle(f), EPS8)
+    for grid in (grid_for(f, seed=seed, n_r=8), grid_for(f, seed=seed + 11, n_r=5, n_i=2)):
+        result = decompose(f, EPS8, grid)
+        assert recovered == (result.additive_hat, result.recovery_points)
 
 
 def test_refinement_never_widens():

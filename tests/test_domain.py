@@ -131,3 +131,9 @@ def test_grid_restriction():
 def test_grid_needs_basis_for_probes():
     with pytest.raises(ValueError):
         make_grid(Interval.open(0, 1), 2, 2, (), seed=0)
+
+
+@pytest.mark.parametrize("n_rational, n_irrational", [(-1, 0), (0, -1)])
+def test_make_grid_rejects_a_negative_count(n_rational, n_irrational):
+    with pytest.raises(ValueError, match="point counts must be nonnegative"):
+        make_grid(Interval.open(0, 1), n_rational, n_irrational, (2,), seed=0)

@@ -214,12 +214,13 @@ def test_uniqueness_policies_place_distinct_brackets(monkeypatch):
     # at its first round, so no _refine round runs.
     from wrightdecomp import extension
 
-    placed = {}
+    placed, policy = {}, []
     lipschitz_bar = extension._lipschitz_bar
 
-    def spy(handle, bracket, eps):
-        placed.setdefault(handle.policy, set()).add(bracket)
-        return lipschitz_bar(handle, bracket, eps)
+    def spy(f, bracket, eps):
+        # the bracket of the chain that _start_chain is placing
+        placed.setdefault(policy[-1], set()).add(bracket)
+        return lipschitz_bar(f, bracket, eps)
 
     monkeypatch.setattr(extension, "_lipschitz_bar", spy)
     calls = {"_start_chain": 0, "extend_eval": 0, "_refine": 0}
@@ -228,6 +229,8 @@ def test_uniqueness_policies_place_distinct_brackets(monkeypatch):
 
         def counting(*args, name=name, method=method):
             calls[name] += 1
+            if name == "_start_chain":
+                policy.append(args[0].policy)
             return method(*args)
 
         monkeypatch.setattr(ExtensionHandle, name, counting)
@@ -513,9 +516,8 @@ def test_monotone_scan_matches_reference_scan():
             expected = monotone_scan_reference(f, v_exact, pts)
         except WrightDecompError as exc:
             expected = type(exc), str(exc)
-        handle = ExtensionHandle(f)
         try:
-            outcome = _monotone_scan(handle, v_exact, pts)
+            outcome = _monotone_scan(f, v_exact, pts)
         except WrightDecompError as exc:
             outcome = type(exc), str(exc)
         assert outcome == expected, (f, v, grid)
@@ -524,7 +526,7 @@ def test_monotone_scan_matches_reference_scan():
             continue
         tally["passed" if expected.passed else "violation"] += 1
         if all(set(p.radicals()) <= set(f.basis) for p in grid.irrationals):
-            report = difference_transfer_check(handle, v, grid, Fraction(1, 100))
+            report = difference_transfer_check(ExtensionHandle(f), v, grid, Fraction(1, 100))
             assert report.monotone_passed == expected.passed
             assert report.monotone_certificate == expected.certificate
     assert min(tally.values()) >= 4, tally
@@ -536,6 +538,13 @@ def test_legacy_two_point_monotone_certificate_is_rejected():
     f = AbsAdditive(I_10, (2,), AdditiveMap.from_mapping({1: 1, 2: -1}))
     legacy = ViolationCertificate("monotone", (ExactReal(), SQRT(2)), R(-1), R(1), (("v", R(1)),))
     assert legacy.verify(f) is False
+
+
+def test_extend_eval_rejects_a_nonpositive_eps():
+    h = ExtensionHandle(square())
+    for x in (R(1), SQRT(2)):
+        with pytest.raises(ValueError, match="eps must be positive, got 0"):
+            h.extend_eval(x, 0)
 
 
 def test_transfer_rejects_bad_grid_and_step():

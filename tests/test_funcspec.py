@@ -118,6 +118,20 @@ def test_generate_respects_variant_and_validates():
         inst.validate()
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"basis_size": 0}, "basis_size must be between 1 and 4"),
+        ({"max_hinges": 9}, "max_hinges must be between 0 and 8"),
+        ({"kind": "concave"}, "unknown instance kind 'concave'"),
+    ],
+    ids=["basis-size", "hinges", "kind"],
+)
+def test_generate_rejects_bad_arguments(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        generate(0, **kwargs)
+
+
 def test_generate_explicit_basis():
     inst = generate(5, basis=(2, 3))
     assert inst.basis == (2, 3)
