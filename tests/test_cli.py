@@ -3,13 +3,15 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import wrightdecomp
-from wrightdecomp import RESOLUTION_LIMIT, load_instance
+from wrightdecomp import RESOLUTION_LIMIT, decompose, load_instance, make_grid
 from wrightdecomp.cli import main
+from wrightdecomp.errors import NotWrightConvexError
 
 from oracles import pell_sqrt11_convergent, wright_convex
 
@@ -533,21 +535,30 @@ def test_verify_runs_only_the_recovery_phase(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "variant, message",
+    "variant, gate_message",
     [
         ("abs-additive", "ground-truth verification needs a Decomposable instance"),
-        ("spiked", "ground-truth verification needs a Decomposable instance"),
+        ("spiked", "source is not Jensen convex on the sampled rationals"),
     ],
 )
-def test_verify_error_order(tmp_path, capsys, variant, message):
-    # a truth that is not a Decomposable is refused before any work
+def test_verify_error_order(tmp_path, capsys, variant, gate_message):
+    # a truth that is not a Decomposable is refused before any work: even
+    # the spiked truth, which decompose's Jensen gate refuses, meets the
+    # type check first, because verify runs no gate
     inst, truth, result = tmp_path / "inst.json", tmp_path / "truth.json", tmp_path / "r.json"
     assert run_cli("gen", "--seed", "2", "--out", str(inst)) == 0
     assert run_cli("gen", "--seed", "2", "--variant", variant, "--out", str(truth)) == 0
     assert run_cli("decompose", str(inst), "--out", str(result)) == 0
     capsys.readouterr()
     assert run_cli("verify", str(result), "--truth", str(truth), "--out", str(tmp_path / "v")) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == "error: ground-truth verification needs a Decomposable instance\n"
+    if variant == "spiked":
+        # on the CLI's default grid the library's gate refuses this truth
+        source = load_instance(str(truth))
+        grid = make_grid(source.interval, 8, 4, source.basis, 0)
+        with pytest.raises(NotWrightConvexError) as info:
+            decompose(source, Fraction(1, 10**8), grid)
+        assert str(info.value) == gate_message
 
 
 def test_report_emits_csv(tmp_path):
