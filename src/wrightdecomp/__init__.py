@@ -31,7 +31,6 @@ from .analysis import (
     CheckReport,
     ViolationCertificate,
     build_steps,
-    chord_slope_monotone_check,
     double_delta,
     jensen_check,
     lipschitz_bound,
@@ -79,7 +78,6 @@ __all__ = [
     "ViolationCertificate",
     "build_steps",
     "check_radical_index",
-    "chord_slope_monotone_check",
     "compare",
     "decompose",
     "difference_transfer_check",

@@ -9,17 +9,17 @@ never a proof.
 Certificate convention: the checked inequality is written ``lhs >= rhs``;
 a violation means ``lhs < rhs`` exactly.  ``_SIDES`` writes both sides of
 each kind once, in ``ExactReal`` arithmetic through ``evaluate``; a
-certificate's re-check, ``double_delta`` and the chord-slope sweep read
-it.  The sweeps over a run's grid and brackets read f's compiled form
-instead (``_compiled``, the form the instance compiles once per set of
-radicals): ``wright_check``, ``jensen_check``, ``lipschitz_bound`` and the
-transfer check's monotone scan hold points as int coordinates on one
-lattice and values as int tuples on one value lattice
-(``_lattice_values``), decide each inequality as the sign of a tuple
-difference, test each point's domain at most once, and build the two
-sides, as ``ExactReal`` values, only for a certificate.  ``wright_check``
-compares f(x+u+v) - f(x+v) with f(x+u) - f(x), formed once per row, and
-decides its row ends and its step profile on the same coordinates.
+certificate's re-check and ``double_delta`` read it.  Every sweep over a
+run's grid and brackets reads f's compiled form instead (``_compiled``,
+the form the instance compiles once per set of radicals): ``wright_check``,
+``jensen_check``, ``lipschitz_bound`` and the transfer check's monotone
+scan hold points as int coordinates on one lattice and values as int
+tuples on one value lattice (``_lattice_values``), decide each inequality
+as the sign of a tuple difference, test each point's domain at most once,
+and build the two sides, as ``ExactReal`` values, only for a certificate.
+``wright_check`` compares f(x+u+v) - f(x+v) with f(x+u) - f(x), formed
+once per row, and decides its row ends and its step profile on the same
+coordinates.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .domain import SampleGrid
 from .errors import (
@@ -48,8 +48,9 @@ _HALF = Fraction(1, 2)
 _JENSEN_CONTEXT = (("t", ExactReal.from_rational(_HALF)),)
 
 # kind -> (ev, *witness) -> (lhs, rhs): the checked inequality is lhs >= rhs.
-# ``recompute_sides``, ``double_delta`` and ``_sweep`` (for the chord-slope
-# check) read it; the lattice sweeps decide the same inequalities on ints.
+# ``recompute_sides`` and ``double_delta`` read it; the lattice sweeps decide
+# the Wright and Jensen inequalities on ints.  No checker emits ``monotone``,
+# which only ``recompute_sides`` reads.
 _SIDES: dict[str, Callable[..., tuple[ExactReal, ExactReal]]] = {
     "wright": lambda ev, x, u, v: (ev(x + u + v) + ev(x), ev(x + u) + ev(x + v)),
     "jensen": lambda ev, x, y: (ev(x) * _HALF + ev(y) * _HALF, ev(x * _HALF + y * _HALF)),
@@ -138,7 +139,7 @@ class ViolationCertificate(_Report):
         _expect_type(d, dict, "certificate")
         context = _expect_type(d.get("context", {}), dict, "certificate context")
         return cls(
-            d["kind"],
+            _expect_type(d["kind"], str, "certificate kind"),
             tuple(ExactReal.parse(w) for w in _expect_type(d["witness"], list, "witness")),
             ExactReal.parse(d["lhs"]),
             ExactReal.parse(d["rhs"]),
@@ -246,19 +247,6 @@ def _lattice_values(f: FunctionDef, radicals: tuple[int, ...], den: int) -> tupl
         return fc
 
     return vrad, t * den * den, ev
-
-
-def _sweep(kind: str, ev: Callable, witnesses: Iterable[tuple], context=()) -> CheckReport:
-    """Walk the witnesses in order, counting each; the first whose sides
-    from ``_SIDES[kind]`` have ``lhs < rhs`` becomes the certificate."""
-    sides = _SIDES[kind]
-    checked = 0
-    for witness in witnesses:
-        checked += 1
-        lhs, rhs = sides(ev, *witness)
-        if compare(lhs, rhs) is Ordering.LESS:
-            return CheckReport(False, ViolationCertificate(kind, witness, lhs, rhs, context), checked)
-    return CheckReport(True, None, checked)
 
 
 def wright_check(
@@ -403,19 +391,6 @@ def jensen_check(f: FunctionDef, grid: SampleGrid) -> CheckReport:
                 )
                 return CheckReport(False, cert, checked)
     return CheckReport(True, None, checked)
-
-
-def chord_slope_monotone_check(f: FunctionDef, grid: SampleGrid) -> CheckReport:
-    """Check slope(x, u) <= slope(u, y) for all ascending grid triples,
-    cross-multiplied by the positive denominators (u-x) and (y-u)."""
-    pts = grid.points()
-    triples = (
-        (x, u, y)
-        for i, x in enumerate(pts)
-        for j, u in enumerate(pts[i + 1 :], i + 1)
-        for y in pts[j + 1 :]
-    )
-    return _sweep("monotone", functools.cache(f.evaluate), triples)
 
 
 def lipschitz_bound(

@@ -144,7 +144,8 @@ def _rational_points(a: Fraction, b: Fraction, n: int) -> list[Fraction]:
 @dataclass(frozen=True)
 class SampleGrid:
     """Deterministic finite stand-in for a dense subset of the interval.
-    A repeated point is dropped, the first of each kept."""
+    A repeated point is dropped, the first of each kept, and the rationals
+    are sorted ascending; the irrationals keep the order given."""
 
     interval: Interval
     rationals: tuple[Fraction, ...]
@@ -152,7 +153,7 @@ class SampleGrid:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "rationals", tuple(dict.fromkeys(self.rationals)))
+        object.__setattr__(self, "rationals", tuple(sorted(dict.fromkeys(self.rationals))))
         object.__setattr__(self, "irrationals", tuple(dict.fromkeys(self.irrationals)))
 
     @functools.cached_property

@@ -25,7 +25,6 @@ from wrightdecomp import (
     Spiked,
     ViolationCertificate,
     build_steps,
-    chord_slope_monotone_check,
     compare,
     double_delta,
     generate,
@@ -186,7 +185,7 @@ def test_wright_check_random_steps_miss_the_kernel():
     assert report.passed
 
 
-def _sweep_outcome(check, f, grid, steps, max_grid_steps):
+def _wright_outcome(check, f, grid, steps, max_grid_steps):
     try:
         return check(f, grid, steps, max_grid_steps=max_grid_steps).to_jsonable()
     except WrightDecompError as exc:
@@ -210,8 +209,8 @@ def test_wright_check_matches_ordered_reference_sweep():
             m = rng.choice(f.basis + (1, 1, outside))
             s = SQRT(m) * Fraction(rng.randint(-3, 12), rng.randint(1, 4))
             steps.append(R(rng.randint(1, 5)) - s if rng.random() < 0.4 else s)
-        expected = _sweep_outcome(wright_sweep_reference, f, grid, steps, cap)
-        assert _sweep_outcome(wright_check, f, grid, steps, cap) == expected, case
+        expected = _wright_outcome(wright_sweep_reference, f, grid, steps, cap)
+        assert _wright_outcome(wright_check, f, grid, steps, cap) == expected, case
         if isinstance(expected, tuple):
             tally["error"] += 1
         else:
@@ -274,7 +273,7 @@ def test_wright_check_matches_reference_on_row_ends_and_signs(case):
     # nonzero; the reference sweep tests every top against the interval
     # and compares the two sides as ExactReal values.
     f, grid, steps, cap = case
-    assert _sweep_outcome(wright_check, f, grid, steps, cap) == _sweep_outcome(
+    assert _wright_outcome(wright_check, f, grid, steps, cap) == _wright_outcome(
         wright_sweep_reference, f, grid, steps, cap
     )
 
@@ -336,7 +335,7 @@ def _matches_reference(g, grid, steps, cap):
         for name, patch in attrs.items():
             object.__setattr__(g, name, patch)
         try:
-            outcome = _sweep_outcome(sweep, g, grid, steps, cap)
+            outcome = _wright_outcome(sweep, g, grid, steps, cap)
         finally:
             for name in attrs:
                 object.__delattr__(g, name)
@@ -476,8 +475,9 @@ def test_certificate_verify_propagates_program_faults():
     assert not ViolationCertificate("cubic", cert.witness, cert.lhs, cert.rhs).verify(f)
 
 
-# Certificates that reproduce lhs < rhs on the convex x^2 but that no checker
-# emits: a negative Wright step, a Jensen weight t = 2, a descending triple.
+# Certificates that reproduce lhs < rhs on the convex x^2 through a witness
+# that ``recompute_sides`` refuses: a negative Wright step, a Jensen weight
+# t = 2, a monotone triple that descends.
 FORGED = (
     ("wright", (R(0), R(-1), R(1)), R(0), R(2), ()),
     ("jensen", (R(0), R(1)), R(-1), R(1), (("t", R(2)),)),
@@ -615,27 +615,17 @@ def test_lipschitz_bound_matches_reference():
     assert cases > 100
 
 
-# -- chord slopes --------------------------------------------------------------------
+# -- monotone certificates ------------------------------------------------------------
 
 
-def test_chord_slope_monotone_convex_passes():
-    # convex catalog only: slope monotonicity is a property of the convex
-    # part, not of instances carrying an additive summand
-    base = generate_decomposable(5)
-    inst = Decomposable(base.interval, base.basis, base.convex)
-    grid = make_grid(inst.interval, 7, 2, inst.basis, seed=5)
-    report = chord_slope_monotone_check(inst, grid)
-    assert report.passed
-
-
-def test_chord_slope_monotone_concave_fails():
-    # -x^2 built directly, outside the ConvexSpec invariants
+def test_monotone_certificate_of_a_concave_function_verifies():
+    # no checker emits a monotone certificate, but one re-checks: on -x^2,
+    # built directly outside the ConvexSpec invariants, slope(-1, 0) = 1
+    # exceeds slope(0, 1) = -1, so (f(1) - f(0))*1 = -1 < (f(0) - f(-1))*1 = 1
     concave = Decomposable(I_10, (2,), ConvexSpec(quad=Fraction(-1)))
-    grid = SampleGrid(I_10, (Fraction(-1), Fraction(0), Fraction(1)), (), seed=0)
-    report = chord_slope_monotone_check(concave, grid)
-    assert not report.passed
-    assert report.certificate.kind == "monotone"
-    assert report.certificate.verify(concave)
+    cert = ViolationCertificate("monotone", (R(-1), R(0), R(1)), R(-1), R(1))
+    assert cert.recompute_sides(concave) == (R(-1), R(1))
+    assert cert.verify(concave)
 
 
 # -- lipschitz_bound ------------------------------------------------------------------

@@ -37,7 +37,6 @@ def test_public_surface_is_pinned():
         "ViolationCertificate",
         "build_steps",
         "check_radical_index",
-        "chord_slope_monotone_check",
         "compare",
         "decompose",
         "difference_transfer_check",

@@ -249,7 +249,7 @@ def test_verify_certificate_round_trip(abs_instance, tmp_path):
 )
 def test_verify_certificate_rejects_forged_witness(tmp_path, capsys, kind, witness, lhs, rhs, context):
     # each reproduces lhs < rhs on the convex x^2, through a witness that
-    # no checker emits
+    # ``recompute_sides`` refuses
     inst = tmp_path / "square.json"
     inst.write_text(json.dumps(SQUARE))
     cert = {"kind": kind, "witness": witness, "lhs": lhs, "rhs": rhs, "context": context}
@@ -257,6 +257,21 @@ def test_verify_certificate_rejects_forged_witness(tmp_path, capsys, kind, witne
     report.write_text(json.dumps({"config": {"instance": str(inst)}, "certificate": cert}))
     assert run_cli("verify-certificate", str(report)) == 2
     assert "REJECTED" in capsys.readouterr().out
+
+
+def test_verify_certificate_accepts_a_monotone_certificate(tmp_path, capsys):
+    # no checker emits the monotone kind, but verify-certificate re-checks
+    # it.  The Wright convex f = A, with A(sqrt(2)) = 1 and A = 0 on Q, is
+    # not convex: slope(0, sqrt(2)) > 0 > slope(sqrt(2), 2).  (-x^2, the
+    # library test's instance, is refused by the loader's quad >= 0 check.)
+    inst = tmp_path / "additive.json"
+    inst.write_text(json.dumps(dict(SQUARE, convex={"quad": "0"}, additive={"2": "1"})))
+    cert = {"kind": "monotone", "witness": ["0", "sqrt(2)", "2"],
+            "lhs": "-sqrt(2)", "rhs": "2 - sqrt(2)"}
+    report = tmp_path / "monotone.json"
+    report.write_text(json.dumps({"config": {"instance": str(inst)}, "certificate": cert}))
+    assert run_cli("verify-certificate", str(report)) == 0
+    assert "certificate verified" in capsys.readouterr().out
 
 
 def test_decompose_evaluates_each_point_once(tmp_path, monkeypatch):
@@ -637,16 +652,27 @@ _CERT = {"kind": "wright", "witness": ["0", "1", "1"], "lhs": "4", "rhs": "2"}
 @pytest.mark.parametrize(
     "doc, message",
     [
-        ({"config": {"instance": "inst.json"}, "report": {}}, "carries no certificate"),
-        ({"config": {}, "certificate": _CERT}, "names no instance"),
+        ({"config": {"instance": "inst.json"}, "report": {}},
+         "report {report} carries no certificate"),
+        ({"config": {}, "certificate": _CERT},
+         "report {report} names no instance to re-check against"),
+        *(
+            ({"config": {"instance": "inst.json"}, "certificate": dict(_CERT, kind=kind)},
+             f"certificate kind has the wrong JSON type {type(kind).__name__}")
+            for kind in (5, True, None, ["wright"])
+        ),
     ],
+    # the first two ids are those pytest gave these cases before the kind cases
+    ids=["doc0-carries no certificate", "doc1-names no instance",
+         "kind-int", "kind-bool", "kind-null", "kind-list"],
 )
-def test_verify_certificate_input_errors_exit_1(tmp_path, capsys, doc, message):
+def test_verify_certificate_input_errors_exit_1(tmp_path, monkeypatch, capsys, doc, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inst.json").write_text(json.dumps(SQUARE))
     report = tmp_path / "report.json"
     report.write_text(json.dumps(doc))
     assert run_cli("verify-certificate", str(report)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: report {report} ") and message in err
+    assert capsys.readouterr().err == f"error: {message.format(report=report)}\n"
 
 
 @pytest.mark.parametrize(

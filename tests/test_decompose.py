@@ -87,6 +87,18 @@ def test_decompose_skips_a_step_that_leaves_one_point():
     assert result.additive_hat[2].contains(R(3))
 
 
+def test_decompose_reads_a_hand_built_grid_in_any_order():
+    # the grid sorts its rationals, so the transfer step 2 - 1 is positive
+    # whichever order they were given in
+    f = generate(0)
+    backwards = SampleGrid(f.interval, (Fraction(2), Fraction(1)), (), 0)
+    forwards = SampleGrid(f.interval, (Fraction(1), Fraction(2)), (), 0)
+    assert backwards == forwards
+    result = decompose(f, EPS8, backwards)
+    assert len(result.transfer_reports) == 1
+    assert result.to_jsonable() == decompose(f, EPS8, forwards).to_jsonable()
+
+
 @pytest.mark.parametrize("seed", [0, 5])
 def test_decompose_at_eps_1e_90(seed):
     # Separating the enclosures of this run needs widths near 1e-307, past

@@ -7,6 +7,7 @@ from wrightdecomp import (
     Interval,
     compare,
     Ordering,
+    SampleGrid,
     make_grid,
     shifted_intersection,
 )
@@ -95,6 +96,14 @@ def test_grid_points_sorted_and_inside():
         assert i.contains(p)
     for a, b in zip(pts, pts[1:]):
         assert compare(a, b) is Ordering.LESS
+
+
+def test_hand_built_grid_sorts_its_rationals_only():
+    i = Interval.open(0, 10)
+    high, low = R(3) + SQRT(2), R(1) + SQRT(2)
+    grid = SampleGrid(i, (Fraction(2), Fraction(1), Fraction(2)), (high, low), 0)
+    assert grid.rationals == (Fraction(1), Fraction(2))
+    assert grid.irrationals == (high, low)
 
 
 def test_grid_mediant_crowding_near_endpoints():
