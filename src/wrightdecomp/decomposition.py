@@ -208,7 +208,7 @@ def _decompose(handle: ExtensionHandle, eps: Fraction, grid: SampleGrid) -> Deco
     for v in steps[:2]:
         # The gate has checked every grid rational into the interval I,
         # so for v = q2 - q1 the point q1 lies in I ∩ (I - v).
-        sub = grid.restricted_to(shifted_intersection(handle.interval, v))
+        sub = grid.restricted_to(shifted_intersection(handle.source.interval, v))
         if len(sub.points()) < 2:
             continue
         transfer = difference_transfer_check(handle, v, sub, eps)

@@ -144,8 +144,10 @@ def _rational_points(a: Fraction, b: Fraction, n: int) -> list[Fraction]:
 @dataclass(frozen=True)
 class SampleGrid:
     """Deterministic finite stand-in for a dense subset of the interval.
-    A repeated point is dropped, the first of each kept, and the rationals
-    are sorted ascending; the irrationals keep the order given."""
+    A rational value given among the irrationals is moved to the
+    rationals.  A repeated point is dropped, the first of each kept, and
+    the rationals are sorted ascending; the irrationals keep the order
+    given."""
 
     interval: Interval
     rationals: tuple[Fraction, ...]
@@ -153,8 +155,11 @@ class SampleGrid:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "rationals", tuple(sorted(dict.fromkeys(self.rationals))))
-        object.__setattr__(self, "irrationals", tuple(dict.fromkeys(self.irrationals)))
+        moved = [x.rational_part for x in self.irrationals if x.is_rational]
+        rationals = dict.fromkeys((*self.rationals, *moved))
+        irrationals = dict.fromkeys(x for x in self.irrationals if not x.is_rational)
+        object.__setattr__(self, "rationals", tuple(sorted(rationals)))
+        object.__setattr__(self, "irrationals", tuple(irrationals))
 
     @functools.cached_property
     def _sorted_points(self) -> tuple[ExactReal, ...]:

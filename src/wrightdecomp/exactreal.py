@@ -8,7 +8,7 @@ representation is canonical, so structural equality coincides with value
 equality because square roots of distinct squarefree integers are
 linearly independent over Q (trusted fact of this module).  ``Fraction``
 appears only where coefficients, bounds and literals enter or leave, and
-in the hash of a value whose denominator the hash modulus divides.
+in the hash, which is that of the ``Fraction`` coefficients.
 
 Signs with up to two radicals besides the unit are decided from the
 numerators by squaring; signs with more are settled by adaptive
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Union
@@ -105,8 +104,6 @@ class _SqrtBrackets:
 _BRACKETS = _SqrtBrackets()
 
 _ZERO = Fraction(0)
-
-_HASH_MODULUS = sys.hash_info.modulus
 
 _Nums = tuple[tuple[int, int], ...]
 
@@ -317,26 +314,11 @@ class ExactReal:
         return self._nums == o._nums and self._den == o._den
 
     def __hash__(self):
-        # Fraction's hash of each coefficient n/den, from the ints: it does
-        # not change when n and den are scaled by a factor coprime to the
-        # modulus, so hash(v) is that of its Fraction coefficients.
+        # Python's hash of the Fraction coefficients, so a rational value
+        # hashes as its Fraction, to which it compares equal.
         if self._hash is None:
-            den = self._den
-            if den % _HASH_MODULUS:
-                inv = pow(den, -1, _HASH_MODULUS)
-                pairs = []
-                for m, n in self._nums:
-                    h = hash(hash(abs(n)) * inv)
-                    if n < 0:
-                        h = -2 if h == 1 else -h
-                    pairs.append((m, h))
-            else:
-                # Fraction hashes such a denominator as infinity.
-                pairs = [(m, hash(q)) for m, q in self.coefficients.items()]
-            if self.is_rational:
-                self._hash = pairs[0][1] if pairs else 0
-            else:
-                self._hash = hash(tuple(pairs))
+            coeffs = self.coefficients
+            self._hash = hash(coeffs.get(1, 0) if self.is_rational else tuple(coeffs.items()))
         return self._hash
 
     def __lt__(self, other):

@@ -26,7 +26,7 @@ extension at an irrational x it
    rationals (``_compiled((1,))``) as an int tuple, and the slack, the
    running intersection and the width test are int tuples whose signs
    ``_lattice_sign`` decides.  An ``Enclosure`` is built only for a round
-   that ``extend_eval`` hands out, once per round.
+   that ``extend_eval`` hands out, each time it hands it out.
 
 The domain is checked once per chain, at its bracket: every later
 enclosure of x lies inside the window [a, b] (each radical's Heron
@@ -91,7 +91,6 @@ class _Chain:
     lipschitz_bar: Fraction  # rational upper bound of the window modulus
     delta: Fraction  # enclosure width of x asked at the latest round
     rounds: list[_Round] = field(default_factory=list)
-    handed_out: dict[int, Enclosure] = field(default_factory=dict)  # round -> its enclosure
 
 
 class ExtensionHandle:
@@ -99,18 +98,17 @@ class ExtensionHandle:
 
     The extension only ever reads the source at rational points.  The
     handle is a run's evaluation context: ``evaluate`` memoises
-    ``source.evaluate``, the refinement chains are kept per point, and
-    ``interval`` is the domain they are checked against.  It does not
-    stand in for the source: the Jensen gate, the chains' brackets and the
-    transfer check's monotone scan take ``source`` itself and read its
-    compiled form, each with its own memo, not ``evaluate``.  The memos
+    ``source.evaluate``, and the refinement chains are kept per point,
+    checked against ``source.interval``.  It does not stand in for the
+    source: the Jensen gate, the chains' brackets and the transfer check's
+    monotone scan take ``source`` itself and read its compiled form, not
+    ``evaluate``; the gate and the scan keep their own memos.  The memos
     and the chains are performance artifacts, so results are identical
     with or without them.
     """
 
     def __init__(self, source: FunctionDef, policy: BracketPolicy | None = None):
         self.source = source
-        self.interval = source.interval
         self.policy = policy or BracketPolicy()
         self.evaluate = functools.cache(source.evaluate)
         self._chains: dict[ExactReal, _Chain] = {}
@@ -127,8 +125,9 @@ class ExtensionHandle:
         eps = Fraction(eps)
         if eps <= 0:
             raise ValueError(f"eps must be positive, got {eps}")
-        if not self.interval.contains(x):
-            raise OutOfDomainError(f"{x} outside {self.interval.literal()}")
+        interval = self.source.interval
+        if not interval.contains(x):
+            raise OutOfDomainError(f"{x} outside {interval.literal()}")
         if x.is_rational:
             # The extension agrees with f on the rationals.
             return Enclosure.point(self.f_rational(x.rational_part))
@@ -157,16 +156,16 @@ class ExtensionHandle:
         # lies inside it once its two outer points do.  This is the chain's
         # one domain check: every later round's enclosure of x lies inside
         # [a, b] (each radical's Heron brackets nest), so its midpoint does.
-        d = self.policy.initial_eps
+        d, interval = self.policy.initial_eps, self.source.interval
         for _ in range(_MAX_SHRINK):
             a, b = x.bounds(d)
             w = self.policy.margin_widths * (b - a)
-            if self.interval.contains(a - w) and self.interval.contains(b + w):
+            if interval.contains(a - w) and interval.contains(b + w):
                 break
             d /= 2
         else:
             raise BracketUnavailableError(
-                f"could not fit a rational window around {x} inside {self.interval.literal()}"
+                f"could not fit a rational window around {x} inside {interval.literal()}"
             )
         # Both runs of the bracket are w, so a rise bounded to within
         # slope_eps * w gives the modulus to within slope_eps.
@@ -219,14 +218,9 @@ class ExtensionHandle:
         return _lattice_sign(self.source._compiled((1,))[0], width, 1) is not Ordering.GREATER
 
     def _enclosure(self, chain: _Chain, k: int) -> Enclosure:
-        """Round k's running intersection, built once, when handed out."""
-        enc = chain.handed_out.get(k)
-        if enc is None:
-            r, vrad = chain.rounds[k], self.source._compiled((1,))[0]
-            enc = chain.handed_out[k] = Enclosure(
-                _from_lattice(vrad, r.lo, r.lo_den), _from_lattice(vrad, r.hi, r.hi_den)
-            )
-        return enc
+        """Round k's running intersection, built when handed out."""
+        r, vrad = chain.rounds[k], self.source._compiled((1,))[0]
+        return Enclosure(_from_lattice(vrad, r.lo, r.lo_den), _from_lattice(vrad, r.hi, r.hi_den))
 
 
 def _cross(a: tuple[int, ...], a_den: int, b: tuple[int, ...], b_den: int) -> list[int]:
@@ -311,7 +305,7 @@ def difference_transfer_check(
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    sub = shifted_intersection(handle.interval, v)
+    sub = shifted_intersection(handle.source.interval, v)
     pts = grid.points()
     for p in pts:
         if not sub.contains(p):

@@ -183,6 +183,8 @@ class _FunctionBase:
 
     def _validate_basis(self, used: set[int]) -> None:
         basis = set(self.basis)
+        if len(basis) < len(self.basis):
+            raise ValueError(f"basis {self.basis} repeats a radical")
         for m in self.basis:
             check_radical_index(m)
             if m == 1:
@@ -220,8 +222,6 @@ class Decomposable(_FunctionBase):
         convex = self.convex
         images = {m: self.additive.coefficient(m) for m in (1, *self.basis)}
         vrad, t, value = _lattice_quadratic(convex.quad, convex._pieces[1], images, radicals)
-        if not convex.hinges:
-            return vrad, t, lambda c, den: value(c, den, 0)
         knots = [_side(radicals, k) for k in convex._pieces[0]]
 
         def piecewise(c: tuple[int, ...], den: int) -> tuple[int, ...]:
@@ -267,14 +267,22 @@ class AbsAdditive(_FunctionBase):
 
 @dataclass(frozen=True)
 class Spiked(_FunctionBase):
-    interval: Interval
-    basis: tuple[int, ...]
+    """``base`` lifted by ``lift`` at the one point ``at``, on the base's
+    interval and basis."""
+
     base: "FunctionDef"
     at: ExactReal
     lift: Fraction
 
+    @property
+    def interval(self) -> Interval:
+        return self.base.interval
+
+    @property
+    def basis(self) -> tuple[int, ...]:
+        return self.base.basis
+
     def _on_lattice(self, radicals: tuple[int, ...]) -> tuple:
-        self._check_base()
         vrad, t, value = self.base._compiled(radicals)
         # Scale the base's values when t does not carry lift's denominator.
         k = self.lift.denominator // math.gcd(self.lift.denominator, t)
@@ -289,19 +297,9 @@ class Spiked(_FunctionBase):
 
         return vrad, t * k, spiked
 
-    def _check(self, x: ExactReal) -> None:
-        super()._check(x)
-        self.base._check(x)  # a base on another interval or basis refuses x
-
-    def _check_base(self) -> None:
-        # A base on another interval or basis would raise inside this one's.
-        if self.base.interval != self.interval or self.base.basis != self.basis:
-            raise ValueError("a spiked instance's base must share its interval and basis")
-
     def validate(self) -> None:
         if self.lift <= 0:
             raise ValueError(f"spike lift must be > 0, got {self.lift}")
-        self._check_base()
         self.base.validate()
         if not self.interval.contains(self.at):
             raise ValueError("spike point must lie in the interval")
@@ -408,7 +406,7 @@ def generate(
         base = Decomposable(interval, basis, convex_part(), additive_part(False))
         at = a + Fraction(rng.randrange(1, 16), 16) * (b - a)
         lift = small(1, 4) + Fraction(1, 8)
-        inst = Spiked(interval, basis, base, ExactReal.from_rational(at), lift)
+        inst = Spiked(base, ExactReal.from_rational(at), lift)
     else:
         raise ValueError(f"unknown instance kind {kind!r}")
     inst.validate()
@@ -458,11 +456,9 @@ def _index(value, what: str) -> int:
 
 
 def dumps_instance(f: FunctionDef) -> str:
-    """The instance document of f.  A document holds one interval and one
-    basis, so a ``Spiked`` f's base must share them, and must not itself
+    """The instance document of f.  A ``Spiked`` f's base must not itself
     be spiked."""
     if isinstance(f, Spiked):
-        f._check_base()
         doc = _parts_to_jsonable(f.base)
         doc["variant"] = "spiked"
         doc["spike"] = {"at": f.at.literal(), "lift": str(f.lift)}
@@ -501,7 +497,7 @@ def loads_instance(text: str) -> FunctionDef:
         if variant == "spiked":
             spike = _expect_type(doc["spike"], dict, "spike")
             at, lift = ExactReal.parse(spike["at"]), parse_rational(spike["lift"])
-            inst = Spiked(interval, basis, inst, at, lift)
+            inst = Spiked(inst, at, lift)
     except KeyError as exc:
         raise ParseError(f"instance document missing field {exc}") from exc
     try:

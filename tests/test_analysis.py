@@ -221,7 +221,7 @@ def test_wright_check_matches_ordered_reference_sweep():
 def _with_interval(f, interval):
     """f on another interval; a spiked instance's base moves with it."""
     if isinstance(f, Spiked):
-        return replace(f, interval=interval, base=replace(f.base, interval=interval))
+        return replace(f, base=replace(f.base, interval=interval))
     return replace(f, interval=interval)
 
 
@@ -359,7 +359,7 @@ def test_wright_check_row_end_excludes_a_top_on_hi():
     # that land on hi as well; with them the three smallest grid steps are
     # irrational and miss the spike.
     eighths = tuple(Fraction(k, 8) for k in range(1, 8))
-    spiked = Spiked(f.interval, f.basis, f, R(Fraction(5, 8)), Fraction(1, 8))
+    spiked = Spiked(f, R(Fraction(5, 8)), Fraction(1, 8))
     outcomes = []
     for probes in ((), (SQRT(2) - 1, 1 - SQRT(2) / 2)):
         grid = SampleGrid(f.interval, eighths, probes, seed=0)
@@ -381,7 +381,7 @@ def test_wright_check_row_end_with_irrational_hi_and_explicit_steps():
     # |A| fails on explicit steps alone; the spike at 3/4 fails only on
     # triples with a grid step, so it passes at cap 0.
     abs_part = AbsAdditive(interval, (2,), AdditiveMap.from_mapping({2: 1}))
-    spiked = Spiked(interval, (2,), base, R(Fraction(3, 4)), Fraction(1, 8))
+    spiked = Spiked(base, R(Fraction(3, 4)), Fraction(1, 8))
     tally = []
     for g in (base, abs_part, spiked):
         for cap in (None, 0, 4):
@@ -406,7 +406,7 @@ def test_wright_check_checks_each_grid_point():
     # outside f's interval, after rows inside it or at the first row.
     # The spike at 1/3 is off the grid's lattice.
     f = square(interval=Interval.open(0, 1))
-    gs = (f, Spiked(f.interval, f.basis, f, R(Fraction(1, 3)), Fraction(1, 8)))
+    gs = (f, Spiked(f, R(Fraction(1, 3)), Fraction(1, 8)))
     for wider in (Interval.open(0, 2), Interval.open(-1, 1)):
         grid = make_grid(wider, 6, 2, (2,), seed=1)
         for g in gs:
@@ -506,7 +506,7 @@ def test_jensen_abs_additive_passes():
 
 def test_jensen_spiked_violation_at_midpoint():
     base = square()
-    spiked = Spiked(I_10, (2,), base, R(0), Fraction(10))
+    spiked = Spiked(base, R(0), Fraction(10))
     grid = SampleGrid(I_10, (Fraction(-1), Fraction(0), Fraction(1)), (), seed=0)
     report = jensen_check(spiked, grid)
     assert not report.passed
@@ -560,9 +560,7 @@ def _lattice_gate_cases():
             # -3 is a grid point and bracket point but no pair's midpoint.
             for at in (R(-3), R(1), R(Fraction(1, 2)), s2, (s2 + 1) / 2):
                 for lift in (Fraction(1, 8), Fraction(5)):
-                    yield Spiked(interval, (2, 3), f, at, lift), SampleGrid(
-                        interval, ints, probes, seed=0
-                    )
+                    yield Spiked(f, at, lift), SampleGrid(interval, ints, probes, seed=0)
     yield abs_fixture(), make_grid(I_10, 6, 6, (2,), seed=2)
     for seed in range(12):
         kind = ("decomposable", "abs_additive", "spiked")[seed % 3]
@@ -570,7 +568,7 @@ def _lattice_gate_cases():
         yield f, make_grid(f.interval, 4 + seed % 3, seed % 4, f.basis, seed)
     f = square()  # basis (2,)
     for extra in (s3 + 5, s3 - 5, R(12), R(-12)):
-        for g in (f, Spiked(I_10, (2,), f, R(Fraction(1, 2)), Fraction(5))):
+        for g in (f, Spiked(f, R(Fraction(1, 2)), Fraction(5))):
             yield g, SampleGrid(I_10, (Fraction(0), Fraction(1)), (extra,), seed=0)
 
 

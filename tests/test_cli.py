@@ -277,8 +277,9 @@ def test_verify_certificate_accepts_a_monotone_certificate(tmp_path, capsys):
 def test_decompose_evaluates_each_point_once(tmp_path, monkeypatch):
     # the run's one extension handle evaluates each point once; the Jensen
     # gate, the Lipschitz brackets, the chains' midpoints and the transfer
-    # check's monotone scan read the compiled form directly, each with its
-    # own memo, so a point they share with another reader is valued again
+    # check's monotone scan read the compiled form directly, the gate and
+    # the scan each with its own memo and the brackets and the midpoints
+    # with none, so a point they share with another reader is valued again
     from wrightdecomp.exactreal import _from_lattice
     from wrightdecomp.funcspec import _FunctionBase
 
@@ -682,6 +683,7 @@ def test_verify_certificate_input_errors_exit_1(tmp_path, monkeypatch, capsys, d
         ("eval", [1, 2], ""),
         ("eval", dict(SQUARE, basis=2), ""),
         ("eval", dict(SQUARE, basis=[2, True]), ""),
+        ("eval", dict(SQUARE, basis=[2, 2]), ""),
         ("eval", dict(SQUARE, interval=5), ""),
         ("eval", dict(SQUARE, convex=dict(SQUARE["convex"], quad=1)), ""),
         ("verify-certificate", {"report": {"certificate": "x"}}, ""),
@@ -698,9 +700,9 @@ def test_verify_certificate_input_errors_exit_1(tmp_path, monkeypatch, capsys, d
             for field in _CERT
         ),
     ],
-    ids=["convex-list", "top-level-list", "basis-int", "basis-entry-bool", "interval-int",
-         "quad-int", "certificate-str", "verify-config-list", "verify-missing-eps",
-         "verify-missing-hi", "verify-missing-irrational-n",
+    ids=["convex-list", "top-level-list", "basis-int", "basis-entry-bool", "basis-repeated",
+         "interval-int", "quad-int", "certificate-str", "verify-config-list",
+         "verify-missing-eps", "verify-missing-hi", "verify-missing-irrational-n",
          *(f"certificate-missing-{field}" for field in _CERT)],
 )
 def test_malformed_document_exits_1(tmp_path, capsys, command, doc, names):

@@ -218,7 +218,7 @@ def test_verify_flags_corrupted_entry():
 
 def test_decompose_gate_rejects_spiked():
     base = Decomposable(Interval.open(-10, 10), (2,), ConvexSpec(quad=Fraction(1)))
-    spiked = Spiked(Interval.open(-10, 10), (2,), base, R(0), Fraction(10))
+    spiked = Spiked(base, R(0), Fraction(10))
     grid = SampleGrid(
         Interval.open(-10, 10), (Fraction(-1), Fraction(0), Fraction(1)), (), seed=0
     )

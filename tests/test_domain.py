@@ -8,8 +8,12 @@ from wrightdecomp import (
     compare,
     Ordering,
     SampleGrid,
+    decompose,
+    generate,
+    jensen_check,
     make_grid,
     shifted_intersection,
+    wright_check,
 )
 from wrightdecomp.errors import EmptyDomainError, ParseError
 
@@ -104,6 +108,23 @@ def test_hand_built_grid_sorts_its_rationals_only():
     grid = SampleGrid(i, (Fraction(2), Fraction(1), Fraction(2)), (high, low), 0)
     assert grid.rationals == (Fraction(1), Fraction(2))
     assert grid.irrationals == (high, low)
+
+
+def test_hand_built_grid_moves_a_rational_probe_to_the_rationals():
+    # Its only probe is rational, where the residual is 0 by construction,
+    # so the prediction check has no irrational probe and cannot pass.
+    f = generate(2, kind="abs_additive")
+    grid = SampleGrid(f.interval, (0, 1, 2), (R(Fraction(1, 2)),), 0)
+    assert grid.rationals == (0, Fraction(1, 2), 1, 2) and grid.irrationals == ()
+    result = decompose(f, Fraction(1, 10**8), grid)
+    assert result.prediction.probes_checked == 0 and not result.passed
+    # A probe equal to a rational point is that point, counted once.
+    grid = SampleGrid(Interval.open(-10, 10), (0, 1), (R(1),), 0)
+    assert grid.points() == (R(0), R(1))
+    f = generate(0)
+    grid = SampleGrid(f.interval, (0, 1), (R(1),), 0)
+    assert wright_check(f, grid).checked == 2
+    assert jensen_check(f, grid).checked == 1
 
 
 def test_grid_mediant_crowding_near_endpoints():

@@ -182,7 +182,7 @@ def test_arithmetic_matches_fraction_dict_reference(da, db, q):
 
 def test_hash_matches_fraction_when_modulus_divides_denominator():
     # Fraction hashes a denominator that the hash modulus P divides as
-    # infinity, which the integer hash path cannot reproduce.
+    # infinity; ExactReal hashes its Fraction coefficients, so it agrees.
     p = sys.hash_info.modulus
     assert hash(Fraction(1, p)) == sys.hash_info.inf
     values = [

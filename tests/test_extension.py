@@ -407,7 +407,7 @@ def test_int_chain_matches_reference_chain():
         (Fraction(1, 10), None),
     )
     for lift, kept in lifts:
-        g = Spiked(I_10, (2,), base, at, lift)
+        g = Spiked(base, at, lift)
         g.validate()
         rounds, raised = _matches_reference_chain(g, x, EPS12)
         if kept is None:
@@ -493,9 +493,7 @@ def _scan_cases():
     base = square(AdditiveMap.from_mapping({1: Fraction(1, 3), 2: 3}))
     for at in (R(1), R(Fraction(1, 2)), SQRT(2) + Fraction(1, 2), R(-3)):
         for lift in (Fraction(1, 4), Fraction(5)):
-            yield Spiked(I_10, (2,), base, at, lift), Fraction(1, 2), SampleGrid(
-                sub, ints, probes, seed=0
-            )
+            yield Spiked(base, at, lift), Fraction(1, 2), SampleGrid(sub, ints, probes, seed=0)
     yield AbsAdditive(I_10, (2,), AdditiveMap.from_mapping({1: 1, 2: -1})), Fraction(1), (
         SampleGrid(sub, ints, probes, seed=0)
     )
@@ -504,7 +502,7 @@ def _scan_cases():
     )
     s3 = SQRT(3)
     for outside in ((s3 - 5,), (s3 - 3,), (s3 + 1,), (s3 - 5, s3 - Fraction(49, 10))):
-        for f in (base, Spiked(I_10, (2,), base, R(-2), Fraction(50))):
+        for f in (base, Spiked(base, R(-2), Fraction(50))):
             yield f, Fraction(1), SampleGrid(sub, (Fraction(-3), Fraction(0)), outside, seed=0)
 
 

@@ -77,7 +77,7 @@ def test_hinge_activation_is_exact():
 
 def test_spiked_pointwise_equality():
     base = square()
-    f = Spiked(I_10, (2,), base, R(1), Fraction(5))
+    f = Spiked(base, R(1), Fraction(5))
     assert f.evaluate(R(1)) == R(6)
     assert f.evaluate(R(2)) == R(4)
 
@@ -95,6 +95,8 @@ def test_basis_closure_validation():
     f = Decomposable(I_10, (2,), ConvexSpec(slope=SQRT(3)), AdditiveMap())
     with pytest.raises(ValueError):
         f.validate()
+    with pytest.raises(ValueError, match="repeats a radical"):
+        Decomposable(I_10, (2, 2), ConvexSpec(), AdditiveMap()).validate()
 
 
 # -- generator ----------------------------------------------------------------
@@ -386,7 +388,7 @@ def test_lattice_evaluators_match_evaluate():
     xs, steps = (R(0), R(Fraction(1, 2)), SQRT(2) / 2), (R(Fraction(1, 4)), R(1))
     spikes = ((R(Fraction(3, 4)), True), (R(Fraction(1, 7)), False), (SQRT(3) / 4, False))
     for at, on_lattice in spikes:
-        g = Spiked(I_10, (2, 3), base, at, Fraction(5, 7**3))
+        g = Spiked(base, at, Fraction(5, 7**3))
         g.validate()
         radicals, den, _ = _lattice(xs + steps)
         assert (_coordinates(at, radicals, den) is not None) == on_lattice
@@ -418,7 +420,7 @@ def test_instance_json_spiked_base_shapes():
     # generate() spikes only a Decomposable; a spiked AbsAdditive writes
     # no convex field and reads back as the same function.
     base = AbsAdditive(I_10, (2, 3), AdditiveMap.from_mapping({2: 1, 3: Fraction(-1, 2)}))
-    f = Spiked(I_10, (2, 3), base, R(Fraction(1, 3)), Fraction(7, 8))
+    f = Spiked(base, R(Fraction(1, 3)), Fraction(7, 8))
     f.validate()
     text = dumps_instance(f)
     assert "convex" not in json.loads(text)
@@ -426,33 +428,13 @@ def test_instance_json_spiked_base_shapes():
     assert again == f
     assert dumps_instance(again) == text
 
-    twice = Spiked(I_10, (2, 3), f, R(0), Fraction(1))
+    twice = Spiked(f, R(0), Fraction(1))
     twice.validate()
     with pytest.raises(ValueError, match="one level"):
         dumps_instance(twice)
 
-    # A document stores one interval and one basis, so a base on others
-    # would read back as a different function: f(5) is out of the base's
-    # domain, but the base rebuilt on (-10, 10) would give 25.  Such a
-    # base fails validation, and a sweep refuses it before evaluating.
-    narrow = Decomposable(
-        Interval.open(-1, 1), (2,), ConvexSpec(Fraction(1)), AdditiveMap.from_mapping({2: 3})
-    )
-    mismatched = Spiked(I_10, (2, 3), narrow, R(0), Fraction(1))
-    with pytest.raises(ValueError, match="interval and basis"):
-        mismatched.validate()
-    with pytest.raises(OutOfDomainError):
-        mismatched.evaluate(R(5))
-    with pytest.raises(ValueError, match="interval and basis"):
-        dumps_instance(mismatched)
-    with pytest.raises(ValueError, match="interval and basis"):
-        mismatched._on_lattice((1,))
-    wide = replace(narrow, interval=I_10)
-    for spiked in (Spiked(I_10, (2, 3), wide, R(0), Fraction(1)), replace(mismatched, basis=(2,))):
-        for refuse in (spiked.validate, lambda: dumps_instance(spiked)):
-            with pytest.raises(ValueError, match="interval and basis"):
-                refuse()
-    assert loads_instance(dumps_instance(Spiked(I_10, (2,), wide, R(0), Fraction(1)))).base == wide
+    wide = Decomposable(I_10, (2,), ConvexSpec(Fraction(1)), AdditiveMap.from_mapping({2: 3}))
+    assert loads_instance(dumps_instance(Spiked(wide, R(0), Fraction(1)))).base == wide
 
 
 def test_instance_json_rejects_malformed():
@@ -462,6 +444,7 @@ def test_instance_json_rejects_malformed():
         '{"variant": "mystery", "interval": "(0, 1)", "basis": []}',
         json.dumps({**doc, "basis": ["x"]}),
         json.dumps({**doc, "basis": [1, 11, 15]}),
+        json.dumps({**doc, "basis": [11, 11, 15]}),
         json.dumps({**doc, "additive": {"x": "1"}}),
         json.dumps({**doc, "convex": {**doc["convex"], "quad": "-1"}}),
         json.dumps({**doc, "variant": "spiked", "spike": {"at": "9", "lift": "1"}}),
