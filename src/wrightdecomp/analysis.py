@@ -189,7 +189,8 @@ def build_steps(
     *,
     max_grid_steps: int | None = None,
 ) -> tuple[ExactReal, ...]:
-    """Step profile: explicit steps first (in the given order), then the
+    """Step profile: explicit steps first (in the given order, without
+    repeats; one that is not positive is a NonPositiveStepError), then the
     positive pairwise grid differences, ascending and deduplicated, capped
     at ``max_grid_steps`` (0 keeps the explicit steps only; a negative
     cap is a ValueError).
@@ -212,7 +213,9 @@ def _step_profile(grid: SampleGrid, explicit: Sequence, cap: int | None) -> tupl
     seen: set[ExactReal] = set()
     for s in explicit:
         sv = s if isinstance(s, ExactReal) else ExactReal.from_rational(s)
-        if compare(sv, 0) is Ordering.GREATER and sv not in seen:
+        if compare(sv, 0) is not Ordering.GREATER:
+            raise NonPositiveStepError(f"steps must be positive, got {sv}")
+        if sv not in seen:
             steps.append(sv)
             seen.add(sv)
     if cap == 0:

@@ -24,11 +24,11 @@ from pathlib import Path
 from .analysis import ViolationCertificate, jensen_check, wright_check
 from .decomposition import _TOO_FEW_RATIONALS, _check_eps, _recover, _verify, decompose
 from .domain import make_grid
-from .errors import NotWrightConvexError, ParseError, TooFewPointsError, WrightDecompError
-from .errors import _expect_type
+from .errors import InconsistentEnclosureError, NotWrightConvexError, ParseError, TooFewPointsError
+from .errors import WrightDecompError, _expect_type
 from .exactreal import ExactReal, parse_rational
 from .extension import ExtensionHandle
-from .funcspec import Decomposable, dumps_instance, generate, load_instance
+from .funcspec import Decomposable, _index, dumps_instance, generate, load_instance
 
 
 class _Parser(argparse.ArgumentParser):
@@ -211,13 +211,13 @@ def _cmd_verify(args) -> int:
         doc = _expect_type(json.load(fh), dict, "decomposition result")
     try:
         eps = parse_rational(doc["eps"])
-        seed = int(_expect_type(doc["seed"], (int, str), "seed"))
+        seed = _index(doc["seed"], "seed")
         run = _expect_type(doc.get("config", {"grid_n": 8, "irrational_n": 4}), dict, "config")
         grid_n = _expect_type(run["grid_n"], int, "grid_n")
         irrational_n = _expect_type(run["irrational_n"], int, "irrational_n")
         stored = {
-            int(k): (_expect_type(enc, dict, "additive enclosure")["lo"], enc["hi"])
-            for k, enc in _expect_type(doc["additive"], dict, "additive").items()
+            _index(k, "additive key"): (_expect_type(e, dict, "additive enclosure")["lo"], e["hi"])
+            for k, e in _expect_type(doc["additive"], dict, "additive").items()
         }
     except KeyError as exc:
         raise ParseError(f"decomposition result {args.result} missing field {exc}") from exc
@@ -303,7 +303,10 @@ def main(argv=None) -> int:
         except NotWrightConvexError as exc:
             _emit(args.config, {"error": exc.refusal, "certificate": exc.certificate.to_jsonable()})
             return _outcome(refuted=True)
-        except TooFewPointsError as exc:
+        except (TooFewPointsError, InconsistentEnclosureError) as exc:
+            # A failed check with no certificate.  ``verify`` sets no
+            # ``args.config`` and raises neither: its truth is a
+            # Decomposable, whose chains are never disjoint.
             _emit(args.config, {"inconclusive": str(exc)})
             return _outcome(evidence=False)
     except (WrightDecompError, OSError, ValueError, KeyError) as exc:

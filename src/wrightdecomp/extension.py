@@ -21,12 +21,12 @@ extension at an irrational x it
 3. probes f at the rational midpoint x_r of the window, and of each
    narrower enclosure of x that a finer eps asks for, and intersects the
    certified intervals [f(x_r) - L*d, f(x_r) + L*d], where d bounds
-   |x - x_r|.  A round runs in ints: x_r is a numerator over one
-   denominator, f(x_r) comes from the source's compiled value at
-   rationals (``_compiled((1,))``) as an int tuple, and the slack, the
-   running intersection and the width test are int tuples whose signs
-   ``_lattice_sign`` decides.  An ``Enclosure`` is built only for a round
-   that ``extend_eval`` hands out, each time it hands it out.
+   |x - x_r|.  A round takes x_r as a numerator over one denominator,
+   f(x_r) from the source's compiled value at rationals
+   (``_compiled((1,))``) as an int tuple, and the slack in ints; its
+   certified interval is built once as an ``Enclosure``, and
+   ``Enclosure.intersect`` keeps the running intersection.  ``extend_eval``
+   hands out the first round's intersection whose width is at most eps.
 
 The domain is checked once per chain, at its bracket: every later
 enclosure of x lies inside the window [a, b] (each radical's Heron
@@ -73,17 +73,15 @@ class BracketPolicy:
 
 
 class _Round(NamedTuple):
-    """One refinement round, in ints on the chain's value radicals: the
-    midpoint mid/den of the round's rational enclosure of x, f there over
-    t*den**2, and the running intersection [lo/lo_den, hi/hi_den]."""
+    """One refinement round: the midpoint mid/den of the round's rational
+    enclosure of x, f there as int coordinates on the chain's value
+    radicals over t*den**2, and the running intersection of the rounds so
+    far."""
 
     mid: int
     den: int
     fmid: tuple[int, ...]
-    lo: tuple[int, ...]
-    lo_den: int
-    hi: tuple[int, ...]
-    hi_den: int
+    enclosure: Enclosure
 
 
 @dataclass
@@ -139,8 +137,9 @@ class ExtensionHandle:
         while True:
             if k == len(chain.rounds):
                 self._refine(x, chain)
-            if self._fits(chain.rounds[k], eps):
-                return self._enclosure(chain, k)
+            enc = chain.rounds[k].enclosure
+            if compare(enc.width, eps) is not Ordering.GREATER:
+                return enc
             k += 1
 
     def residual(self, x: ExactReal, eps: Fraction) -> Enclosure:
@@ -187,20 +186,11 @@ class ExtensionHandle:
         rden = lbar.denominator * t * den * den
         slack = lbar.numerator * (hn * ld - ln * hd) * t * den
         first, *rest = [n * lbar.denominator for n in fmid]
-        new_lo, new_hi = (first - slack, *rest), (first + slack, *rest)
-        lo_v, lo_den, hi_v, hi_den = new_lo, rden, new_hi, rden
+        enc = Enclosure(*(_from_lattice(vrad, (first + d, *rest), rden) for d in (-slack, slack)))
         if chain.rounds:
-            last = chain.rounds[-1]
-            sign = lambda a, a_den, b, b_den: _lattice_sign(vrad, _cross(a, a_den, b, b_den), 1)
-            if sign(last.lo, last.lo_den, new_lo, rden) is not Ordering.LESS:
-                lo_v, lo_den = last.lo, last.lo_den
-            if sign(last.hi, last.hi_den, new_hi, rden) is not Ordering.GREATER:
-                hi_v, hi_den = last.hi, last.hi_den
-            if sign(lo_v, lo_den, hi_v, hi_den) is Ordering.GREATER:
-                # Disjoint rounds: ``intersect`` raises, naming both.
-                new = Enclosure(*(_from_lattice(vrad, v, rden) for v in (new_lo, new_hi)))
-                self._enclosure(chain, len(chain.rounds) - 1).intersect(new)
-        chain.rounds.append(_Round(mid, den, fmid, lo_v, lo_den, hi_v, hi_den))
+            # Disjoint rounds raise InconsistentEnclosureError, naming both.
+            enc = chain.rounds[-1].enclosure.intersect(enc)
+        chain.rounds.append(_Round(mid, den, fmid, enc))
 
     def _refine(self, x: ExactReal, chain: _Chain) -> None:
         # One round per bracket: a Heron bracket overshoots the width asked
@@ -209,23 +199,6 @@ class ExtensionHandle:
         # round goes straight to the first halving whose bounds are new.
         chain.delta, bounds = _narrower_bounds(x, chain.delta)
         self._seed_round(chain, *bounds)
-
-    def _fits(self, r: _Round, eps: Fraction) -> bool:
-        """Whether round r's running intersection has width <= eps."""
-        width = _cross(r.hi, r.hi_den, r.lo, r.lo_den)
-        width = [n * eps.denominator for n in width]
-        width[0] -= eps.numerator * r.lo_den * r.hi_den
-        return _lattice_sign(self.source._compiled((1,))[0], width, 1) is not Ordering.GREATER
-
-    def _enclosure(self, chain: _Chain, k: int) -> Enclosure:
-        """Round k's running intersection, built when handed out."""
-        r, vrad = chain.rounds[k], self.source._compiled((1,))[0]
-        return Enclosure(_from_lattice(vrad, r.lo, r.lo_den), _from_lattice(vrad, r.hi, r.hi_den))
-
-
-def _cross(a: tuple[int, ...], a_den: int, b: tuple[int, ...], b_den: int) -> list[int]:
-    """a/a_den - b/b_den as int coordinates over a_den*b_den."""
-    return [p * b_den - q * a_den for p, q in zip(a, b)]
 
 
 @dataclass(frozen=True)

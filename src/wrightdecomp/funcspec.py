@@ -449,8 +449,9 @@ def _convex_from_jsonable(d: dict) -> ConvexSpec:
 
 def _index(value, what: str) -> int:
     """A radical index written as a JSON integer or a decimal string."""
+    value = _expect_type(value, (int, str), what)  # its ParseError is a ValueError
     try:
-        return int(_expect_type(value, (int, str), what))
+        return int(value)
     except ValueError as exc:
         raise ParseError(f"{what} {value!r} is not an integer") from exc
 

@@ -32,7 +32,7 @@ from wrightdecomp import (
     ViolationCertificate,
     compare,
 )
-from wrightdecomp.errors import BracketViolationError
+from wrightdecomp.errors import BracketViolationError, NonPositiveStepError
 
 _HALF = Fraction(1, 2)
 
@@ -110,14 +110,16 @@ def wright_convex(inst) -> bool:
 
 
 def build_steps_reference(grid, explicit=(), *, max_grid_steps=None) -> tuple[ExactReal, ...]:
-    """The explicit steps that are positive, first and in order without
-    repeats; then every positive difference of two grid points that is
-    not an explicit step, ascending by ``compare`` without repeats, the
-    first ``max_grid_steps`` of them."""
+    """The explicit steps, first and in order without repeats (one that is
+    not positive raises ``NonPositiveStepError``); then every positive
+    difference of two grid points that is not an explicit step, ascending
+    by ``compare`` without repeats, the first ``max_grid_steps`` of them."""
     steps: list[ExactReal] = []
     for s in explicit:
         s = s if isinstance(s, ExactReal) else ExactReal.from_rational(s)
-        if compare(s, 0) is Ordering.GREATER and s not in steps:
+        if compare(s, 0) is not Ordering.GREATER:
+            raise NonPositiveStepError(f"steps must be positive, got {s}")
+        if s not in steps:
             steps.append(s)
     if max_grid_steps == 0:
         return tuple(steps)

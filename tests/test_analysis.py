@@ -209,6 +209,8 @@ def test_wright_check_matches_ordered_reference_sweep():
             m = rng.choice(f.basis + (1, 1, outside))
             s = SQRT(m) * Fraction(rng.randint(-3, 12), rng.randint(1, 4))
             steps.append(R(rng.randint(1, 5)) - s if rng.random() < 0.4 else s)
+        # a step that is not positive is an error (test_build_steps_refuses_nonpositive)
+        steps = [s for s in steps if compare(s, 0) is Ordering.GREATER]
         expected = _wright_outcome(wright_sweep_reference, f, grid, steps, cap)
         assert _wright_outcome(wright_check, f, grid, steps, cap) == expected, case
         if isinstance(expected, tuple):
@@ -256,7 +258,8 @@ def _wright_cases(draw):
         # x + s + (hi - x - s) = hi, for an explicit s or a grid step s
         for s in steps[:1] + grid_differences[1:]:
             steps.append(hi - draw(st.sampled_from(pts)) - s)
-    steps = draw(st.permutations(steps))
+    # a step that is not positive is an error (test_build_steps_refuses_nonpositive)
+    steps = draw(st.permutations([s for s in steps if compare(s, 0) is Ordering.GREATER]))
     return f, grid, steps, draw(st.sampled_from([None, 0, 3]))
 
 
@@ -744,7 +747,7 @@ def test_build_steps_matches_exact_real_reference():
         pts = grid.points()
         diffs = [pts[j] - pts[i] for i in range(len(pts)) for j in range(i + 1, len(pts))]
         middle = diffs[len(diffs) // 2]
-        for explicit in ((), (diffs[0], SQRT(5), diffs[-1], R(-1), diffs[0]), (middle,)):
+        for explicit in ((), (diffs[0], SQRT(5), diffs[-1], diffs[0]), (middle,)):
             for cap in (None, 0, 1, 3, len(diffs)):
                 steps = build_steps(grid, explicit, max_grid_steps=cap)
                 assert steps == build_steps_reference(grid, explicit, max_grid_steps=cap)
@@ -763,10 +766,27 @@ def test_negative_step_cap_raises():
     assert wright_check(f, grid).checked == 29
 
 
-def test_build_steps_filters_nonpositive():
+@pytest.mark.parametrize(
+    "bad", [R(-1), ExactReal(), R(Fraction(-1, 2)), 1 - SQRT(2)], ids=["-1", "0", "-1/2", "1-sqrt2"]
+)
+def test_build_steps_refuses_nonpositive(tmp_path, capsys, bad):
+    # an explicit step that is not positive is an error, never dropped
+    # silently from a profile the report would still echo
     grid = SampleGrid(I_10, (Fraction(0),), (), seed=0)
-    steps = build_steps(grid, (R(-1), ExactReal(), R(2)), max_grid_steps=0)
-    assert steps == (R(2),)
+    for build in (build_steps, build_steps_reference):
+        with pytest.raises(NonPositiveStepError, match="steps must be positive"):
+            build(grid, (R(2), bad), max_grid_steps=0)
+    f = generate(0)
+    with pytest.raises(NonPositiveStepError):
+        wright_check(f, make_grid(f.interval, 4, 0, f.basis, 0), (bad,))
+    from wrightdecomp.cli import main
+
+    inst, out = tmp_path / "inst.json", tmp_path / "out.json"
+    assert main(["gen", "--seed", "0", "--out", str(inst)]) == 0
+    assert main(["check-wright", str(inst), "--steps", f"1/3,{bad.literal()}",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: steps must be positive, got ")
+    assert not out.exists()
 
 
 def test_wright_check_sweeps_a_repeated_point_once():

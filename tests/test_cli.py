@@ -510,6 +510,34 @@ def test_decompose_on_too_few_rationals_is_inconclusive(tmp_path, grid_n):
     assert run_cli("verify", str(result), "--truth", str(inst)) == 2
 
 
+def test_decompose_with_disjoint_chain_rounds_is_inconclusive(tmp_path):
+    # A spike of 10 at round 1's midpoint of the chain that recovers the
+    # first coefficient at eps 1e-40 makes round 1 miss round 0: f|Q is
+    # not convex there, but no certificate is in hand, so the run is
+    # inconclusive.  The spike is off the grid, so the sweeps pass.
+    from wrightdecomp import ExactReal, ExtensionHandle, Spiked, dumps_instance, generate
+    from wrightdecomp.decomposition import _recovery_point
+
+    base = generate(0)
+    r, q = _recovery_point(base.interval, base.basis[0])
+    x = ExactReal.from_rational(r) + ExactReal.sqrt(base.basis[0]) * q
+    handle = ExtensionHandle(base)
+    handle.extend_eval(x, Fraction(1, 10**40) * q)
+    mid = handle._chains[x].rounds[1]
+    inst, out = tmp_path / "spiked.json", tmp_path / "out.json"
+    at = ExactReal.from_rational(Fraction(mid.mid, mid.den))
+    inst.write_text(dumps_instance(Spiked(base, at, 10)))
+    assert run_cli("decompose", str(inst), "--eps", "1e-40", "--out", str(out)) == 3
+    doc = json.loads(out.read_text())
+    assert set(doc) == {"config", "inconclusive"}
+    assert doc["config"]["eps"] == str(Fraction(1, 10**40))
+    assert doc["inconclusive"].startswith("enclosures [") and doc["inconclusive"].endswith(
+        "are disjoint"
+    )
+    for command in ("check-wright", "check-jensen"):
+        assert run_cli(command, str(inst), "--out", str(out)) == 0
+
+
 def test_decompose_verify_round_trip(tmp_path):
     inst = tmp_path / "inst.json"
     result = tmp_path / "result.json"
@@ -694,6 +722,9 @@ def test_verify_certificate_input_errors_exit_1(tmp_path, monkeypatch, capsys, d
          "missing field 'hi'"),
         ("verify", {"eps": "1/100", "seed": 0, "config": {"grid_n": 8}, "additive": {}},
          "missing field 'irrational_n'"),
+        ("verify", {"eps": "1/100", "seed": "abc", "additive": {}}, "seed 'abc' is not an integer"),
+        ("verify", {"eps": "1/100", "seed": 0, "additive": {"x": {"lo": "0", "hi": "0"}}},
+         "additive key 'x' is not an integer"),
         *(
             ("verify-certificate", {"certificate": {k: v for k, v in _CERT.items() if k != field}},
              f"certificate missing field '{field}'")
@@ -703,6 +734,7 @@ def test_verify_certificate_input_errors_exit_1(tmp_path, monkeypatch, capsys, d
     ids=["convex-list", "top-level-list", "basis-int", "basis-entry-bool", "basis-repeated",
          "interval-int", "quad-int", "certificate-str", "verify-config-list",
          "verify-missing-eps", "verify-missing-hi", "verify-missing-irrational-n",
+         "verify-seed-str", "verify-additive-key-str",
          *(f"certificate-missing-{field}" for field in _CERT)],
 )
 def test_malformed_document_exits_1(tmp_path, capsys, command, doc, names):
@@ -718,10 +750,12 @@ def test_malformed_document_exits_1(tmp_path, capsys, command, doc, names):
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    if names:
+    if "missing field" in names:
         # the message names the document and its missing field
         document = "report" if command == "verify-certificate" else "decomposition result"
         assert f"{document} {bad} {names}" in err
+    else:
+        assert names in err  # a malformed field is named with its value
 
 
 def test_write_error_names_the_target(tmp_path, capsys):

@@ -121,6 +121,20 @@ def test_extend_cache_matches_fresh_run():
         assert warm.extend_eval(x, eps) == fresh.extend_eval(x, eps)
 
 
+def test_extend_hands_out_the_round_it_keeps():
+    # each round keeps its running intersection as an Enclosure, built
+    # once: asking again for the same (x, eps) rebuilds nothing
+    f = generate(0)
+    h = ExtensionHandle(f)
+    for x in make_grid(f.interval, 0, 2, f.basis, seed=0).irrationals:
+        enc = h.extend_eval(x, Fraction(1, 10**8))
+        assert h.extend_eval(x, Fraction(1, 10**8)) is enc
+        assert enc is h._chains[x].rounds[0].enclosure
+        fine = h.extend_eval(x, Fraction(1, 10**40))
+        assert fine is h._chains[x].rounds[-1].enclosure is not enc
+        assert h.extend_eval(x, Fraction(1, 10**40)) is fine
+
+
 def test_extend_out_of_domain():
     h = ExtensionHandle(square())
     with pytest.raises(OutOfDomainError):
@@ -314,7 +328,7 @@ def test_refinement_rounds_are_distinct():
         for x in make_grid(f.interval, 0, 2, f.basis, seed=seed).irrationals:
             handle.extend_eval(x, EPS12)
             chain = handle._chains[x]
-            encs = [handle._enclosure(chain, k) for k in range(len(chain.rounds))]
+            encs = [chain.rounds[k].enclosure for k in range(len(chain.rounds))]
             assert len(encs) > 1
             assert len({(e.lo, e.hi) for e in encs}) == len(encs), (seed, x)
 
@@ -333,7 +347,7 @@ def _matches_reference_chain(f, x, eps, policy=COARSE):
     chain = handle._chains[x]  # the first round has nothing to intersect
     reference = reference_chain(f, policy, x, len(chain.rounds))
     for k, enc in enumerate(reference):
-        assert handle._enclosure(chain, k) == enc, (f, x, k)
+        assert chain.rounds[k].enclosure == enc, (f, x, k)
     if error is not None:
         with pytest.raises(InconsistentEnclosureError) as ref:
             reference_chain(f, policy, x, len(chain.rounds) + 1)
@@ -400,7 +414,7 @@ def test_int_chain_matches_reference_chain():
         j for j, r in enumerate(chain.rounds) if j and Fraction(r.mid, r.den).denominator != r.den
     )
     at = R(Fraction(chain.rounds[j].mid, chain.rounds[j].den))
-    before, here, after = (handle._enclosure(chain, k) for k in (j - 1, j, j + 1))
+    before, here, after = (chain.rounds[k].enclosure for k in (j - 1, j, j + 1))
     lifts = (
         (_between(before.hi - here.hi, before.hi - here.lo), "hi"),
         (_between(after.lo - here.lo, after.hi - here.lo), "lo"),
@@ -413,7 +427,10 @@ def test_int_chain_matches_reference_chain():
         if kept is None:
             assert raised
         else:
-            assert any(getattr(r, kept) is getattr(s, kept) for r, s in zip(rounds, rounds[1:]))
+            assert any(
+                getattr(r.enclosure, kept) is getattr(s.enclosure, kept)
+                for r, s in zip(rounds, rounds[1:])
+            )
 
 
 # -- difference transfer -------------------------------------------------------
