@@ -28,9 +28,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analysis import _Report, jensen_check
+from .analysis import _Report, build_steps, jensen_check
 from .domain import Interval, SampleGrid, make_grid, rational_anchors, shifted_intersection
-from .errors import BracketUnavailableError, NotWrightConvexError, TooFewPointsError
+from .errors import NotWrightConvexError, TooFewPointsError
 from .exactreal import Enclosure, ExactReal, Ordering, compare
 from .extension import (
     BracketPolicy,
@@ -41,7 +41,6 @@ from .extension import (
 )
 from .funcspec import Decomposable, FunctionDef
 
-_MAX_HALVINGS = 200  # halvings of q tried before the probe is given up
 # uniqueness_check's second bracket policy.  Its margin of two window
 # widths gives every chain a bracket other than the default policy's,
 # whatever the windows.  Its first enclosure asked at 2**-64 is usually a
@@ -99,25 +98,23 @@ def _recovery_point(interval: Interval, m: int) -> tuple[Fraction, Fraction]:
     """Rationals (r, q), q > 0, with r + q*sqrt(m) inside the interval.
 
     The coefficient error of the recovery divides by q, so q is taken as
-    large as the interval allows (largest power of two fitting a quarter
-    of the usable window), with r a dyadic rational near the center.
+    large as the interval allows: the largest power of two with
+    q*sqrt(m) <= room, a quarter of the usable window, that is
+    q**2 <= z = room**2 / m, read off z's bit lengths for any width.  r
+    is a dyadic rational near the center.
     """
     a, b = rational_anchors(interval)
     center = (a + b) / 2
     r = Fraction(math.floor(center * 64), 64)
     if r <= a:
         r = center
-    room = (b - a) / 4
-    s = ExactReal.sqrt(m)
-    q = Fraction(1)
-    while compare(s * (q * 2), room) is not Ordering.GREATER:
-        q *= 2
-    # a < r <= center and s*q <= room give a < r + s*q < b, inside the interval.
-    for _ in range(_MAX_HALVINGS + 1):
-        if compare(s * q, room) is not Ordering.GREATER:
-            return r, q
-        q /= 2
-    raise BracketUnavailableError(f"interval too narrow to probe sqrt({m})")
+    z = ((b - a) / 4) ** 2 / m
+    n, d = z.numerator, z.denominator
+    e = n.bit_length() - d.bit_length()  # floor(log2 z) is e or e - 1
+    if (n << max(-e, 0)) < (d << max(e, 0)):
+        e -= 1
+    # a < r <= center and q*sqrt(m) <= room give a < r + q*sqrt(m) < b.
+    return r, Fraction(2) ** (e // 2)
 
 
 def _additive_at(additive_hat: dict[int, Enclosure], x: ExactReal) -> Enclosure:
@@ -196,18 +193,17 @@ def _decompose(handle: ExtensionHandle, eps: Fraction, grid: SampleGrid) -> Deco
     _check_eps(eps)
     if len(grid.rationals) < 2:
         raise TooFewPointsError(_TOO_FEW_RATIONALS)
-    gate = jensen_check(handle.source, grid.rational_only())
+    rational_grid = grid.rational_only()
+    gate = jensen_check(handle.source, rational_grid)
     if not gate.passed:
         raise NotWrightConvexError(gate.certificate)
     additive_hat, recovery_points = _recover(handle, eps)
 
     transfer_reports: list[TransferReport] = []
-    steps = sorted(
-        {q2 - q1 for i, q1 in enumerate(grid.rationals) for q2 in grid.rationals[i + 1 :]}
-    )
-    for v in steps[:2]:
+    for step in build_steps(rational_grid, max_grid_steps=2):
         # The gate has checked every grid rational into the interval I,
         # so for v = q2 - q1 the point q1 lies in I ∩ (I - v).
+        v = step.rational_part
         sub = grid.restricted_to(shifted_intersection(handle.source.interval, v))
         if len(sub.points()) < 2:
             continue

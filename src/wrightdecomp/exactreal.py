@@ -527,33 +527,22 @@ def _lattice_quadratic(
     return vrad, t, value
 
 
-def _minus(
-    radicals: tuple[int, ...], y: ExactReal
-) -> tuple[tuple[int, ...], Callable[[tuple[int, ...], int], list[int]]]:
-    """The sorted radicals of x - y, for x = sum c_i*sqrt(radicals_i) / den,
-    and ``diff(c, den)``: x - y's int coordinates on them over den*y's
-    denominator, never reduced.  Points with different denominators are
-    compared this way, not by their coordinate tuples."""
-    ynums = dict(y._nums)
-    union = tuple(sorted(set(radicals) | set(ynums)))
-    terms = [(radicals.index(m) if m in radicals else -1, ynums.get(m, 0)) for m in union]
-    yden = y._den
-
-    def diff(c: tuple[int, ...], den: int) -> list[int]:
-        return [(c[i] * yden if i >= 0 else 0) - n * den for i, n in terms]
-
-    return union, diff
-
-
 def _side(radicals: tuple[int, ...], y: ExactReal) -> Callable[[tuple[int, ...], int], int]:
     """``side(c, den)``: the sign, -1, 0 or 1, of x - y for
-    x = sum c_i*sqrt(radicals_i) / den, the sign of ``_minus``'s
-    difference; when x and y share their one radical, the sign of one int."""
-    union, diff = _minus(radicals, y)
+    x = sum c_i*sqrt(radicals_i) / den, decided on x - y's int coordinates
+    over den*y's denominator, never reduced, so points with different
+    denominators compare; when x and y share their one radical, the sign
+    of one int."""
+    ynums = dict(y._nums)
+    union = tuple(sorted(set(radicals) | set(ynums)))
+    yden = y._den
     if len(union) == 1 and union[0] in radicals:
-        i, n, yden = radicals.index(union[0]), y._nums[0][1] if y._nums else 0, y._den
+        i, n = radicals.index(union[0]), ynums.get(union[0], 0)
         return lambda c, den: (c[i] * yden > n * den) - (c[i] * yden < n * den)
-    return lambda c, den: _lattice_sign(union, diff(c, den), 1)
+    terms = [(radicals.index(m) if m in radicals else -1, ynums.get(m, 0)) for m in union]
+    return lambda c, den: _lattice_sign(
+        union, [(c[i] * yden if i >= 0 else 0) - n * den for i, n in terms], 1
+    )
 
 
 def _int_bounds(nums: _Nums, en: int, ed: int) -> tuple[int, int, int, int]:

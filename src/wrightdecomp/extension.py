@@ -28,7 +28,9 @@ extension at an irrational x it
    ``Enclosure.intersect`` keeps the running intersection.  ``extend_eval``
    hands out the first round's intersection whose width is at most eps.
 
-The domain is checked once per chain, at its bracket: every later
+``extend_eval`` tests x's domain when it first meets x: when it starts
+x's chain, or at every call for a rational x, which has no chain.  The
+chain tests its bracket once, at its two outer points: every later
 enclosure of x lies inside the window [a, b] (each radical's Heron
 brackets nest), and so does every midpoint.  Every value f is probed at
 is rational; at rational x the enclosure is the exact point value.  The
@@ -123,16 +125,16 @@ class ExtensionHandle:
         eps = Fraction(eps)
         if eps <= 0:
             raise ValueError(f"eps must be positive, got {eps}")
-        interval = self.source.interval
-        if not interval.contains(x):
-            raise OutOfDomainError(f"{x} outside {interval.literal()}")
-        if x.is_rational:
-            # The extension agrees with f on the rationals.
-            return Enclosure.point(self.f_rational(x.rational_part))
         chain = self._chains.get(x)
         if chain is None:
-            chain = self._start_chain(x)
-            self._chains[x] = chain
+            # The one domain test of x: a chain is started only inside the interval.
+            interval = self.source.interval
+            if not interval.contains(x):
+                raise OutOfDomainError(f"{x} outside {interval.literal()}")
+            if x.is_rational:
+                # The extension agrees with f on the rationals.
+                return Enclosure.point(self.f_rational(x.rational_part))
+            chain = self._chains[x] = self._start_chain(x)
         k = 0
         while True:
             if k == len(chain.rounds):

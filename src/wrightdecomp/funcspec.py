@@ -24,8 +24,7 @@ from typing import Mapping, Union
 from .domain import Interval, rational_anchors
 from .errors import OutOfDomainError, OutOfSpanError, ParseError, _expect_type
 from .exactreal import ExactReal, Ordering, check_radical_index, compare, parse_rational
-from .exactreal import _coordinates, _from_lattice, _lattice_quadratic, _lattice_sign
-from .exactreal import _minus, _side
+from .exactreal import _coordinates, _from_lattice, _lattice_quadratic, _lattice_sign, _side
 
 _SQUAREFREE_POOL = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15)
 
@@ -287,13 +286,14 @@ class Spiked(_FunctionBase):
         # Scale the base's values when t does not carry lift's denominator.
         k = self.lift.denominator // math.gcd(self.lift.denominator, t)
         lift = self.lift.numerator * (t * k // self.lift.denominator)
-        _, diff = _minus(radicals, self.at)
 
         def spiked(c: tuple[int, ...], den: int) -> tuple[int, ...]:
             v = value(c, den)
             if k != 1:
                 v = tuple([k * n for n in v])
-            return v if any(diff(c, den)) else (v[0] + lift * den * den, *v[1:])
+            if tuple(c) != _coordinates(self.at, radicals, den):  # None off at's lattice
+                return v
+            return (v[0] + lift * den * den, *v[1:])
 
         return vrad, t * k, spiked
 

@@ -13,6 +13,8 @@ monotone scan, Lipschitz modulus and extension chain read f through
 reads f's compiled form and decides on int tuples.  The reference step
 profile subtracts, deduplicates and sorts the grid differences as
 ``ExactReal`` values, where the library does so on lattice coordinates.
+The reference recovery point searches for q by doubling and halving
+under ``compare``, where the library reads q off bit lengths.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from wrightdecomp import (
     ViolationCertificate,
     compare,
 )
+from wrightdecomp.domain import rational_anchors
 from wrightdecomp.errors import BracketViolationError, NonPositiveStepError
 
 _HALF = Fraction(1, 2)
@@ -228,3 +231,21 @@ def reference_chain(f, policy, x, rounds):
             d /= 2
         lo, hi = x.bounds(d)
     return encs
+
+
+def recovery_point_reference(interval, m) -> tuple[Fraction, Fraction]:
+    """The recovery point (r, q) by search: r the dyadic rational near the
+    center of the anchors (a, b), and q the largest power of two with
+    q*sqrt(m) <= (b - a)/4, found by doubling from 1 and then halving,
+    each step decided by ``compare``."""
+    a, b = rational_anchors(interval)
+    center = (a + b) / 2
+    r = Fraction(math.floor(center * 64), 64)
+    if r <= a:
+        r = center
+    room, s, q = (b - a) / 4, ExactReal.sqrt(m), Fraction(1)
+    while compare(s * (q * 2), room) is not Ordering.GREATER:
+        q *= 2
+    while compare(s * q, room) is Ordering.GREATER:
+        q /= 2
+    return r, q

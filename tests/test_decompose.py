@@ -2,6 +2,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wrightdecomp import (
     AbsAdditive,
@@ -23,8 +24,11 @@ from wrightdecomp import (
     uniqueness_check,
     verify_against_truth,
 )
-from wrightdecomp.decomposition import _additive_at, _recover
+from wrightdecomp.decomposition import _additive_at, _recover, _recovery_point
+from wrightdecomp.domain import rational_anchors
 from wrightdecomp.errors import NotWrightConvexError
+
+from oracles import recovery_point_reference
 
 R = ExactReal.from_rational
 SQRT = ExactReal.sqrt
@@ -54,6 +58,46 @@ def test_decompose_recovers_sqrt2_coefficient():
     assert compare(enc.width, EPS8) is not Ordering.GREATER
     assert enc.contains(R(3))
     assert result.passed
+
+
+@pytest.mark.parametrize("digits", [70, 150, 300])
+def test_decompose_recovers_on_a_narrow_interval(digits):
+    # q is read off the width, so it exists at any width; the probe's
+    # sqrt(2) coefficient is q, so its first enclosure is already narrower
+    # than the interval and its chain's window fits at once, even where a
+    # chain at sqrt(2) itself finds none (1e-300 on each side).
+    lo, w = Fraction(1, 3), Fraction(1, 10**digits)
+    interval = Interval.open(lo, lo + w)
+    f = Decomposable(interval, (2,), ConvexSpec(quad=Fraction(1)), AdditiveMap.from_mapping({2: 3}))
+    grid = SampleGrid(interval, (lo + w / 3, lo + 2 * w / 3), (), 0)
+    enc = decompose(f, EPS8, grid).additive_hat[2]
+    assert compare(enc.width, EPS8) is not Ordering.GREATER
+    assert enc.contains(R(3))
+
+
+@st.composite
+def _recovery_intervals(draw):
+    """An interval from about 1e-60 to 1 wide, its lower end and its width
+    each rational or irrational, and a radical m."""
+    lo = R(Fraction(draw(st.integers(-1000, 1000)), draw(st.integers(1, 64))))
+    if draw(st.booleans()):
+        lo = lo + SQRT(draw(st.sampled_from((2, 3, 5)))) * Fraction(draw(st.integers(-8, 8)), 8)
+    width = R(Fraction(draw(st.integers(1, 9)), 10 ** draw(st.integers(1, 60))))
+    if draw(st.booleans()):
+        width = width * SQRT(7) / 2
+    return Interval(lo, lo + width), draw(st.sampled_from((2, 3, 10, 4294967291)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_recovery_intervals())
+def test_recovery_point_matches_search(case):
+    interval, m = case
+    r, q = _recovery_point(interval, m)
+    assert (r, q) == recovery_point_reference(interval, m)
+    a, b = rational_anchors(interval)
+    x = R(r) + SQRT(m) * q
+    assert compare(R(a), x) is Ordering.LESS and compare(x, R(b)) is Ordering.LESS
+    assert compare(SQRT(m) * (2 * q), R((b - a) / 4)) is Ordering.GREATER
 
 
 def test_decompose_rejects_eps_outside_the_resolvable_range():

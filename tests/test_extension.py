@@ -294,7 +294,9 @@ def test_chain_tests_its_bracket_for_the_domain_once(monkeypatch):
     # _start_chain tests a - w and b + w, the modulus reads the bracket
     # without testing it again, and nothing tests the bracket's inner
     # points or the rounds' midpoints: two interval tests per chain, plus
-    # extend_eval's one of x per call.
+    # extend_eval's one of x when it starts x's chain.  A later call at x
+    # tests nothing, and an x outside the interval, which gets no chain,
+    # is tested and refused at every call.
     calls = []
     contains = Interval.contains
 
@@ -316,7 +318,14 @@ def test_chain_tests_its_bracket_for_the_domain_once(monkeypatch):
             assert calls == [x, 2 * a - b, 2 * b - a]
             calls.clear()
             handle.extend_eval(x, EPS12 / 10**6)
-            assert calls == [x]
+            assert calls == []
+        outside = f.interval.hi + SQRT(2)
+        for _ in range(2):
+            calls.clear()
+            with pytest.raises(OutOfDomainError):
+                handle.extend_eval(outside, EPS12)
+            assert calls == [outside]
+        assert outside not in handle._chains
 
 
 def test_refinement_rounds_are_distinct():
